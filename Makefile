@@ -23,9 +23,10 @@ bench-smoke:
 	$(PYTHON) benchmarks/bench_runner.py
 
 ## Columnar-kernel parity gate: the differential test suites (fast
-## fuzz tier included) plus the full parity matrix, which writes
-## reports/kernel_parity.json and fails on any byte-level divergence
-## between the columnar and reference engines (see docs/kernel.md).
+## fuzz tier included), the runner's kernel/fallback selection suite,
+## and the full parity matrix, which writes reports/kernel_parity.json
+## and fails on any byte-level divergence between the columnar kernel
+## and the reference oracle, analyze_reference (see docs/kernel.md).
 kernel-parity:
 	$(PYTHON) -m pytest -x -q tests/core/test_kernel_parity.py \
 		tests/properties/test_kernel_fuzz.py tests/runner/test_engine.py

@@ -1,10 +1,12 @@
-"""Kernel parity report: columnar engine vs the reference analyzer.
+"""Kernel parity report: columnar kernel vs the reference oracle.
 
-Runs a (workload x analysis-variant) matrix through both engines and
-verifies the byte-identity contract case by case — ``result_to_dict``
-of each result pair must serialise to exactly the same JSON.  Alongside
-the verdicts it records per-engine analyze wall time, so the report
-doubles as a coarse per-case speedup table.
+Runs a (workload x analysis-variant) matrix through the columnar
+kernel (``analyze_trace``) and the reference loop
+(``analyze_reference``) and verifies the byte-identity contract case
+by case — ``result_to_dict`` of each result pair must serialise to
+exactly the same JSON.  Alongside the verdicts it records each path's
+analyze wall time, so the report doubles as a coarse per-case speedup
+table.
 
 This is the artifact behind ``make kernel-parity`` and the CI
 ``kernel-parity`` job: it writes ``reports/kernel_parity.json`` and
@@ -27,7 +29,12 @@ import sys
 import time
 from pathlib import Path
 
-from repro.core import AnalysisConfig, analyze_trace
+from repro.core import (
+    AnalysisConfig,
+    analyze_reference,
+    analyze_trace,
+    columnar_unsupported,
+)
 from repro.core.export import result_to_dict
 from repro.gen import generated_workload
 from repro.workloads import SUITE, get_workload
@@ -75,11 +82,18 @@ def _trace_of(name: str):
 SEGMENTS = int(os.environ.get("REPRO_PARITY_SEGMENTS", "4"))
 
 
-def _timed_analysis(records, n_static, name, config, engine,
+def _timed_analysis(records, n_static, name, config, reference=False,
                     segments=None):
+    """Serialised result and wall time of one analysis: the reference
+    oracle, or the columnar kernel (``segments`` > 1 = segmented)."""
     start = time.perf_counter()
-    result = analyze_trace(records, n_static, name=name, config=config,
-                           engine=engine, segments=segments)
+    if reference:
+        (result,) = analyze_reference(records, n_static, [config],
+                                      name=name)
+    else:
+        assert columnar_unsupported(config) is None, config
+        result = analyze_trace(records, n_static, name=name,
+                               config=config, segments=segments)
     wall = time.perf_counter() - start
     return json.dumps(result_to_dict(result), sort_keys=False), wall
 
@@ -99,16 +113,15 @@ def parity_report() -> dict:
         # Fresh column decode per case: a shared object would let the
         # kernel's bank caches mask a per-case divergence.
         reference, ref_wall = _timed_analysis(
-            records, n_static, workload, config, "reference"
+            records, n_static, workload, config, reference=True
         )
         columnar, col_wall = _timed_analysis(
-            records, n_static, workload, config, "columnar"
+            records, n_static, workload, config
         )
         # The segment-parallel kernel shares the identity contract:
         # same bytes through checkpointed cuts (docs/sharding.md).
         segmented, seg_wall = _timed_analysis(
-            records, n_static, workload, config, "columnar",
-            segments=SEGMENTS,
+            records, n_static, workload, config, segments=SEGMENTS,
         )
         match = columnar == reference and segmented == reference
         mismatches += 0 if match else 1

@@ -65,7 +65,8 @@ PARALLEL_JOBS = int(os.environ.get("REPRO_PARALLEL_JOBS",
 def _cold_setup(tmp_path_factory, jobs):
     def setup():
         root = tmp_path_factory.mktemp("runner-cold")
-        return (ExperimentRunner(store=ResultStore(root), jobs=jobs),), {}
+        return (ExperimentRunner(store=ResultStore(root),
+                                 policy=ExecutionPolicy(jobs=jobs)),), {}
 
     return setup
 
@@ -226,7 +227,7 @@ def parallel_smoke() -> dict:
         sharded = replay(policy, "segmented_replay")
         assert (json.dumps(result_to_dict(sharded))
                 == json.dumps(result_to_dict(serial))), \
-            "segment-parallel replay diverged from the serial engine"
+            "segment-parallel replay diverged from the serial kernel"
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     return {
@@ -262,14 +263,14 @@ def smoke(output_path=None) -> dict:
       replays the stored trace);
     * ``full_warm`` — both tiers warm (every job is a store hit).
 
-    The cold and trace-warm sweeps run once per analysis engine
-    (columnar and reference) under an observing runner
+    The cold and trace-warm sweeps run under an observing runner
     (:mod:`repro.obs`); the per-phase wall-time breakdown lands in the
-    report's ``phases`` section keyed by engine, and
-    ``speedup.analyze_columnar_vs_reference`` compares the two
-    engines' cold ``analyze`` walls — the columnar kernel's headline
-    number (see docs/kernel.md).  The headline ``seconds``/``speedup``
-    entries describe the columnar engine, today's default.
+    report's ``phases.columnar`` section.  ``reference_analyze`` times
+    the reference oracle (:func:`repro.core.analyze_reference`) over
+    the cold sweep's stored traces, and
+    ``speedup.analyze_columnar_vs_reference`` compares it with the
+    cold sweep's ``analyze`` wall — the columnar kernel's headline
+    number (see docs/kernel.md).
     """
     import json
     import platform
@@ -279,7 +280,10 @@ def smoke(output_path=None) -> dict:
     import time
     from pathlib import Path
 
+    from repro.core import analyze_reference
     from repro.obs import aggregate_spans
+    from repro.runner import Job, trace_key
+    from repro.workloads import SUITE
 
     def phase_breakdown(runs) -> dict:
         """Per-phase wall seconds from a sweep's recorded profile.
@@ -310,26 +314,43 @@ def smoke(output_path=None) -> dict:
         timings[label] = time.perf_counter() - start
         return out
 
-    def engine_sweeps(engine: str, scratch: Path) -> None:
-        """Cold and trace-warm sweeps for one engine, into ``phases``."""
-        suffix = "" if engine == "columnar" else f"_{engine}"
-        cold = timed(f"cold{suffix}", lambda: _sweep(ExperimentRunner(
+    def columnar_sweeps(scratch: Path) -> None:
+        """Cold and trace-warm sweeps, into ``phases``."""
+        cold = timed("cold", lambda: _sweep(ExperimentRunner(
             store=ResultStore(scratch), trace_store=TraceStore(scratch),
-            observe=True, engine=engine,
+            observe=True,
         )))
-        phases[engine] = {"cold": phase_breakdown(cold)}
+        phases["columnar"] = {"cold": phase_breakdown(cold)}
         trace_warm_runner = ExperimentRunner(
             store=ResultStore(scratch / "fresh-results"),
             trace_store=TraceStore(scratch),
-            observe=True, engine=engine,
+            observe=True,
         )
-        trace_warm = timed(f"trace_warm{suffix}",
-                           lambda: _sweep(trace_warm_runner))
+        trace_warm = timed("trace_warm", lambda: _sweep(trace_warm_runner))
         assert all(
             metric.status == "replayed"
             for run in trace_warm for metric in run.metrics.jobs
         )
-        phases[engine]["trace_warm"] = phase_breakdown(trace_warm)
+        phases["columnar"]["trace_warm"] = phase_breakdown(trace_warm)
+
+    def reference_analyze(scratch: Path) -> float:
+        """The oracle's analyze wall over the cold sweep's traces.
+
+        Records are decoded outside the timer, as the sweep's
+        ``analyze`` span excludes decode.
+        """
+        trace_store = TraceStore(scratch)
+        total = 0.0
+        for workload in SUITE:
+            header, records = trace_store.get(trace_key(workload.name),
+                                              RUNNER_BUDGET)
+            configs = [Job(workload.name, config).analysis_config()
+                       for config in SWEEP_CONFIGS]
+            start = time.perf_counter()
+            analyze_reference(records, header["n_static"], configs,
+                              name=workload.name)
+            total += time.perf_counter() - start
+        return total
 
     scratch = Path(tempfile.mkdtemp(prefix="repro-bench-runner-"))
     try:
@@ -340,8 +361,8 @@ def smoke(output_path=None) -> dict:
             ]
 
         timed("naive", naive)
-        engine_sweeps("columnar", scratch)
-        engine_sweeps("reference", scratch / "reference")
+        columnar_sweeps(scratch)
+        timings["reference_analyze"] = reference_analyze(scratch)
         full_warm = timed("full_warm", lambda: _sweep(ExperimentRunner(
             store=ResultStore(scratch), trace_store=TraceStore(scratch),
         )))
@@ -354,18 +375,9 @@ def smoke(output_path=None) -> dict:
 
     parallel = parallel_smoke()
 
-    col, ref = phases["columnar"], phases["reference"]
     analyze_speedup = round(
-        ref["cold"]["analyze"] / max(col["cold"]["analyze"], 1e-9), 2
-    )
-    phases["note"] = (
-        "columnar replay decodes the stored trace straight into "
-        "columns, so trace_warm analyze "
-        f"({col['trace_warm']['analyze']}s) now undercuts cold analyze "
-        f"({col['cold']['analyze']}s) instead of exceeding it; the "
-        f"reference engine's cold analyze ({ref['cold']['analyze']}s) "
-        f"is the {analyze_speedup}x baseline the kernel is measured "
-        "against"
+        timings["reference_analyze"]
+        / max(phases["columnar"]["cold"]["analyze"], 1e-9), 2
     )
 
     workloads = len(full_warm[0].results)
@@ -400,17 +412,16 @@ def smoke(output_path=None) -> dict:
     print(f"{workloads} workloads x {len(SWEEP_CONFIGS)} configs "
           f"@ {RUNNER_BUDGET} instructions:")
     for label in ("naive", "cold", "trace_warm", "full_warm",
-                  "cold_reference", "trace_warm_reference"):
+                  "reference_analyze"):
         print(f"  {label:<22} {timings[label]:>7.2f}s")
     for label, value in report["speedup"].items():
         print(f"  {label:<29} {value:>6.2f}x")
-    for engine in ("columnar", "reference"):
-        for label in ("cold", "trace_warm"):
-            parts = ", ".join(
-                f"{name} {seconds:.2f}s"
-                for name, seconds in phases[engine][label].items()
-            )
-            print(f"  {engine}/{label} phases: {parts}")
+    for label in ("cold", "trace_warm"):
+        parts = ", ".join(
+            f"{name} {seconds:.2f}s"
+            for name, seconds in phases["columnar"][label].items()
+        )
+        print(f"  {label} phases: {parts}")
     print(f"  segment-parallel replay of {parallel['records']:,} "
           f"records ({parallel['jobs']} worker(s), "
           f"{parallel['segments']} segments, "

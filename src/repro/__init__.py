@@ -28,7 +28,6 @@ Quick start::
 from repro.asm import AsmError, Program, assemble
 from repro.core import (
     AnalysisConfig,
-    AnalysisEngine,
     AnalysisResult,
     Analyzer,
     Behavior,
@@ -84,7 +83,6 @@ __version__ = _resolve_version()
 
 __all__ = [
     "AnalysisConfig",
-    "AnalysisEngine",
     "AnalysisResult",
     "Analyzer",
     "AsmError",

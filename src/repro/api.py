@@ -39,14 +39,11 @@ from __future__ import annotations
 from repro.asm import Program
 from repro.core import (
     AnalysisConfig,
-    AnalysisEngine,
     AnalysisResult,
     Analyzer,
     analyze_machine,
     analyze_many,
     analyze_trace,
-    get_default_engine,
-    set_default_engine,
 )
 from repro.cpu import Machine
 from repro.minic import compile_program
@@ -75,7 +72,6 @@ from repro.workloads import SUITE, Workload, get_workload
 
 __all__ = [
     "AnalysisConfig",
-    "AnalysisEngine",
     "AnalysisResult",
     "Analyzer",
     "ExecutionPolicy",
@@ -103,11 +99,9 @@ __all__ = [
     "default_chaos_plan",
     "default_runner",
     "generate",
-    "get_default_engine",
     "get_recorder",
     "get_workload",
     "load_qos_policy",
-    "set_default_engine",
     "recording",
     "run_campaign",
     "run_suite",
@@ -123,11 +117,7 @@ def configure(
     *,
     cache_dir=_UNSET,
     observe=_UNSET,
-    jobs=_UNSET,
-    timeout=_UNSET,
-    retries=_UNSET,
     faults=_UNSET,
-    engine=_UNSET,
     policy=_UNSET,
 ) -> ExperimentRunner:
     """Reconfigure the shared runner behind the ``run_*`` entry points.
@@ -143,28 +133,15 @@ def configure(
         observe: ``True``/``False`` or an :class:`repro.obs.ObsConfig`;
             when on, results returned by :func:`run_workload` /
             :func:`run_suite` / :func:`run_sweep` carry a profile.
-        policy: an :class:`~repro.runner.ExecutionPolicy` — the one
-            object carrying every execution knob (engine, jobs,
-            timeout, retries, segments, segment_records); see
-            docs/sharding.md for the segment-parallel knobs.  Policy
-            is execution, never identity: it never enters job keys, so
-            changing it hits the same caches.
-        jobs: **deprecated** — use ``policy``.  Default worker-process
-            count for suite runs.
-        timeout: **deprecated** — use ``policy``.  Per-job wall-clock
-            limit in seconds (parallel runs).
-        retries: **deprecated** — use ``policy``.  Extra attempts for
-            a failed job (parallel runs).
         faults: a :class:`repro.runner.FaultPlan` installed during each
             run — the chaos-testing channel (see docs/robustness.md);
             ``None`` injects nothing.
-        engine: **deprecated** — use ``policy``.  Analysis engine for
-            the runner *and* the process-wide default behind direct
-            :func:`analyze` calls — ``"auto"`` (columnar where
-            supported, reference otherwise), ``"columnar"`` (forced;
-            unsupported configs raise
-            :class:`repro.core.KernelUnsupportedError`) or
-            ``"reference"`` (the original per-instruction loop).
+        policy: an :class:`~repro.runner.ExecutionPolicy` — the one
+            object carrying every execution knob (jobs, timeout,
+            retries, segments, segment_records); see docs/sharding.md
+            for the segment-parallel knobs; ``None`` restores the
+            defaults.  Policy is execution, never identity: it never
+            enters job keys, so changing it hits the same caches.
 
     Returns the newly installed :class:`ExperimentRunner` (also handy
     for direct use).  Call ``repro.runner.reset_default_runner()`` to
@@ -172,28 +149,6 @@ def configure(
     read-modify-install is atomic, so concurrent ``configure`` calls
     serialise instead of silently dropping one another's settings.
     """
-    import warnings
-
-    legacy = {"jobs": jobs, "timeout": timeout, "retries": retries,
-              "engine": engine}
-    used = sorted(key for key, value in legacy.items()
-                  if value is not _UNSET)
-    if used:
-        warnings.warn(
-            f"configure({', '.join(used)}=...) is deprecated; pass "
-            f"policy=ExecutionPolicy(...) instead (see docs/api.md)",
-            DeprecationWarning, stacklevel=2,
-        )
-
-    if engine is not _UNSET:
-        # The engine is both a runner setting and the process default
-        # behind direct analyze()/analyze_trace() calls; None restores
-        # the built-in "auto".
-        set_default_engine(
-            AnalysisEngine.AUTO if engine is None else engine
-        )
-    elif policy is not _UNSET and policy is not None and policy.engine:
-        set_default_engine(policy.engine)
 
     def build(current: ExperimentRunner) -> ExperimentRunner:
         if cache_dir is _UNSET:
@@ -203,30 +158,12 @@ def configure(
         else:
             store = ResultStore(cache_dir)
             trace_store = TraceStore(cache_dir)
-        if policy is _UNSET:
-            new_policy = current.policy
-        elif policy is None:
-            new_policy = ExecutionPolicy()
-        else:
-            new_policy = policy
-        overrides = {}
-        if jobs is not _UNSET:
-            overrides["jobs"] = jobs
-        if timeout is not _UNSET:
-            overrides["timeout"] = timeout
-        if retries is not _UNSET:
-            overrides["retries"] = retries
-        if engine is not _UNSET:
-            # ExecutionPolicy normalizes enum/string via coerce_engine.
-            overrides["engine"] = engine
-        if overrides:
-            new_policy = new_policy.merged(**overrides)
         return ExperimentRunner(
             store=store,
             trace_store=trace_store,
             observe=current.obs if observe is _UNSET else observe,
             faults=current.faults if faults is _UNSET else faults,
-            policy=new_policy,
+            policy=current.policy if policy is _UNSET else policy,
         )
 
     return swap_default_runner(build)
@@ -403,19 +340,16 @@ def run_campaign(spec, jobs: int | None = None,
 
 
 def analyze(target, name: str = "program",
-            config: AnalysisConfig | None = None,
-            engine=None) -> AnalysisResult:
+            config: AnalysisConfig | None = None) -> AnalysisResult:
     """Analyse ad-hoc material outside the workload suite.
 
     ``target`` may be mini-C source text, a compiled
     :class:`~repro.asm.Program`, or a ready :class:`~repro.cpu.Machine`
     (useful for non-default memory or instruction budgets).  No cache
     is involved — ad-hoc material has no content identity to key on.
-    ``engine`` overrides the process-wide analysis engine for this
-    call (see :func:`configure`); None follows the default.
     """
     if isinstance(target, str):
         target = compile_program(target)
     if isinstance(target, Program):
         target = Machine(target)
-    return analyze_machine(target, name, config, engine=engine)
+    return analyze_machine(target, name, config)

@@ -35,7 +35,7 @@ try:
 except ImportError:  # pragma: no cover - Python 3.10
     tomllib = None
 
-from repro.predictors.base import parse_predictor_spec
+from repro.predictors.base import validate_predictor_specs
 from repro.runner.job import ExperimentConfig
 from repro.workloads.suite import get_workload
 
@@ -50,14 +50,10 @@ class PredictorVariant:
     def validate(self) -> None:
         if not self.name:
             raise ValueError("variant with empty name")
-        if not self.predictors:
-            raise ValueError(f"variant {self.name!r} has no predictors")
-        for spec in self.predictors:
-            parse_predictor_spec(spec)  # raises ValueError when bad
-        if len(set(self.predictors)) != len(self.predictors):
-            raise ValueError(
-                f"variant {self.name!r} repeats a predictor spec"
-            )
+        try:
+            validate_predictor_specs(self.predictors)
+        except ValueError as error:
+            raise ValueError(f"variant {self.name!r}: {error}") from None
 
 
 @dataclass(frozen=True)

@@ -30,12 +30,6 @@ Exit codes: :data:`EXIT_OK` (0) on success, :data:`EXIT_JOB_FAILURE`
 (1) when jobs failed, :data:`EXIT_INTERRUPTED` (3) when a run was
 stopped by SIGINT/SIGTERM after checkpointing — distinct so wrappers
 and CI can tell "rerun with --resume" from "investigate a failure".
-
-The pre-existing module entry points (``python -m repro.report``,
-``-m repro.runner``, ``-m repro.workloads``) remain as deprecated
-wrappers that forward here — with their historical flag set frozen:
-new flags like ``--profile`` exist only on the unified CLI.  See
-docs/api.md for the deprecation policy.
 """
 
 from __future__ import annotations
@@ -52,7 +46,6 @@ import time
 from pathlib import Path
 
 from repro.core.export import result_to_dict
-from repro.core.kernel import ENGINE_CHOICES
 from repro.obs.export import render_profile, to_jsonl, to_prometheus
 from repro.runner.api import (
     DEFAULT_CACHE_DIR,
@@ -137,24 +130,14 @@ def _add_suite_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--profile", action="store_true",
                         help="record spans/counters for the run and print "
                              "the profile (also lands in the metrics JSON)")
-    _add_engine_flag(parser)
-
-
-def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--engine", choices=ENGINE_CHOICES, default=None,
-                        help="analysis engine: auto (columnar where "
-                             "supported; default), columnar (forced), or "
-                             "reference (the original per-instruction "
-                             "loop); results are byte-identical and the "
-                             "caches are shared (see docs/kernel.md)")
     _add_policy_flag(parser)
 
 
 def _add_policy_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--policy", default=None, metavar="K=V,...",
                         help="execution-policy overrides as key=val "
-                             "pairs (engine, jobs, timeout, retries, "
-                             "segments, segment_records); applied over "
+                             "pairs (jobs, timeout, retries, segments, "
+                             "segment_records); applied over "
                              "the individual flags, e.g. "
                              "--policy segments=4,jobs=4 enables "
                              "segment-parallel single-trace analysis "
@@ -164,13 +147,12 @@ def _add_policy_flag(parser: argparse.ArgumentParser) -> None:
 def _policy_from_args(parser, args, jobs: int = 1):
     """The run's :class:`ExecutionPolicy` from flags.
 
-    The legacy per-knob flags (``--jobs``/``--timeout``/``--retries``/
-    ``--engine``) seed the policy; a ``--policy key=val,...`` string is
-    parsed on top and wins where both are given.
+    The per-knob flags (``--jobs``/``--timeout``/``--retries``) seed
+    the policy; a ``--policy key=val,...`` string is parsed on top and
+    wins where both are given.
     """
     try:
         base = ExecutionPolicy(
-            engine=getattr(args, "engine", None),
             jobs=max(1, jobs),
             timeout=getattr(args, "timeout", None),
             retries=getattr(args, "retries", 1) or 1,
@@ -235,14 +217,10 @@ def cmd_run(parser, args) -> int:
     )
     runner = ExperimentRunner(
         store=store, trace_store=trace_store,
-        # getattr: the deprecated ``python -m repro.runner`` forwarder's
-        # frozen flag set has no --profile (nor --resume/--engine).
-        observe=getattr(args, "profile", False),
-        policy=policy,
+        observe=args.profile, policy=policy,
     )
     with _cancel_on_signals() as cancel:
-        run = runner.run(config, resume=getattr(args, "resume", False),
-                         cancel=cancel)
+        run = runner.run(config, resume=args.resume, cancel=cancel)
 
     print(f"{'workload':<9} {'status':<10} {'wall':>8} {'instr':>9} "
           f"{'instr/s':>11}")
@@ -632,7 +610,7 @@ def cmd_report(parser, args) -> int:
     )
     runner = ExperimentRunner(
         store=store, trace_store=trace_store,
-        observe=getattr(args, "profile", False),
+        observe=args.profile,
         policy=policy,
     )
     config = ExperimentConfig(
@@ -1038,7 +1016,8 @@ def cmd_chaos(parser, args) -> int:
     try:
         runner = ExperimentRunner(
             store=ResultStore(chaos_dir), trace_store=TraceStore(chaos_dir),
-            jobs=args.jobs, timeout=args.timeout, retries=args.retries,
+            policy=ExecutionPolicy(jobs=args.jobs, timeout=args.timeout,
+                                   retries=args.retries),
             observe=True, faults=plan,
         )
         run = runner.run(config)
@@ -1421,7 +1400,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--out", default=None, metavar="DIR",
                           help="report output directory (required for "
                                "report, optional for run)")
-    _add_engine_flag(campaign)
+    _add_policy_flag(campaign)
     campaign.add_argument("--jobs", type=int, default=None,
                           help="worker processes (default: $REPRO_JOBS, "
                                "else serial)")

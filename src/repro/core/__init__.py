@@ -10,6 +10,8 @@ Entry points:
 
 * :func:`analyze_machine` / :func:`analyze_trace` — full streaming
   analysis of a workload trace under all configured predictors.
+* :func:`analyze_reference` — the per-instruction reference loop, the
+  differential oracle of the columnar kernel.
 * :func:`build_dpg` — explicit (networkx) DPG for small traces.
 """
 
@@ -18,18 +20,12 @@ from repro.core.analysis import (
     Analyzer,
     analyze_machine,
     analyze_many,
+    analyze_reference,
     analyze_trace,
 )
 from repro.core.dpg import behavior_counts, build_dpg, classify_uses
 from repro.core.export import to_dot, to_records
-from repro.core.kernel import (
-    AnalysisEngine,
-    KernelUnsupportedError,
-    TraceColumns,
-    columnar_unsupported,
-    get_default_engine,
-    set_default_engine,
-)
+from repro.core.kernel import TraceColumns, columnar_unsupported
 from repro.core.events import (
     ARC_LABELS,
     Behavior,
@@ -57,14 +53,10 @@ from repro.core.stats import (
 __all__ = [
     "ARC_LABELS",
     "AnalysisConfig",
-    "AnalysisEngine",
     "AnalysisResult",
     "Analyzer",
-    "KernelUnsupportedError",
     "TraceColumns",
     "columnar_unsupported",
-    "get_default_engine",
-    "set_default_engine",
     "ArcStats",
     "Behavior",
     "BranchStats",
@@ -81,6 +73,7 @@ __all__ = [
     "UnpredTracker",
     "analyze_machine",
     "analyze_many",
+    "analyze_reference",
     "analyze_trace",
     "arc_code",
     "to_dot",

@@ -19,6 +19,7 @@ The prediction protocol follows Section 3 of the paper:
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -26,11 +27,10 @@ from repro.core.arcs import ArcGroupTable
 from repro.core.branches import BranchTracker
 from repro.core.events import GenClass, InKind, in_kind
 from repro.core.kernel import (
-    AnalysisEngine,
     TraceColumns,
     analyze_columns,
     analyze_columns_many,
-    resolve_engine,
+    columnar_unsupported,
 )
 from repro.core.paths import PathTracker
 from repro.core.sequences import SequenceTracker
@@ -42,6 +42,8 @@ from repro.isa.opcodes import Category
 from repro.obs import get_recorder
 from repro.predictors import PredictorBank, make_branch_predictor
 from repro.predictors.base import PREDICTOR_KINDS
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(slots=True)
@@ -401,6 +403,24 @@ def _as_columns(trace, n_static: int, limit) -> TraceColumns:
         return TraceColumns.from_records(trace, n_static, limit=limit)
 
 
+def _falls_back(configs) -> bool:
+    """Whether ``configs`` need the reference loop.
+
+    True when any config is outside the kernel's scope
+    (:func:`~repro.core.kernel.columnar_unsupported`); the fallback is
+    counted under ``analyze.fallback`` and its reason logged.
+    """
+    reason = next(filter(None, map(columnar_unsupported, configs)), None)
+    if reason is None:
+        return False
+    recorder = get_recorder()
+    if recorder.enabled:
+        recorder.count("analyze.fallback", 1)
+    log.info("columnar kernel falling back to the reference loop: %s",
+             reason)
+    return True
+
+
 def analyze_trace(
     trace,
     n_static: int,
@@ -408,7 +428,6 @@ def analyze_trace(
     config: AnalysisConfig | None = None,
     profile_counts=None,
     static_counts=None,
-    engine=None,
     segments: int | None = None,
 ) -> AnalysisResult:
     """Analyse an iterable of :class:`DynInst` records (or a
@@ -416,41 +435,35 @@ def analyze_trace(
 
     The whole pass runs under an ``"analyze"`` span.  When ``trace``
     is a live machine generator the span necessarily includes the
-    interleaved simulation time; the runner's two-tier path feeds a
-    decoded record list (or columns) here, so there the span is pure
-    analysis.
+    interleaved simulation time; the runner's two-tier path feeds
+    decoded columns here, so there the span is pure analysis.
 
-    ``engine`` selects the implementation (None = the process default,
-    normally ``auto``); results are byte-identical either way — see
+    The columnar kernel runs the config unless it is out of the
+    kernel's scope, in which case :func:`analyze_reference` does;
+    results are byte-identical either way — see
     :mod:`repro.core.kernel`.  ``segments`` > 1 splits a columnar
     analysis into that many segment-parallel slices
     (:func:`repro.core.shard.analyze_columns_segmented`, thread
-    executor) — byte-identical again; the reference engine ignores it.
+    executor) — byte-identical again; the reference loop ignores it.
     """
     config = config or AnalysisConfig()
-    if resolve_engine(engine, (config,)) is AnalysisEngine.COLUMNAR:
-        with get_recorder().span("analyze"):
-            columns = _as_columns(trace, n_static, config.max_instructions)
-            if segments is not None and segments > 1:
-                from repro.core.shard import analyze_columns_segmented
-
-                return analyze_columns_segmented(
-                    columns, config, name, segments=segments,
-                    profile_counts=profile_counts,
-                    static_counts=static_counts,
-                )
-            return analyze_columns(
-                columns, config, name, profile_counts, static_counts
-            )
-    if isinstance(trace, TraceColumns):
-        trace = trace.to_records()
-    analyzer = Analyzer(n_static, config, profile_counts)
-    if config.max_instructions is not None:
-        trace = islice(trace, config.max_instructions)
+    if _falls_back((config,)):
+        return analyze_reference(
+            trace, n_static, [config], name, profile_counts, static_counts
+        )[0]
     with get_recorder().span("analyze"):
-        for dyn in trace:
-            analyzer.feed(dyn)
-        return analyzer.finalize(name, static_counts)
+        columns = _as_columns(trace, n_static, config.max_instructions)
+        if segments is not None and segments > 1:
+            from repro.core.shard import analyze_columns_segmented
+
+            return analyze_columns_segmented(
+                columns, config, name, segments=segments,
+                profile_counts=profile_counts,
+                static_counts=static_counts,
+            )
+        return analyze_columns(
+            columns, config, name, profile_counts, static_counts
+        )
 
 
 def analyze_many(
@@ -460,94 +473,109 @@ def analyze_many(
     name: str = "trace",
     profile_counts=None,
     static_counts=None,
-    engine=None,
     segments: int | None = None,
 ) -> list[AnalysisResult]:
     """Analyse one trace under many configs in a single pass.
 
-    The fan-out driver of the trace tier: one decode of ``trace`` feeds
-    one :class:`Analyzer` per config, and each result is exactly what
+    The fan-out driver of the trace tier: each result is exactly what
     an independent :func:`analyze_trace` run with that config would
-    produce — including per-config ``max_instructions`` truncation,
-    which is why a config whose budget is exhausted stops being fed
-    mid-pass while larger-budget siblings keep consuming.
+    produce, including per-config ``max_instructions`` truncation.
 
-    On the columnar engine the trace is decoded once into columns and
-    predictor passes are cached per spec, so configs sharing predictor
-    specs pay for each bank pass once.  ``auto`` falls back to the
-    reference loop for the whole call if *any* config is unsupported,
-    keeping the single-pass accounting uniform.
+    The trace is decoded once into columns and predictor passes are
+    cached per spec, so configs sharing predictor specs pay for each
+    bank pass once.  If *any* config is out of the kernel's scope the
+    whole call runs :func:`analyze_reference` instead, keeping the
+    single-pass accounting uniform.
     """
     configs = [config or AnalysisConfig() for config in configs]
     if not configs:
         return []
-    if resolve_engine(engine, configs) is AnalysisEngine.COLUMNAR:
-        budgets = [config.max_instructions for config in configs]
-        limit = None if None in budgets else max(budgets)
-        with get_recorder().span("analyze"):
-            columns = _as_columns(trace, n_static, limit)
-            if segments is not None and segments > 1:
-                # Segment-parallel per config: trades the shared
-                # bank-pass cache of analyze_columns_many for
-                # intra-trace parallelism.  Byte-identical either way.
-                from repro.core.shard import analyze_columns_segmented
+    if _falls_back(configs):
+        return analyze_reference(
+            trace, n_static, configs, name, profile_counts, static_counts
+        )
+    budgets = [config.max_instructions for config in configs]
+    limit = None if None in budgets else max(budgets)
+    with get_recorder().span("analyze"):
+        columns = _as_columns(trace, n_static, limit)
+        if segments is not None and segments > 1:
+            # Segment-parallel per config: trades the shared bank-pass
+            # cache of analyze_columns_many for intra-trace
+            # parallelism.  Byte-identical either way.
+            from repro.core.shard import analyze_columns_segmented
 
-                return [
-                    analyze_columns_segmented(
-                        columns, config, name, segments=segments,
-                        profile_counts=profile_counts,
-                        static_counts=static_counts,
-                    )
-                    for config in configs
-                ]
-            return analyze_columns_many(
-                columns, configs, name, profile_counts, static_counts
-            )
+            return [
+                analyze_columns_segmented(
+                    columns, config, name, segments=segments,
+                    profile_counts=profile_counts,
+                    static_counts=static_counts,
+                )
+                for config in configs
+            ]
+        return analyze_columns_many(
+            columns, configs, name, profile_counts, static_counts
+        )
+
+
+def analyze_reference(
+    trace,
+    n_static: int,
+    configs,
+    name: str = "trace",
+    profile_counts=None,
+    static_counts=None,
+) -> list[AnalysisResult]:
+    """The reference loop: one :class:`Analyzer` per config, fed the
+    trace record by record in a single pass.
+
+    This is the readable model (docs/model.md) and the differential
+    oracle the columnar kernel is tested against; production reaches
+    it only for configs the kernel cannot run.  Columns are turned
+    back into records.  A config whose ``max_instructions`` budget is
+    exhausted stops being fed mid-pass while larger-budget siblings
+    keep consuming.
+    """
+    configs = [config or AnalysisConfig() for config in configs]
     if isinstance(trace, TraceColumns):
         trace = trace.to_records()
     analyzers = [
         Analyzer(n_static, config, profile_counts) for config in configs
     ]
     with get_recorder().span("analyze"):
-        return _analyze_many_body(
-            trace, configs, analyzers, name, static_counts
-        )
-
-
-def _analyze_many_body(trace, configs, analyzers, name, static_counts):
-    budgets = {config.max_instructions for config in configs}
-    if analyzers and len(budgets) == 1:
-        # Uniform budget: no per-record bookkeeping.
-        (budget,) = budgets
-        if budget is not None:
-            trace = islice(trace, budget)
-        feeds = [analyzer.feed for analyzer in analyzers]
-        for dyn in trace:
-            for feed in feeds:
-                feed(dyn)
-    elif analyzers:
-        # Mixed budgets, largest (None = unlimited) first so the next
-        # analyzer to retire is always at the end of the list.
-        live = sorted(
-            ((config.max_instructions, analyzer.feed)
-             for config, analyzer in zip(configs, analyzers)),
-            key=lambda item: _inf if item[0] is None else item[0],
-            reverse=True,
-        )
-        count = 0
-        while live and live[-1][0] == count:
-            live.pop()
-        for dyn in trace:
-            if not live:
-                break
-            for __, feed in live:
-                feed(dyn)
-            count += 1
+        budgets = {config.max_instructions for config in configs}
+        if analyzers and len(budgets) == 1:
+            # Uniform budget: no per-record bookkeeping.
+            (budget,) = budgets
+            if budget is not None:
+                trace = islice(trace, budget)
+            feeds = [analyzer.feed for analyzer in analyzers]
+            for dyn in trace:
+                for feed in feeds:
+                    feed(dyn)
+        elif analyzers:
+            # Mixed budgets, largest (None = unlimited) first so the
+            # next analyzer to retire is always at the end of the list.
+            live = sorted(
+                ((config.max_instructions, analyzer.feed)
+                 for config, analyzer in zip(configs, analyzers)),
+                key=lambda item: _inf if item[0] is None else item[0],
+                reverse=True,
+            )
+            count = 0
             while live and live[-1][0] == count:
                 live.pop()
-    return [
-        analyzer.finalize(name, static_counts) for analyzer in analyzers
-    ]
+            for dyn in trace:
+                if not live:
+                    break
+                for __, feed in live:
+                    feed(dyn)
+                count += 1
+                while live and live[-1][0] == count:
+                    live.pop()
+        return [
+            analyzer.finalize(name, static_counts)
+            for analyzer in analyzers
+        ]
 
 
 _inf = float("inf")
@@ -558,7 +586,6 @@ def analyze_machine(
     name: str = "program",
     config: AnalysisConfig | None = None,
     profile_counts=None,
-    engine=None,
 ) -> AnalysisResult:
     """Run ``machine`` to completion (or the configured instruction
     budget) and analyse its trace."""
@@ -569,5 +596,4 @@ def analyze_machine(
         config=config,
         profile_counts=profile_counts,
         static_counts=None,
-        engine=engine,
     )

@@ -1,87 +1,25 @@
-"""Columnar analysis kernel and engine selection.
+"""Columnar analysis kernel.
 
-The kernel package provides a drop-in fast path for
-:mod:`repro.core.analysis`: the trace is decoded once into flat
-parallel columns (:mod:`~repro.core.kernel.columns`), predictor banks
-run as batched passes (:mod:`~repro.core.kernel.passes`), and node/arc
-classification happens through translate tables and Counters
-(:mod:`~repro.core.kernel.engine`) — byte-identical results, measured
-≥5x faster on the analyze phase (BENCH_runner.json).
+The kernel package is the fast path of :mod:`repro.core.analysis`:
+the trace is decoded once into flat parallel columns
+(:mod:`~repro.core.kernel.columns`), predictor banks run as batched
+passes (:mod:`~repro.core.kernel.passes`), and node/arc classification
+happens through translate tables and Counters
+(:mod:`~repro.core.kernel.engine`) — byte-identical to the reference
+loop (:func:`repro.core.analysis.analyze_reference`), measured ≥5x
+faster on the analyze phase (benchmarks/bench_kernel.py).
 
-Engine selection is surfaced as :class:`AnalysisEngine`:
-
-* ``auto`` (the default) — columnar whenever the config supports it,
-  silently falling back to the reference loop otherwise (counted under
-  the ``analyze.fallback`` obs counter and logged once per call site);
-* ``columnar`` — force the kernel; unsupported configs raise
-  :class:`KernelUnsupportedError`;
-* ``reference`` — force the original per-instruction loop (the pinned
-  baseline the kernel is differentially tested against).
-
-The engine is an execution detail, not part of an analysis' identity:
-``repro.runner`` job keys deliberately exclude it, so switching engines
-hits the same caches.
+The kernel runs every config except those :func:`columnar_unsupported`
+names a reason for, which run the reference loop instead (counted
+under ``analyze.fallback``).  The choice never enters an analysis'
+identity, so both paths share the ``repro.runner`` caches.
 """
 
 from __future__ import annotations
 
-import enum
-import logging
-
-from repro.errors import ReproError
-
-log = logging.getLogger(__name__)
-
-
-class KernelUnsupportedError(ReproError):
-    """The columnar engine was forced for a config it cannot run."""
-
-
-class AnalysisEngine(str, enum.Enum):
-    """Which analysis implementation executes a config."""
-
-    AUTO = "auto"
-    COLUMNAR = "columnar"
-    REFERENCE = "reference"
-
-    def __str__(self) -> str:  # argparse-friendly
-        return self.value
-
-
-#: Values accepted anywhere an engine is taken (CLI, api.configure).
-ENGINE_CHOICES = tuple(engine.value for engine in AnalysisEngine)
-
-_default_engine = AnalysisEngine.AUTO
-
-
-def get_default_engine() -> AnalysisEngine:
-    """The process-wide engine used when a call site passes None."""
-    return _default_engine
-
-
-def set_default_engine(engine) -> AnalysisEngine:
-    """Set the process-wide default engine; returns the previous one."""
-    global _default_engine
-    previous = _default_engine
-    _default_engine = coerce_engine(engine)
-    return previous
-
-
-def coerce_engine(engine) -> AnalysisEngine:
-    """Accept an :class:`AnalysisEngine` or its string value."""
-    if isinstance(engine, AnalysisEngine):
-        return engine
-    try:
-        return AnalysisEngine(engine)
-    except ValueError:
-        raise ValueError(
-            f"unknown analysis engine: {engine!r} "
-            f"(known: {', '.join(ENGINE_CHOICES)})"
-        ) from None
-
 
 def columnar_unsupported(config) -> str | None:
-    """Why the columnar engine cannot run ``config`` (None = it can).
+    """Why the columnar kernel cannot run ``config`` (None = it can).
 
     Two configs are out of scope by design: instruction-reuse tracking
     consumes whole :class:`~repro.cpu.trace.DynInst` records, and more
@@ -98,43 +36,6 @@ def columnar_unsupported(config) -> str | None:
     return None
 
 
-def resolve_engine(engine, configs, record: bool = True) -> AnalysisEngine:
-    """Resolve a requested engine against concrete configs.
-
-    Returns ``COLUMNAR`` or ``REFERENCE`` (never ``AUTO``).  A forced
-    ``columnar`` raises :class:`KernelUnsupportedError` when any config
-    is out of scope; ``auto`` falls back to the reference engine for
-    the whole call instead, counting ``analyze.fallback`` (and logging
-    the reason) unless ``record`` is false.
-    """
-    engine = coerce_engine(engine) if engine is not None \
-        else _default_engine
-    if engine is AnalysisEngine.REFERENCE:
-        return AnalysisEngine.REFERENCE
-    reasons = [
-        reason
-        for config in configs
-        if (reason := columnar_unsupported(config)) is not None
-    ]
-    if not reasons:
-        return AnalysisEngine.COLUMNAR
-    if engine is AnalysisEngine.COLUMNAR:
-        raise KernelUnsupportedError(
-            f"columnar engine cannot run this configuration: "
-            f"{reasons[0]}"
-        )
-    if record:
-        from repro.obs import get_recorder
-
-        recorder = get_recorder()
-        if recorder.enabled:
-            recorder.count("analyze.fallback", 1)
-        log.info(
-            "auto engine falling back to reference: %s", reasons[0]
-        )
-    return AnalysisEngine.REFERENCE
-
-
 from repro.core.kernel.columns import TraceColumns  # noqa: E402
 from repro.core.kernel.engine import (  # noqa: E402
     analyze_columns,
@@ -142,15 +43,8 @@ from repro.core.kernel.engine import (  # noqa: E402
 )
 
 __all__ = [
-    "AnalysisEngine",
-    "ENGINE_CHOICES",
-    "KernelUnsupportedError",
     "TraceColumns",
     "analyze_columns",
     "analyze_columns_many",
-    "coerce_engine",
     "columnar_unsupported",
-    "get_default_engine",
-    "resolve_engine",
-    "set_default_engine",
 ]

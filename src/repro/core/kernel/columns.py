@@ -505,15 +505,15 @@ class TraceColumns:
         )
 
     # ------------------------------------------------------------------
-    # Reconstruction (reference-engine fallback on columnar input).
+    # Reconstruction (reference-loop input from columns).
     # ------------------------------------------------------------------
 
     def to_records(self) -> list:
         """Rebuild the :class:`DynInst` list (uid = stream index).
 
-        Used when a caller holding columns needs the reference engine
-        (e.g. an ``auto`` fallback on a config the kernel does not
-        support).  ``target`` is not stored in the columns — the
+        Used when a caller holding columns needs the reference loop
+        (a config the kernel does not support, or the differential
+        oracle).  ``target`` is not stored in the columns — the
         analysis never reads it — so reconstructed records carry None.
         """
         records = []

@@ -25,6 +25,7 @@ from repro.predictors.base import (
     ValuePredictor,
     make_predictor,
     parse_predictor_spec,
+    validate_predictor_specs,
 )
 from repro.predictors.bank import PredictorBank
 from repro.predictors.confidence import ConfidenceEstimator, ConfidentPredictor
@@ -56,4 +57,5 @@ __all__ = [
     "make_branch_predictor",
     "make_predictor",
     "parse_predictor_spec",
+    "validate_predictor_specs",
 ]

@@ -130,6 +130,24 @@ def parse_predictor_spec(spec: str) -> tuple[str, dict[str, int]]:
     return kind, kwargs
 
 
+def validate_predictor_specs(specs) -> None:
+    """Check a predictor-bank list: non-empty, every spec parses, none
+    repeated.
+
+    Raises :class:`ValueError` naming the offending spec (the parser's
+    own message for a bad one).  Shared by campaign variants and the
+    service's request validation.
+    """
+    if not specs:
+        raise ValueError("no predictors given")
+    seen = set()
+    for spec in specs:
+        parse_predictor_spec(spec)
+        if spec in seen:
+            raise ValueError(f"predictor spec {spec!r} is repeated")
+        seen.add(spec)
+
+
 def make_predictor(kind: str) -> ValuePredictor:
     """Create a fresh predictor from a kind name or parameterised spec.
 

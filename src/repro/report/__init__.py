@@ -3,7 +3,7 @@
 :mod:`repro.report.experiments` holds one function per paper exhibit
 (Table 1, Figures 5–13); each returns a :class:`repro.report.tables.Table`
 (or several) rendering the same rows/series the paper plots.  The CLI
-(``python -m repro.report``) runs them from the command line.
+(``python -m repro report``) runs them from the command line.
 """
 
 from repro.report.experiments import (
@@ -18,7 +18,6 @@ from repro.report.experiments import (
     figure11,
     figure12,
     figure13,
-    run_suite,
     table1,
 )
 from repro.report.tables import Table
@@ -36,6 +35,5 @@ __all__ = [
     "figure11",
     "figure12",
     "figure13",
-    "run_suite",
     "table1",
 ]

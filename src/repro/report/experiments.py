@@ -1,7 +1,7 @@
 """One function per paper exhibit (Table 1, Figures 5-13).
 
 Every function takes the per-workload :class:`AnalysisResult` mapping
-produced by :func:`run_suite` and renders the same rows/series the
+produced by :func:`repro.api.run_suite` and renders the same rows/series the
 paper's figure plots.  Percentages follow the paper's convention: the
 y-axes of Figs. 5-9 are percentages of *total nodes plus arcs* of the
 workload's DPG; Fig. 12 is a percentage of dynamic instructions;
@@ -36,34 +36,6 @@ from repro.workloads import get_workload
 
 #: Single-letter predictor labels in the paper's order.
 LETTERS = {"last": "L", "stride": "S", "context": "C"}
-
-
-def run_workload(name: str, config: ExperimentConfig) -> AnalysisResult:
-    """Deprecated alias of :func:`repro.api.run_workload`."""
-    import warnings
-
-    from repro import api
-
-    warnings.warn(
-        "repro.report.experiments.run_workload is deprecated; "
-        "use repro.api.run_workload",
-        DeprecationWarning, stacklevel=2,
-    )
-    return api.run_workload(name, config)
-
-
-def run_suite(config: ExperimentConfig | None = None, jobs: int | None = None):
-    """Deprecated alias of :func:`repro.api.run_suite`."""
-    import warnings
-
-    from repro import api
-
-    warnings.warn(
-        "repro.report.experiments.run_suite is deprecated; "
-        "use repro.api.run_suite",
-        DeprecationWarning, stacklevel=2,
-    )
-    return api.run_suite(config, jobs=jobs)
 
 
 def _kinds(results):

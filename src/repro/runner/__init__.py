@@ -22,8 +22,8 @@ CLIs).  It owns
   (``python -m repro chaos``);
 * the **metrics** (:mod:`repro.runner.metrics`) — per-job wall time
   and throughput, cache hit/miss counts, peak concurrency;
-* the **API** (:mod:`repro.runner.api`) tying them together, and a CLI
-  (``python -m repro.runner``).
+* the **API** (:mod:`repro.runner.api`) tying them together, driven
+  from the command line by ``python -m repro run`` / ``repro cache``.
 
 See docs/runner.md for the architecture and on-disk formats.
 """
@@ -66,7 +66,6 @@ from repro.runner.policy import (
     DEFAULT_SEGMENT_RECORDS,
     ExecutionPolicy,
     PolicyError,
-    resolve_policy,
 )
 from repro.runner.tracestore import TraceStore
 from repro.runner.metrics import JobMetric, RunMetrics
@@ -116,7 +115,6 @@ __all__ = [
     "is_enospc",
     "job_key",
     "reset_default_runner",
-    "resolve_policy",
     "set_default_runner",
     "set_fault_plan",
     "swap_default_runner",

@@ -47,13 +47,7 @@ from itertools import islice
 
 from repro.core import analyze_machine, analyze_many, analyze_trace
 from repro.core.export import result_from_dict, result_to_dict
-from repro.core.kernel import (
-    AnalysisEngine,
-    TraceColumns,
-    coerce_engine,
-    get_default_engine,
-    resolve_engine,
-)
+from repro.core.kernel import TraceColumns, columnar_unsupported
 from repro.errors import (
     JournalConflict,
     RunnerError,
@@ -94,8 +88,8 @@ from repro.runner.metrics import (
 )
 from repro.runner.policy import (
     ExecutionPolicy,
+    PolicyError,
     assert_excluded_from_identity,
-    resolve_policy,
 )
 from repro.runner.tracestore import DEFAULT_TRACE_MAX_BYTES, TraceStore
 from repro.runner.pool import Task, TaskError, TaskPool
@@ -172,12 +166,11 @@ class ExperimentRun:
         return self.results
 
 
-def _analyze(name: str, config: ExperimentConfig, engine=None):
+def _analyze(name: str, config: ExperimentConfig):
     workload = get_workload(name)
     machine = workload.machine(scale=config.scale)
     job = Job(name, config)
-    return analyze_machine(machine, name, job.analysis_config(),
-                           engine=engine)
+    return analyze_machine(machine, name, job.analysis_config())
 
 
 def _capture(name: str, config: ExperimentConfig, budget: int | None):
@@ -267,31 +260,26 @@ def _try_segmented(name: str, analysis_config, config: ExperimentConfig,
 
 def _resolve_trace(name: str, config: ExperimentConfig,
                    trace_store: TraceStore | None, budget: int | None,
-                   columns: bool = False,
                    policy: ExecutionPolicy | None = None):
-    """Trace tier: ``(n_static, records, status)`` — replay or capture.
+    """Trace tier: ``(n_static, columns, status)`` — replay or capture.
 
     A stored trace that covers ``budget`` is replayed
-    (:data:`STATUS_REPLAYED`); otherwise the workload is simulated,
-    the capture written through the store for the next config, and
-    :data:`STATUS_COMPUTED` reported.  ``columns=True`` replays the
-    stored trace as :class:`~repro.core.kernel.TraceColumns` (the
-    columnar engine's format) instead of a ``DynInst`` list, so a warm
-    replay skips per-record object construction entirely; a cold
-    capture persists the records first, then hands back (and memoizes
-    on the store) their columnar layout.
+    (:data:`STATUS_REPLAYED`) as :class:`~repro.core.kernel.TraceColumns`,
+    skipping per-record object construction entirely; otherwise the
+    workload is simulated, the capture written through the store for
+    the next config, and :data:`STATUS_COMPUTED` reported with (and
+    memoized on the store) the capture's columnar layout.
     """
     key = None
     if trace_store is not None:
         key = trace_key(name, config.scale)
-        stored = trace_store.get(key, budget, columns=columns)
+        stored = trace_store.get(key, budget, columns=True)
         if stored is not None:
-            header, records = stored
-            if columns:
-                # Backfill the sidecar on first sharded-policy replay
-                # so the *next* replay can go segment-parallel.
-                _maybe_write_segindex(trace_store, key, records, policy)
-            return header["n_static"], records, STATUS_REPLAYED
+            header, columns = stored
+            # Backfill the sidecar on first sharded-policy replay so
+            # the *next* replay can go segment-parallel.
+            _maybe_write_segindex(trace_store, key, columns, policy)
+            return header["n_static"], columns, STATUS_REPLAYED
     n_static, records, complete = _capture(name, config, budget)
     stored_ok = False
     if trace_store is not None:
@@ -305,25 +293,24 @@ def _resolve_trace(name: str, config: ExperimentConfig,
             get_recorder().count("store.trace.write_errors", 1)
             _log.warning("trace store write failed (%s); continuing "
                          "without the stored trace", error)
-    if columns:
-        recorder = get_recorder()
-        with recorder.span("trace.decode"):
-            records = TraceColumns.from_records(records, n_static)
-        recorder.count("trace.decode.records", records.n_records)
-        recorder.count("trace.decode.columnar", 1)
-        if stored_ok:
-            trace_store.memoize_columns(
-                key,
-                {"n_static": n_static, "n_records": records.n_records,
-                 "complete": complete},
-                records,
-            )
-            _maybe_write_segindex(trace_store, key, records, policy)
-    return n_static, records, STATUS_COMPUTED
+    recorder = get_recorder()
+    with recorder.span("trace.decode"):
+        columns = TraceColumns.from_records(records, n_static)
+    recorder.count("trace.decode.records", columns.n_records)
+    recorder.count("trace.decode.columnar", 1)
+    if stored_ok:
+        trace_store.memoize_columns(
+            key,
+            {"n_static": n_static, "n_records": columns.n_records,
+             "complete": complete},
+            columns,
+        )
+        _maybe_write_segindex(trace_store, key, columns, policy)
+    return n_static, columns, STATUS_COMPUTED
 
 
 def _analyze_two_tier(name: str, config: ExperimentConfig,
-                      trace_store: TraceStore, engine=None,
+                      trace_store: TraceStore,
                       policy: ExecutionPolicy | None = None,
                       allow_shard: bool = True):
     """Compute one job through the trace tier: ``(result, status)``.
@@ -331,8 +318,6 @@ def _analyze_two_tier(name: str, config: ExperimentConfig,
     Byte-identical to :func:`_analyze`: the analyzer sees the same
     record stream whether it comes from a live machine or a stored
     trace (``analyze_trace`` re-truncates to the config's own budget).
-    The engine is resolved up front so a columnar analysis can ask the
-    trace store for columns directly.
 
     With a sharded policy (``segments > 1``) and a stored, indexed
     trace, the columnar analysis runs segment-parallel across a
@@ -343,22 +328,17 @@ def _analyze_two_tier(name: str, config: ExperimentConfig,
     """
     job = Job(name, config)
     analysis_config = job.analysis_config()
-    resolved = resolve_engine(engine, (analysis_config,))
-    columnar = resolved is AnalysisEngine.COLUMNAR
-    if (allow_shard and columnar and policy is not None
-            and policy.segments > 1):
+    if (allow_shard and policy is not None and policy.segments > 1
+            and columnar_unsupported(analysis_config) is None):
         result = _try_segmented(name, analysis_config, config,
                                 trace_store, policy)
         if result is not None:
             return result, STATUS_REPLAYED
-    n_static, records, status = _resolve_trace(
-        name, config, trace_store, config.max_instructions,
-        columns=columnar, policy=policy,
+    n_static, columns, status = _resolve_trace(
+        name, config, trace_store, config.max_instructions, policy=policy,
     )
-    result = analyze_trace(
-        records, n_static, name=name, config=analysis_config,
-        engine=resolved,
-    )
+    result = analyze_trace(columns, n_static, name=name,
+                           config=analysis_config)
     return result, status
 
 
@@ -366,15 +346,14 @@ def _execute_job(name: str, config: ExperimentConfig, key: str,
                  store_root: str, max_bytes: int,
                  trace_root: str | None = None,
                  trace_max_bytes: int = DEFAULT_TRACE_MAX_BYTES,
-                 observe: bool = False, engine: str | None = None,
+                 observe: bool = False,
                  policy: ExecutionPolicy | None = None) -> tuple:
     """Pool worker: compute one job and write it through the store.
 
     Returns ``(key, profile)`` — the key so the parent knows where to
     read the result, and (when ``observe``) the worker's own recorder
     snapshot for the parent to merge, else None.  Runs in a separate
-    process; must stay picklable/module-level — which is why
-    ``engine`` travels as its string value.  ``policy`` rides along
+    process; must stay picklable/module-level.  ``policy`` rides along
     for capture-time sidecar writes; workers never shard themselves
     (``allow_shard=False`` — no nested pools).
     """
@@ -386,11 +365,10 @@ def _execute_job(name: str, config: ExperimentConfig, key: str,
                     trace_root, max_bytes=trace_max_bytes
                 )
                 result, __ = _analyze_two_tier(name, config, trace_store,
-                                               engine=engine,
                                                policy=policy,
                                                allow_shard=False)
             else:
-                result = _analyze(name, config, engine=engine)
+                result = _analyze(name, config)
             _store_put_safe(store, key, result_to_dict(result))
     return key, (rec.snapshot() if observe else None)
 
@@ -398,7 +376,6 @@ def _execute_job(name: str, config: ExperimentConfig, key: str,
 def _execute_sweep(name: str, configs, keys, store_root: str,
                    max_bytes: int, trace_root: str | None,
                    trace_max_bytes: int, observe: bool = False,
-                   engine: str | None = None,
                    policy: ExecutionPolicy | None = None) -> tuple:
     """Pool worker: every sweep job of one workload in a single pass.
 
@@ -423,16 +400,11 @@ def _execute_sweep(name: str, configs, keys, store_root: str,
             )
             analysis_configs = [Job(name, config).analysis_config()
                                 for config, __ in missing]
-            resolved = resolve_engine(engine, analysis_configs)
-            n_static, records, __ = _resolve_trace(
-                name, missing[0][0], trace_store, budget,
-                columns=resolved is AnalysisEngine.COLUMNAR,
-                policy=policy,
+            n_static, columns, __ = _resolve_trace(
+                name, missing[0][0], trace_store, budget, policy=policy,
             )
-            results = analyze_many(
-                records, n_static, analysis_configs, name=name,
-                engine=resolved,
-            )
+            results = analyze_many(columns, n_static, analysis_configs,
+                                   name=name)
             for (__, key), result in zip(missing, results):
                 _store_put_safe(store, key, result_to_dict(result))
     return tuple(keys), (rec.snapshot() if observe else None)
@@ -503,9 +475,6 @@ class ExperimentRunner:
     Args:
         store: a :class:`ResultStore`, or None to run without a disk
             cache (in-process memo only).
-        jobs: default worker count for :meth:`run`.
-        timeout: per-job wall-clock limit in seconds (parallel runs).
-        retries: extra attempts for a failed job (parallel runs).
         trace_store: a :class:`TraceStore`, or None to simulate on
             every result-tier miss (no trace capture or replay).
         observe: ``True`` or an :class:`repro.obs.ObsConfig` to record
@@ -515,36 +484,27 @@ class ExperimentRunner:
             the duration of each run — the chaos-testing channel; None
             (default) injects nothing.
         policy: an :class:`~repro.runner.policy.ExecutionPolicy`
-            consolidating every execution knob (engine, jobs, timeout,
-            retries, segments, segment_records).  Policy is execution,
-            never identity: job keys exclude all of it, so changing
-            how work runs always hits the same caches.
-        jobs / timeout / retries / engine: **deprecated** — the same
-            knobs as loose kwargs.  Each one used emits a
-            ``DeprecationWarning`` and is folded into the policy
-            (overriding it); pass ``policy=`` instead.  See
-            docs/api.md for the migration table.
+            carrying every execution knob (jobs, timeout, retries,
+            segments, segment_records); None = the defaults.  Policy is
+            execution, never identity: job keys exclude all of it, so
+            changing how work runs always hits the same caches.
     """
 
     def __init__(
         self,
         store: ResultStore | None = None,
-        jobs: int | None = None,
-        timeout: float | None = None,
-        retries: int | None = None,
+        *,
         trace_store: TraceStore | None = None,
         observe: bool | ObsConfig = False,
         faults: FaultPlan | None = None,
-        engine: AnalysisEngine | str | None = None,
         policy: ExecutionPolicy | None = None,
     ):
-        engine_value = None
-        if engine is not None:
-            engine_value = coerce_engine(engine).value
-        self.policy = resolve_policy(
-            policy, jobs=jobs, timeout=timeout, retries=retries,
-            engine=engine_value, owner="ExperimentRunner",
-        )
+        if policy is None:
+            policy = ExecutionPolicy()
+        elif not isinstance(policy, ExecutionPolicy):
+            raise PolicyError(f"policy must be an ExecutionPolicy, got "
+                              f"{type(policy).__name__}")
+        self.policy = policy
         assert_excluded_from_identity()
         self.store = store
         self.trace_store = trace_store
@@ -561,27 +521,6 @@ class ExperimentRunner:
         if isinstance(observe, ObsConfig):
             return observe
         return ObsConfig(enabled=bool(observe))
-
-    # ------------------------------------------------------------------
-    # Legacy execution-knob views (the policy is the source of truth).
-    # ------------------------------------------------------------------
-
-    @property
-    def jobs(self) -> int:
-        return self.policy.jobs
-
-    @property
-    def timeout(self) -> float | None:
-        return self.policy.timeout
-
-    @property
-    def retries(self) -> int:
-        return self.policy.retries
-
-    @property
-    def engine(self) -> AnalysisEngine | None:
-        return (None if self.policy.engine is None
-                else coerce_engine(self.policy.engine))
 
     # ------------------------------------------------------------------
     # Observation lifecycle.
@@ -679,27 +618,15 @@ class ExperimentRunner:
         if self.store is not None:
             _store_put_safe(self.store, key, result_to_dict(result))
 
-    def _effective_engine(self) -> AnalysisEngine:
-        """This runner's engine, falling back to the process default.
-
-        Resolved eagerly when handing work to pool workers: a fresh
-        worker process starts with the built-in default, so the
-        parent's configured default must travel with the task.
-        """
-        if self.engine is not None:
-            return self.engine
-        return get_default_engine()
-
     def _compute(self, name: str, config: ExperimentConfig,
                  allow_shard: bool = True):
         """Compute one job through whichever tiers exist:
         ``(result, status)``."""
         if self.trace_store is not None:
             return _analyze_two_tier(name, config, self.trace_store,
-                                     engine=self.engine,
                                      policy=self.policy,
                                      allow_shard=allow_shard)
-        return _analyze(name, config, engine=self.engine), STATUS_COMPUTED
+        return _analyze(name, config), STATUS_COMPUTED
 
     # ------------------------------------------------------------------
     # Single-job path (the report layer's run_workload).
@@ -789,7 +716,7 @@ class ExperimentRunner:
     def _run_impl(self, config: ExperimentConfig | None,
                   jobs: int | None) -> ExperimentRun:
         config = config or ExperimentConfig()
-        workers = max(1, jobs if jobs is not None else self.jobs)
+        workers = max(1, jobs if jobs is not None else self.policy.jobs)
         names = config.workloads or tuple(w.name for w in SUITE)
         run = ExperimentRun()
         run.metrics.requested_workers = workers
@@ -892,7 +819,7 @@ class ExperimentRunner:
     def _run_many_impl(self, configs, jobs: int | None,
                        ) -> list[ExperimentRun]:
         configs = list(configs)
-        workers = max(1, jobs if jobs is not None else self.jobs)
+        workers = max(1, jobs if jobs is not None else self.policy.jobs)
         runs = [ExperimentRun() for __ in configs]
         name_lists = []
         start = time.monotonic()
@@ -960,15 +887,11 @@ class ExperimentRunner:
             try:
                 analysis_configs = [Job(name, config).analysis_config()
                                     for __, config, __k in entries]
-                resolved = resolve_engine(self.engine, analysis_configs)
-                n_static, records, status = _resolve_trace(
+                n_static, columns, status = _resolve_trace(
                     name, entries[0][1], self.trace_store, budget,
-                    columns=resolved is AnalysisEngine.COLUMNAR,
                 )
-                results = analyze_many(
-                    records, n_static, analysis_configs, name=name,
-                    engine=resolved,
-                )
+                results = analyze_many(columns, n_static,
+                                       analysis_configs, name=name)
             except Exception as error:
                 wall = time.monotonic() - group_start
                 for run, __, key in entries:
@@ -998,8 +921,9 @@ class ExperimentRunner:
             store = ResultStore(scratch.name)
         trace_root, trace_max = self._trace_store_args()
         try:
-            pool = TaskPool(max_workers=workers, timeout=self.timeout,
-                            retries=self.retries)
+            pool = TaskPool(max_workers=workers,
+                            timeout=self.policy.timeout,
+                            retries=self.policy.retries)
             observing = get_recorder().enabled
             tasks = [
                 Task(key=f"{name}@{scale}", fn=_execute_sweep,
@@ -1007,8 +931,7 @@ class ExperimentRunner:
                            tuple(config for __, config, __k in entries),
                            tuple(key for __, __c, key in entries),
                            str(store.root), store.max_bytes,
-                           trace_root, trace_max, observing,
-                           self._effective_engine().value, self.policy))
+                           trace_root, trace_max, observing, self.policy))
                 for (name, scale), entries in groups.items()
             ]
             pool_run = pool.run(tasks, cancel=self._cancel)
@@ -1142,7 +1065,7 @@ class ExperimentRunner:
         """Plan one miss as segment pool tasks, or None for a whole job.
 
         The segmented plan applies only when the policy shards, the
-        engine resolves columnar, and the stored trace covers the
+        kernel can run the config, and the stored trace covers the
         budget with a usable sidecar index; everything else (including
         a cold capture, which has no trace to split yet) stays a
         whole-job task.
@@ -1151,9 +1074,7 @@ class ExperimentRunner:
         if policy.segments <= 1 or self.trace_store is None:
             return None
         analysis_config = Job(name, config).analysis_config()
-        resolved = resolve_engine(self.engine, (analysis_config,),
-                                  record=False)
-        if resolved is not AnalysisEngine.COLUMNAR:
+        if columnar_unsupported(analysis_config) is not None:
             return None
         tkey = trace_key(name, config.scale)
         header = self.trace_store.header(tkey)
@@ -1246,8 +1167,9 @@ class ExperimentRunner:
             scratch = tempfile.TemporaryDirectory(prefix="repro-runner-")
             store = ResultStore(scratch.name)
         try:
-            pool = TaskPool(max_workers=workers, timeout=self.timeout,
-                            retries=self.retries)
+            pool = TaskPool(max_workers=workers,
+                            timeout=self.policy.timeout,
+                            retries=self.policy.retries)
             trace_root, trace_max = self._trace_store_args()
             observing = get_recorder().enabled
             # Jobs whose stored trace carries a usable segment index
@@ -1268,8 +1190,7 @@ class ExperimentRunner:
                     key=key, fn=_execute_job,
                     args=(name, config, key, str(store.root),
                           store.max_bytes, trace_root, trace_max,
-                          observing, self._effective_engine().value,
-                          self.policy),
+                          observing, self.policy),
                 ))
             outcomes: dict = {}
             stats: dict = {}

@@ -1,30 +1,21 @@
 """ExecutionPolicy — the one object that says *how* work executes.
 
-Before this module, execution knobs were scattered: ``engine=`` on
-``api.configure`` and ``ExperimentRunner``, ``jobs=``/``timeout=``/
-``retries=`` as loose constructor kwargs, ``--jobs``/``--engine`` CLI
-flags, and the segment-parallel knobs of :mod:`repro.core.shard` would
-have added two more.  :class:`ExecutionPolicy` consolidates them into
-one frozen dataclass that travels as a unit through
-``api.configure(policy=)``, ``ExperimentRunner(policy=)``, the service
-broker, and a ``--policy key=val,...`` CLI flag.
+Pool shape and segment-parallel analysis are one frozen dataclass that
+travels as a unit through ``api.configure(policy=)``,
+``ExperimentRunner(policy=)``, the service broker, and a
+``--policy key=val,...`` CLI flag.
 
 Policy is *execution*, never *identity*: none of these fields may
 enter ``job_key``/``trace_key``, so changing how work runs always hits
 the same caches.  :func:`assert_excluded_from_identity` is the
 enforced contract (called from tests and at runner construction).
-
-The old kwargs keep working as deprecation-warning shims — see
-docs/api.md for the migration table.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 
-from repro.core.kernel import coerce_engine
 from repro.errors import ReproError
 
 
@@ -41,11 +32,8 @@ DEFAULT_SEGMENT_RECORDS = 250_000
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
-    """How experiments execute: engine, pool shape, segmentation.
+    """How experiments execute: pool shape, segmentation.
 
-    ``engine``
-        Analysis engine name (``auto``/``columnar``/``reference``) or
-        None for the process-wide default.
     ``jobs``
         Worker-pool width for cold jobs (and segment tasks).
     ``timeout`` / ``retries``
@@ -62,7 +50,6 @@ class ExecutionPolicy:
         fold than it saves).
     """
 
-    engine: str | None = None
     jobs: int = 1
     timeout: float | None = None
     retries: int = 1
@@ -70,11 +57,6 @@ class ExecutionPolicy:
     segment_records: int = DEFAULT_SEGMENT_RECORDS
 
     def __post_init__(self) -> None:
-        if self.engine is not None:
-            # Normalize to the plain string value so describe() and
-            # pickling stay engine-enum free.
-            object.__setattr__(
-                self, "engine", coerce_engine(self.engine).value)
         if self.jobs < 1:
             raise PolicyError(f"policy jobs must be >= 1, got {self.jobs}")
         if self.timeout is not None and self.timeout <= 0:
@@ -105,14 +87,7 @@ class ExecutionPolicy:
 
     def describe(self) -> dict:
         """JSON-ready view for ``/readyz`` and ``repro stats``."""
-        return {
-            "engine": self.engine or "auto",
-            "jobs": self.jobs,
-            "timeout": self.timeout,
-            "retries": self.retries,
-            "segments": self.segments,
-            "segment_records": self.segment_records,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def parse(cls, text: str,
@@ -138,9 +113,7 @@ class ExecutionPolicy:
             key, __, raw = part.partition("=")
             key = key.strip()
             raw = raw.strip()
-            if key == "engine":
-                overrides[key] = raw
-            elif key in ("jobs", "retries", "segments", "segment_records"):
+            if key in ("jobs", "retries", "segments", "segment_records"):
                 try:
                     overrides[key] = int(raw)
                 except ValueError:
@@ -159,9 +132,8 @@ class ExecutionPolicy:
                             f"'none', got {raw!r}") from None
             else:
                 raise PolicyError(
-                    f"unknown policy field {key!r} (known: engine, "
-                    f"jobs, timeout, retries, segments, "
-                    f"segment_records)")
+                    f"unknown policy field {key!r} (known: "
+                    f"{', '.join(POLICY_FIELDS)})")
         return policy.merged(**overrides)
 
 
@@ -188,36 +160,3 @@ def assert_excluded_from_identity() -> None:
         raise AssertionError(
             f"ExecutionPolicy fields leak into job identity: "
             f"{sorted(overlap)}")
-
-
-def resolve_policy(policy, *, jobs=None, timeout=None, retries=None,
-                   engine=None, segments=None, segment_records=None,
-                   owner: str = "ExperimentRunner") -> ExecutionPolicy:
-    """Fold legacy kwargs into a policy, warning on each one used.
-
-    Explicitly-passed legacy kwargs override the corresponding policy
-    fields (a caller spelling out ``jobs=8`` means it); unspecified
-    ones inherit from ``policy``.  This is the single shim behind
-    every deprecated signature (runner, facade, broker).
-    """
-    legacy = {
-        "jobs": jobs, "timeout": timeout, "retries": retries,
-        "engine": engine, "segments": segments,
-        "segment_records": segment_records,
-    }
-    used = {key: value for key, value in legacy.items()
-            if value is not None}
-    if used:
-        warnings.warn(
-            f"{owner}({', '.join(sorted(used))}=...) is deprecated; "
-            f"pass policy=ExecutionPolicy(...) instead "
-            f"(see docs/api.md)",
-            DeprecationWarning, stacklevel=3)
-    if policy is None:
-        policy = ExecutionPolicy()
-    elif not isinstance(policy, ExecutionPolicy):
-        raise PolicyError(
-            f"policy must be an ExecutionPolicy, got {type(policy).__name__}")
-    if used:
-        policy = policy.merged(**used)
-    return policy

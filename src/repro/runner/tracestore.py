@@ -227,7 +227,7 @@ class TraceStore(LRUFileStore):
 
         ``columns=True`` decodes straight into
         :class:`~repro.core.kernel.TraceColumns` for the columnar
-        engine, skipping per-record ``DynInst`` construction entirely.
+        kernel, skipping per-record ``DynInst`` construction entirely.
         """
         with get_recorder().span("store.trace.get"):
             path = self.path_for(key)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.predictors import validate_predictor_specs
 from repro.runner import ExperimentConfig
 from repro.runner.policy import POLICY_FIELDS
 from repro.service.qos.tenant import Tenant, TenantError
@@ -54,9 +55,9 @@ _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 
 #: Execution-policy knobs (plus the envelope key itself).  These are
 #: server-side configuration — the operator sets them on ``repro
-#: serve``; a client must not be able to pick how much parallelism or
-#: which engine the server spends on its request, so they get a
-#: pointed rejection rather than the generic unknown-key 400.
+#: serve``; a client must not be able to pick how much parallelism the
+#: server spends on its request, so they get a pointed rejection
+#: rather than the generic unknown-key 400.
 _POLICY_KEYS = frozenset(POLICY_FIELDS) | {"policy"}
 
 #: QoS knobs a client might try to smuggle into a request body.
@@ -117,7 +118,9 @@ def config_from_dict(payload) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from a JSON object.
 
     Missing keys inherit the config defaults; unknown keys are an
-    error (a typoed knob silently doing nothing is worse than a 400).
+    error (a typoed knob silently doing nothing is worse than a 400),
+    and so is a ``predictors`` list that is empty, repeats a spec or
+    holds one the predictor parser rejects.
     """
     if payload is None:
         return ExperimentConfig()
@@ -149,6 +152,12 @@ def config_from_dict(payload) -> ExperimentConfig:
             )
         else:
             kwargs[name] = value
+    if "predictors" in kwargs:
+        try:
+            validate_predictor_specs(kwargs["predictors"])
+        except ValueError as error:
+            raise ProtocolError(
+                f"config field 'predictors': {error}") from None
     return ExperimentConfig(**kwargs)
 
 

@@ -8,7 +8,11 @@ import pytest
 
 from repro import api
 from repro.obs import set_recorder
-from repro.runner import ExperimentConfig, reset_default_runner
+from repro.runner import (
+    ExecutionPolicy,
+    ExperimentConfig,
+    reset_default_runner,
+)
 
 BUDGET = 1_200
 
@@ -48,10 +52,11 @@ class TestConfigure:
         assert runner.store is None and runner.trace_store is None
 
     def test_unspecified_settings_are_inherited(self, tmp_path):
-        api.configure(cache_dir=tmp_path / "mine", jobs=3)
+        api.configure(cache_dir=tmp_path / "mine",
+                      policy=ExecutionPolicy(jobs=3))
         runner = api.configure(observe=True)
         assert runner.store.root == tmp_path / "mine"
-        assert runner.jobs == 3
+        assert runner.policy.jobs == 3
         assert runner.obs.enabled
 
     def test_accepts_obs_config(self, tmp_path):
@@ -182,9 +187,3 @@ class TestProfilingCli:
         assert main(["cache", "prune", "--cache-dir", str(cache)]) == 0
         out = capsys.readouterr().out
         assert "evicted 0 cached result(s)" in out  # within cap: no-op
-
-    def test_deprecated_runner_cli_has_no_profile_flag(self):
-        from repro.runner.__main__ import _build_parser
-
-        with pytest.raises(SystemExit):
-            _build_parser().parse_args(["--profile"])

@@ -1,5 +1,6 @@
-"""The repro.api facade, the unified CLI and the deprecation shims."""
+"""The repro.api facade, the unified CLI and the removed entry points."""
 
+import importlib.util
 import json
 
 import pytest
@@ -63,31 +64,38 @@ class TestFacadeExecution:
         assert _dump(from_source) == _dump(from_machine)
 
 
-class TestDeprecatedPaths:
-    def test_report_experiments_run_workload_warns(self):
+class TestRemovedPaths:
+    """The expired shims and the engine knob are gone, not forwarding."""
+
+    @pytest.mark.parametrize("module", ["repro.report", "repro.runner",
+                                        "repro.workloads"])
+    def test_old_module_entry_points_are_gone(self, module):
+        assert importlib.util.find_spec(f"{module}.__main__") is None
+
+    def test_report_experiments_has_no_run_aliases(self):
         from repro.report import experiments
 
-        config = ExperimentConfig(max_instructions=1_500)
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            result = experiments.run_workload("com", config)
-        assert result is api.run_workload("com", config)
+        assert not hasattr(experiments, "run_workload")
+        assert not hasattr(experiments, "run_suite")
 
-    def test_report_experiments_run_suite_warns(self):
-        from repro.report import experiments
+    @pytest.mark.parametrize("kwarg", ["jobs", "timeout", "retries",
+                                       "engine"])
+    def test_configure_takes_policy_only(self, kwarg):
+        with pytest.raises(TypeError):
+            api.configure(**{kwarg: 2})
 
-        config = ExperimentConfig(
-            max_instructions=1_500, workloads=("com",)
-        )
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            results = experiments.run_suite(config)
-        assert list(results) == ["com"]
+    @pytest.mark.parametrize("argv", [
+        ["run", "--engine", "reference"],
+        ["report", "--engine", "columnar"],
+        ["campaign", "validate", "spec.toml", "--engine", "auto"],
+    ])
+    def test_engine_flag_is_an_argparse_error(self, argv, capsys):
+        from repro.cli import main
 
-    def test_old_module_entry_points_warn_and_forward(self, capsys):
-        from repro.workloads.__main__ import main as workloads_main
-
-        with pytest.warns(DeprecationWarning, match="python -m repro"):
-            assert workloads_main(["--list"]) == 0
-        assert "spec" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
 
 class TestUnifiedCli:

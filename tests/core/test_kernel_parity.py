@@ -1,9 +1,10 @@
 """Differential pinning of the columnar kernel to the reference loop.
 
-The columnar engine's correctness contract is byte-identity: for every
+The columnar kernel's correctness contract is byte-identity: for every
 supported configuration, ``result_to_dict`` of the kernel's
 :class:`AnalysisResult` must serialise to exactly the JSON the
-reference per-instruction analyzer produces — same counts, same
+reference per-instruction loop (:func:`analyze_reference`, the oracle)
+produces — same counts, same
 Counter insertion order, same float bits.  These tests pin that
 contract over the fixed workload suite, a ``gen:`` sample grid, config
 variants that exercise every classification path, and the v2
@@ -16,15 +17,14 @@ import json
 
 import pytest
 
-from repro.core import AnalysisConfig, KernelUnsupportedError, analyze_trace
-from repro.core.analysis import analyze_many
-from repro.core.export import result_to_dict
-from repro.core.kernel import (
-    AnalysisEngine,
-    TraceColumns,
-    columnar_unsupported,
-    resolve_engine,
+from repro.core import (
+    AnalysisConfig,
+    analyze_many,
+    analyze_reference,
+    analyze_trace,
 )
+from repro.core.export import result_to_dict
+from repro.core.kernel import TraceColumns, columnar_unsupported
 from repro.gen import generated_workload
 from repro.obs import Recorder, recording
 from repro.workloads import SUITE, get_workload
@@ -70,22 +70,28 @@ def _dump(result) -> str:
     return json.dumps(result_to_dict(result), sort_keys=False)
 
 
+def _reference(records, n_static, config, name="trace",
+               profile_counts=None):
+    (result,) = analyze_reference(records, n_static, [config], name=name,
+                                  profile_counts=profile_counts)
+    return result
+
+
 def _assert_engines_agree(records, n_static, config, name="trace",
                           profile_counts=None):
-    reference = analyze_trace(records, n_static, name=name, config=config,
-                              profile_counts=profile_counts,
-                              engine="reference")
+    # A supported config, so analyze_trace runs the kernel.
+    assert columnar_unsupported(config) is None
+    reference = _reference(records, n_static, config, name=name,
+                           profile_counts=profile_counts)
     columnar = analyze_trace(records, n_static, name=name, config=config,
-                             profile_counts=profile_counts,
-                             engine="columnar")
+                             profile_counts=profile_counts)
     assert _dump(columnar) == _dump(reference)
     # The segment-parallel kernel shares the byte-identity contract:
     # splitting the columnar pass must be invisible in the output
     # (docs/sharding.md).  Budgets too small to split fall back to the
     # serial kernel inside analyze_columns_segmented — still identical.
     segmented = analyze_trace(records, n_static, name=name, config=config,
-                              profile_counts=profile_counts,
-                              engine="columnar", segments=3)
+                              profile_counts=profile_counts, segments=3)
     assert _dump(segmented) == _dump(reference)
 
 
@@ -137,13 +143,11 @@ def test_analyze_many_identical():
         AnalysisConfig(predictors=("hybrid",), max_instructions=2_000),
         AnalysisConfig(gshare_bits=8, max_instructions=BUDGET),
     ]
-    reference = analyze_many(records, n_static, configs, name="com",
-                             engine="reference")
-    columnar = analyze_many(records, n_static, configs, name="com",
-                            engine="columnar")
+    reference = analyze_reference(records, n_static, configs, name="com")
+    columnar = analyze_many(records, n_static, configs, name="com")
     assert [_dump(r) for r in columnar] == [_dump(r) for r in reference]
     segmented = analyze_many(records, n_static, configs, name="com",
-                             engine="columnar", segments=4)
+                             segments=4)
     assert [_dump(r) for r in segmented] == [_dump(r) for r in reference]
 
 
@@ -152,12 +156,11 @@ def test_columns_accepted_by_both_engines():
     columns = TraceColumns.from_records(records, n_static)
     config = AnalysisConfig(max_instructions=BUDGET)
     from_records = analyze_trace(records, n_static, name="com",
-                                 config=config, engine="columnar")
+                                 config=config)
     from_columns = analyze_trace(columns, n_static, name="com",
-                                 config=config, engine="columnar")
-    # The reference engine rebuilds records from columns transparently.
-    reference = analyze_trace(columns, n_static, name="com",
-                              config=config, engine="reference")
+                                 config=config)
+    # The reference loop rebuilds records from columns transparently.
+    reference = _reference(columns, n_static, config, name="com")
     assert _dump(from_columns) == _dump(from_records) == _dump(reference)
 
 
@@ -170,14 +173,13 @@ def test_v2_file_decode_identical(tmp_path):
     __, columns = read_trace_columns(path)
     config = AnalysisConfig(max_instructions=BUDGET)
     from_file = analyze_trace(columns, n_static, name="app",
-                              config=config, engine="columnar")
-    reference = analyze_trace(records, n_static, name="app",
-                              config=config, engine="reference")
+                              config=config)
+    reference = _reference(records, n_static, config, name="app")
     assert _dump(from_file) == _dump(reference)
 
 
 # ----------------------------------------------------------------------
-# Engine selection semantics.
+# Path selection: the config picks the kernel or the reference loop.
 # ----------------------------------------------------------------------
 
 def test_unsupported_configs_detected():
@@ -187,36 +189,12 @@ def test_unsupported_configs_detected():
     assert columnar_unsupported(AnalysisConfig(predictors=five))
 
 
-def test_forced_columnar_raises_on_unsupported():
-    records, n_static = _trace_of("com")
-    with pytest.raises(KernelUnsupportedError):
-        analyze_trace(records, n_static,
-                      config=AnalysisConfig(track_reuse=True,
-                                            max_instructions=100),
-                      engine="columnar")
-
-
 def test_auto_falls_back_and_counts():
     records, n_static = _trace_of("com")
     config = AnalysisConfig(track_reuse=True, max_instructions=2_000)
     with recording(Recorder()) as rec:
-        auto = analyze_trace(records, n_static, config=config,
-                             engine="auto")
+        auto = analyze_trace(records, n_static, config=config)
         assert rec.snapshot()["counters"].get("analyze.fallback") == 1
-    reference = analyze_trace(records, n_static, config=config,
-                              engine="reference")
+    reference = _reference(records, n_static, config)
     assert _dump(auto) == _dump(reference)
 
-
-def test_resolve_engine_contract():
-    supported = (AnalysisConfig(),)
-    unsupported = (AnalysisConfig(track_reuse=True),)
-    assert resolve_engine("auto", supported) is AnalysisEngine.COLUMNAR
-    assert resolve_engine("auto", unsupported, record=False) \
-        is AnalysisEngine.REFERENCE
-    assert resolve_engine("reference", supported) \
-        is AnalysisEngine.REFERENCE
-    with pytest.raises(KernelUnsupportedError):
-        resolve_engine("columnar", unsupported)
-    with pytest.raises(ValueError):
-        resolve_engine("vectorised", supported)

@@ -1,6 +1,6 @@
 """Adversarial segment boundaries for the segment-parallel kernel.
 
-The merge contract is byte-identity with the serial columnar engine no
+The merge contract is byte-identity with the serial columnar kernel no
 matter where a cut lands: inside a loop body, between a producer and
 its consumer arc, after every single record, or past the end of the
 trace.  These tests place checkpoints at exactly those spots and
@@ -55,7 +55,7 @@ def com():
 
 def _serial(records, n_static, config):
     return _dump(analyze_trace(records, n_static, name="com",
-                               config=config, engine="columnar"))
+                               config=config))
 
 
 class TestAdversarialBoundaries:

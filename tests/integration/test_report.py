@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import run_suite
 from repro.report import (
     ExperimentConfig,
     figure5,
@@ -11,7 +12,6 @@ from repro.report import (
     figure11,
     figure12,
     figure13,
-    run_suite,
     table1,
 )
 from repro.report.tables import (
@@ -138,10 +138,10 @@ class TestExperiments:
 
 class TestCli:
     def test_cli_single_exhibit(self, capsys):
-        from repro.report.__main__ import main
+        from repro.cli import main
 
         code = main([
-            "--exhibit", "table1", "--max-instructions", "2000",
+            "report", "--exhibit", "table1", "--max-instructions", "2000",
             "--workloads", "com,go",
         ])
         assert code == 0
@@ -150,10 +150,10 @@ class TestCli:
         assert "com" in captured.out
 
     def test_cli_figure(self, capsys):
-        from repro.report.__main__ import main
+        from repro.cli import main
 
         code = main([
-            "--exhibit", "fig12", "--max-instructions", "2000",
+            "report", "--exhibit", "fig12", "--max-instructions", "2000",
             "--workloads", "com",
         ])
         assert code == 0

@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.workloads import get_workload
-from repro.workloads.__main__ import main
+
+
+def main(argv):
+    """``python -m repro workloads <argv>``."""
+    return cli_main(["workloads", *argv])
 
 
 class TestWorkloadsCli:

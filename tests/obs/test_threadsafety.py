@@ -15,6 +15,8 @@ import pytest
 import repro.api
 from repro.obs import NULL_RECORDER, Recorder, get_recorder, set_recorder
 from repro.runner import (
+    ExecutionPolicy,
+    FaultPlan,
     default_runner,
     reset_default_runner,
     set_default_runner,
@@ -141,7 +143,7 @@ class TestDefaultRunnerConcurrency:
 
         def configure(jobs):
             barrier.wait()
-            runner = repro.api.configure(jobs=jobs)
+            runner = repro.api.configure(policy=ExecutionPolicy(jobs=jobs))
             with lock:
                 installed.append(runner)
 
@@ -161,24 +163,26 @@ class TestDefaultRunnerConcurrency:
         # install means the final runner reflects *both* when the
         # second builder starts from the first's output.
         set_default_runner(None)
-        repro.api.configure(jobs=7)
+        policy = ExecutionPolicy(jobs=7, retries=9, timeout=123.0)
+        repro.api.configure(policy=policy)
+        plan = FaultPlan(seed=5)
         done = threading.Barrier(2)
 
-        def set_retries():
+        def set_observe():
             done.wait()
-            repro.api.configure(retries=9)
+            repro.api.configure(observe=True)
 
-        def set_timeout():
+        def set_faults():
             done.wait()
-            repro.api.configure(timeout=123.0)
+            repro.api.configure(faults=plan)
 
-        threads = [threading.Thread(target=set_retries),
-                   threading.Thread(target=set_timeout)]
+        threads = [threading.Thread(target=set_observe),
+                   threading.Thread(target=set_faults)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
         runner = default_runner()
-        assert runner.jobs == 7
-        assert runner.retries == 9
-        assert runner.timeout == 123.0
+        assert runner.policy == policy
+        assert runner.obs.enabled
+        assert runner.faults is plan

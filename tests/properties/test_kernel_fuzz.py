@@ -18,7 +18,12 @@ import random
 
 import pytest
 
-from repro.core import AnalysisConfig, analyze_trace
+from repro.core import (
+    AnalysisConfig,
+    analyze_reference,
+    analyze_trace,
+    columnar_unsupported,
+)
 from repro.core.export import result_to_dict
 from repro.gen import PRESETS, generated_workload
 
@@ -71,10 +76,11 @@ def _check_seed(seed: int) -> None:
     records = list(machine.trace())
     n_static = len(machine.program.instructions)
     config = _variant_for(seed)
-    reference = analyze_trace(records, n_static, name=preset,
-                              config=config, engine="reference")
+    assert columnar_unsupported(config) is None  # the kernel runs it
+    (reference,) = analyze_reference(records, n_static, [config],
+                                     name=preset)
     columnar = analyze_trace(records, n_static, name=preset,
-                             config=config, engine="columnar")
+                             config=config)
     assert (json.dumps(result_to_dict(columnar))
             == json.dumps(result_to_dict(reference))), (
         f"engines diverge for gen:{preset}@{seed} with {config}"
@@ -85,8 +91,7 @@ def _check_seed(seed: int) -> None:
     # get cut mid-flight somewhere in the sweep (docs/sharding.md).
     segments = 2 + seed % 4
     segmented = analyze_trace(records, n_static, name=preset,
-                              config=config, engine="columnar",
-                              segments=segments)
+                              config=config, segments=segments)
     assert (json.dumps(result_to_dict(segmented))
             == json.dumps(result_to_dict(reference))), (
         f"segmented kernel diverges for gen:{preset}@{seed} "

@@ -129,41 +129,3 @@ class TestSigtermResume:
             }
 
         assert envelopes(cache) == envelopes(fresh)
-
-
-class TestForwarderExitCodes:
-    def test_runner_forwarder_maps_keyboard_interrupt(self, monkeypatch):
-        from repro import cli
-        from repro.runner import __main__ as forwarder
-
-        def boom(parser, args):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(cli, "cmd_run", boom)
-        with pytest.warns(DeprecationWarning):
-            assert forwarder.main(["--workloads", "com"]) == \
-                EXIT_INTERRUPTED
-
-    def test_report_forwarder_maps_keyboard_interrupt(self, monkeypatch):
-        import repro.cli as cli
-        from repro.report import __main__ as forwarder
-
-        def boom(argv):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(cli, "main", boom)
-        with pytest.warns(DeprecationWarning):
-            assert forwarder.main(["--exhibit", "table1"]) == \
-                EXIT_INTERRUPTED
-
-    def test_workloads_forwarder_maps_keyboard_interrupt(
-            self, monkeypatch):
-        import repro.cli as cli
-        from repro.workloads import __main__ as forwarder
-
-        def boom(argv):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(cli, "main", boom)
-        with pytest.warns(DeprecationWarning):
-            assert forwarder.main(["--list"]) == EXIT_INTERRUPTED

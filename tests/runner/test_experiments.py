@@ -4,10 +4,12 @@ import multiprocessing
 
 import pytest
 
+from repro import api
+from repro.cli import main as cli_main
 from repro.errors import RunnerError
-from repro.report import experiments as report_experiments
 from repro.report.experiments import figure5, figure9, table1
 from repro.runner import (
+    ExecutionPolicy,
     ExperimentConfig,
     ExperimentRunner,
     ResultStore,
@@ -22,10 +24,10 @@ HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 SMALL = ExperimentConfig(max_instructions=3_000, workloads=("com", "go"))
 
 
-def _crashing_analyze(name, config, engine=None):
+def _crashing_analyze(name, config):
     if name == "go":
         raise RuntimeError("injected analysis fault")
-    return _analyze(name, config, engine)
+    return _analyze(name, config)
 
 
 @pytest.fixture
@@ -88,7 +90,8 @@ class TestParallelRunner:
         serial = {
             name: _analyze(name, SMALL) for name in SMALL.workloads
         }
-        runner = ExperimentRunner(store=ResultStore(tmp_path), jobs=2)
+        runner = ExperimentRunner(store=ResultStore(tmp_path),
+                                  policy=ExecutionPolicy(jobs=2))
         parallel = runner.run(SMALL).require()
         assert table1(serial).render() == table1(parallel).render()
         assert figure5(serial).render() == figure5(parallel).render()
@@ -99,7 +102,8 @@ class TestParallelRunner:
             assert serial_table.render() == parallel_table.render()
 
     def test_parallel_without_store_uses_scratch_transport(self):
-        runner = ExperimentRunner(store=None, jobs=2)
+        runner = ExperimentRunner(store=None,
+                                  policy=ExecutionPolicy(jobs=2))
         run = runner.run(SMALL)
         assert set(run.require()) == {"com", "go"}
         assert run.metrics.peak_workers >= 1
@@ -109,7 +113,8 @@ class TestParallelRunner:
             max_instructions=200_000, workloads=("com", "go")
         )
         runner = ExperimentRunner(
-            store=ResultStore(tmp_path), jobs=2, timeout=0.05, retries=0,
+            store=ResultStore(tmp_path),
+            policy=ExecutionPolicy(jobs=2, timeout=0.05, retries=0),
         )
         run = runner.run(config)
         assert run.failures
@@ -120,7 +125,8 @@ class TestParallelRunner:
                                                   tmp_path):
         monkeypatch.setattr(runner_api, "_analyze", _crashing_analyze)
         runner = ExperimentRunner(
-            store=ResultStore(tmp_path), jobs=2, retries=0,
+            store=ResultStore(tmp_path),
+            policy=ExecutionPolicy(jobs=2, retries=0),
         )
         run = runner.run(SMALL)
         assert set(run.results) == {"com"}
@@ -132,25 +138,23 @@ class TestParallelRunner:
 class TestReportIntegration:
     def test_run_workload_uses_shared_runner(self):
         config = ExperimentConfig(max_instructions=2_000)
-        first = report_experiments.run_workload("com", config)
-        second = report_experiments.run_workload("com", config)
+        first = api.run_workload("com", config)
+        second = api.run_workload("com", config)
         assert first is second
 
     def test_run_suite_order_matches_request(self):
         config = ExperimentConfig(
             max_instructions=2_000, workloads=("go", "com")
         )
-        results = report_experiments.run_suite(config)
+        results = api.run_suite(config)
         assert list(results) == ["go", "com"]
 
 
 class TestRunnerCli:
     def test_cli_runs_and_writes_metrics(self, tmp_path, capsys):
-        from repro.runner.__main__ import main
-
         cache = tmp_path / "cache"
-        code = main([
-            "--jobs", "2", "--workloads", "com,go",
+        code = cli_main([
+            "run", "--jobs", "2", "--workloads", "com,go",
             "--max-instructions", "2000", "--cache-dir", str(cache),
         ])
         assert code == 0
@@ -159,35 +163,29 @@ class TestRunnerCli:
         assert (cache / "metrics.json").is_file()
 
     def test_cli_second_run_is_all_hits(self, tmp_path, capsys):
-        from repro.runner.__main__ import main
-
         cache = tmp_path / "cache"
-        argv = ["--jobs", "2", "--workloads", "com,go",
+        argv = ["run", "--jobs", "2", "--workloads", "com,go",
                 "--max-instructions", "2000", "--cache-dir", str(cache)]
-        assert main(argv) == 0
+        assert cli_main(argv) == 0
         capsys.readouterr()
-        assert main(argv) == 0
+        assert cli_main(argv) == 0
         out = capsys.readouterr().out
         assert "cache-hit" in out
         assert "0 computed" in out
 
     def test_cli_cache_info_and_clear(self, tmp_path, capsys):
-        from repro.runner.__main__ import main
-
         cache = tmp_path / "cache"
-        main(["--workloads", "com", "--max-instructions", "1000",
-              "--cache-dir", str(cache), "--jobs", "1"])
+        cli_main(["run", "--workloads", "com", "--max-instructions",
+                  "1000", "--cache-dir", str(cache), "--jobs", "1"])
         capsys.readouterr()
-        assert main(["--cache-info", "--cache-dir", str(cache)]) == 0
+        assert cli_main(["cache", "info", "--cache-dir", str(cache)]) == 0
         assert "entries: 1" in capsys.readouterr().out
-        assert main(["--clear-cache", "--cache-dir", str(cache)]) == 0
+        assert cli_main(["cache", "clear", "--cache-dir", str(cache)]) == 0
         assert "removed 1" in capsys.readouterr().out
 
     def test_report_cli_accepts_jobs_flag(self, capsys):
-        from repro.report.__main__ import main
-
-        code = main([
-            "--exhibit", "table1", "--max-instructions", "1000",
+        code = cli_main([
+            "report", "--exhibit", "table1", "--max-instructions", "1000",
             "--workloads", "com", "--jobs", "1",
         ])
         assert code == 0

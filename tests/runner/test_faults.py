@@ -12,6 +12,7 @@ import pytest
 from repro.core.export import result_to_dict
 from repro.obs import Recorder, recording
 from repro.runner import (
+    ExecutionPolicy,
     ExperimentConfig,
     ExperimentRunner,
     FaultPlan,
@@ -208,7 +209,7 @@ class TestChaosInvariant:
     def _run(self, root, faults=None):
         runner = ExperimentRunner(
             store=ResultStore(root), trace_store=TraceStore(root),
-            jobs=2, retries=6, faults=faults,
+            policy=ExecutionPolicy(jobs=2, retries=6), faults=faults,
         )
         return runner.run(self.CONFIG)
 

@@ -1,5 +1,6 @@
-"""ExecutionPolicy: validation, parsing, merging, deprecation shims,
-and the identity-exclusion contract (policy never enters job keys).
+"""ExecutionPolicy: validation, parsing, merging, the runner's policy-only
+constructor, and the identity-exclusion contract (policy never enters
+job keys).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from repro.runner import (
     PolicyError,
     Job,
     job_key,
-    resolve_policy,
 )
 from repro.runner.policy import (
     POLICY_FIELDS,
@@ -25,7 +25,6 @@ from repro.runner.policy import (
 class TestValidation:
     def test_defaults(self):
         policy = ExecutionPolicy()
-        assert policy.engine is None
         assert policy.jobs == 1
         assert policy.segments == 1
         assert policy.segment_records == DEFAULT_SEGMENT_RECORDS
@@ -42,14 +41,16 @@ class TestValidation:
         with pytest.raises(PolicyError):
             ExecutionPolicy(**kwargs)
 
-    def test_engine_normalized_to_string_value(self):
-        from repro.core.kernel import AnalysisEngine
+    def test_fields_are_execution_knobs_only(self):
+        assert POLICY_FIELDS == ("jobs", "timeout", "retries",
+                                 "segments", "segment_records")
 
-        assert ExecutionPolicy(engine="columnar").engine == "columnar"
-        assert (ExecutionPolicy(engine=AnalysisEngine.REFERENCE).engine
-                == "reference")
-        with pytest.raises(ValueError):
-            ExecutionPolicy(engine="vectorised")
+    def test_engine_is_not_a_policy_field(self):
+        # The config, not a knob, picks the analysis path.
+        with pytest.raises(TypeError):
+            ExecutionPolicy(engine="columnar")
+        with pytest.raises(PolicyError, match="unknown policy field"):
+            ExecutionPolicy.parse("engine=reference")
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -59,11 +60,11 @@ class TestValidation:
 class TestParseAndMerge:
     def test_parse_full_string(self):
         policy = ExecutionPolicy.parse(
-            "engine=columnar,jobs=4,timeout=2.5,retries=2,"
-            "segments=8,segment_records=1000")
+            "jobs=4,timeout=2.5,retries=2,segments=8,"
+            "segment_records=1000")
         assert policy == ExecutionPolicy(
-            engine="columnar", jobs=4, timeout=2.5, retries=2,
-            segments=8, segment_records=1000)
+            jobs=4, timeout=2.5, retries=2, segments=8,
+            segment_records=1000)
 
     def test_parse_over_base_wins(self):
         base = ExecutionPolicy(jobs=2, timeout=9.0)
@@ -91,28 +92,32 @@ class TestParseAndMerge:
 
 
 class TestLegacyShims:
-    def test_legacy_kwargs_warn_and_apply(self):
-        with pytest.warns(DeprecationWarning, match="jobs"):
-            policy = resolve_policy(None, jobs=3, timeout=None,
-                                    retries=None, engine=None,
-                                    owner="ExperimentRunner")
-        assert policy.jobs == 3
+    """The loose execution kwargs are gone: ``policy=`` is the one way
+    in, and the runner exposes no per-knob views."""
 
-    def test_policy_alone_is_silent(self, recwarn):
-        policy = resolve_policy(ExecutionPolicy(jobs=2), jobs=None,
-                                timeout=None, retries=None, engine=None,
-                                owner="ExperimentRunner")
-        assert policy.jobs == 2
-        assert not [w for w in recwarn
-                    if issubclass(w.category, DeprecationWarning)]
+    @pytest.mark.parametrize("kwarg", ["jobs", "timeout", "retries"])
+    def test_runner_rejects_loose_kwargs(self, kwarg):
+        with pytest.raises(TypeError):
+            ExperimentRunner(**{kwarg: 2})
+        runner = ExperimentRunner(policy=ExecutionPolicy(jobs=2))
+        assert not hasattr(runner, kwarg)
 
-    def test_runner_constructor_shim(self):
-        with pytest.warns(DeprecationWarning):
-            runner = ExperimentRunner(jobs=2, retries=3)
+    def test_policy_alone_is_silent(self, recwarn, monkeypatch):
+        from repro import api
+        from repro.runner import reset_default_runner
+
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        reset_default_runner()
+        try:
+            runner = api.configure(policy=ExecutionPolicy(jobs=2))
+        finally:
+            reset_default_runner()
         assert runner.policy.jobs == 2
-        assert runner.policy.retries == 3
-        assert runner.jobs == 2          # read-only property shim
-        assert runner.retries == 3
+        assert not recwarn.list
+
+    def test_runner_rejects_non_policy(self):
+        with pytest.raises(PolicyError, match="ExecutionPolicy"):
+            ExperimentRunner(policy={"jobs": 2})
 
     def test_runner_accepts_policy(self, recwarn):
         runner = ExperimentRunner(policy=ExecutionPolicy(jobs=4))

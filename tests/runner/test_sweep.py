@@ -8,6 +8,7 @@ from repro.core import AnalysisConfig, analyze_many, analyze_trace
 from repro.core.export import result_to_dict
 from repro.errors import RunnerError
 from repro.runner import (
+    ExecutionPolicy,
     ExperimentConfig,
     ExperimentRunner,
     ExperimentRun,
@@ -184,7 +185,8 @@ class TestRunMany:
         ).run_many(self.CONFIGS)
         parallel = ExperimentRunner(
             store=ResultStore(tmp_path / "p"),
-            trace_store=TraceStore(tmp_path / "p"), jobs=2,
+            trace_store=TraceStore(tmp_path / "p"),
+            policy=ExecutionPolicy(jobs=2),
         ).run_many(self.CONFIGS, jobs=2)
         for left, right in zip(serial, parallel):
             for name in left.require():

@@ -70,16 +70,38 @@ class TestConfigRejection:
             config_from_dict({"scale": 1.5})
 
     @pytest.mark.parametrize("field", [
-        "policy", "engine", "jobs", "timeout", "retries",
+        "policy", "jobs", "timeout", "retries",
         "segments", "segment_records",
     ])
     def test_execution_policy_keys_are_operator_only(self, field):
-        """Clients must not pick the server's parallelism or engine:
-        policy keys get a pointed trust-boundary rejection, not the
-        generic unknown-field 400."""
+        """Clients must not pick the server's parallelism: policy keys
+        get a pointed trust-boundary rejection, not the generic
+        unknown-field 400."""
         with pytest.raises(ProtocolError,
                            match="server-side execution policy"):
             config_from_dict({field: 4})
+
+    def test_engine_is_an_unknown_field(self):
+        # The config picks the analysis path; there is no engine knob.
+        with pytest.raises(ProtocolError,
+                           match="unknown config field 'engine'"):
+            config_from_dict({"engine": "reference"})
+
+    @pytest.mark.parametrize("predictors, match", [
+        (["bogus"], "unknown predictor kind: 'bogus'"),
+        (["last", "context(l1=99)"], "context\\(l1=99\\)"),
+        ([], "no predictors"),
+        (["last", "stride", "last"], "'last' is repeated"),
+    ])
+    def test_invalid_predictor_lists_are_rejected(self, predictors, match):
+        """Bad banks are a 400 at the trust boundary, not a worker-side
+        job failure (bogus spec) or a silently merged bank with its
+        own job key (repeated spec)."""
+        with pytest.raises(ProtocolError, match=match):
+            config_from_dict({"predictors": predictors})
+        with pytest.raises(ProtocolError, match=match):
+            parse_analyze_request({"workload": "com",
+                                   "config": {"predictors": predictors}})
 
 
 class TestAnalyzeRequest:

@@ -88,6 +88,18 @@ class TestEndpointContract:
         assert excinfo.value.status == 400
         assert "unknown workload" in excinfo.value.payload["error"]
 
+    @pytest.mark.parametrize("config, named", [
+        ({"predictors": ["bogus"]}, "'bogus'"),
+        ({"predictors": []}, "no predictors"),
+        ({"predictors": ["last", "last"]}, "'last' is repeated"),
+        ({"engine": "reference"}, "unknown config field 'engine'"),
+    ])
+    def test_invalid_config_is_400(self, server, config, named):
+        with pytest.raises(RequestFailed) as excinfo:
+            client_for(server).analyze("com", config)
+        assert excinfo.value.status == 400
+        assert named in excinfo.value.payload["error"]
+
 
 class TestAnalyzeFlow:
     def test_cold_then_warm(self, server):
