@@ -34,8 +34,10 @@ kernel-parity:
 
 ## Segment-parallel parity gate: adversarial boundary tests, the
 ## runner's segmented/chaos/reindex suite, policy semantics, and the
-## segmented differential tier (the parity suite runs every case at
-## segments>1 too).  See docs/sharding.md.
+## segmented differential tier (the parity suite and the fuzz run every
+## case through tests.conftest.analyze_segmented, the stored-file path:
+## save_trace, build_index, prepare_file_segments, _segment_task,
+## SegmentMerge).  See docs/sharding.md.
 shard-parity:
 	$(PYTHON) -m pytest -x -q tests/core/test_shard.py \
 		tests/runner/test_segmented.py tests/runner/test_policy.py \

@@ -78,14 +78,9 @@ def _trace_of(name: str):
     return list(machine.trace()), len(machine.program.instructions)
 
 
-#: In-memory segment count for the segmented column (thread executor).
-SEGMENTS = int(os.environ.get("REPRO_PARITY_SEGMENTS", "4"))
-
-
-def _timed_analysis(records, n_static, name, config, reference=False,
-                    segments=None):
+def _timed_analysis(records, n_static, name, config, reference=False):
     """Serialised result and wall time of one analysis: the reference
-    oracle, or the columnar kernel (``segments`` > 1 = segmented)."""
+    oracle, or the columnar kernel."""
     start = time.perf_counter()
     if reference:
         (result,) = analyze_reference(records, n_static, [config],
@@ -93,7 +88,7 @@ def _timed_analysis(records, n_static, name, config, reference=False,
     else:
         assert columnar_unsupported(config) is None, config
         result = analyze_trace(records, n_static, name=name,
-                               config=config, segments=segments)
+                               config=config)
     wall = time.perf_counter() - start
     return json.dumps(result_to_dict(result), sort_keys=False), wall
 
@@ -101,7 +96,7 @@ def _timed_analysis(records, n_static, name, config, reference=False,
 def parity_report() -> dict:
     """Run the matrix; returns the report dict (see module docstring)."""
     cases = []
-    ref_total = col_total = seg_total = 0.0
+    ref_total = col_total = 0.0
     mismatches = 0
     matrix = [(w.name, "default") for w in SUITE]
     matrix += [("com", variant) for variant in sorted(VARIANTS)
@@ -118,36 +113,27 @@ def parity_report() -> dict:
         columnar, col_wall = _timed_analysis(
             records, n_static, workload, config
         )
-        # The segment-parallel kernel shares the identity contract:
-        # same bytes through checkpointed cuts (docs/sharding.md).
-        segmented, seg_wall = _timed_analysis(
-            records, n_static, workload, config, segments=SEGMENTS,
-        )
-        match = columnar == reference and segmented == reference
+        match = columnar == reference
         mismatches += 0 if match else 1
         ref_total += ref_wall
         col_total += col_wall
-        seg_total += seg_wall
         cases.append({
             "workload": workload,
             "variant": variant,
             "match": match,
             "reference_s": round(ref_wall, 4),
             "columnar_s": round(col_wall, 4),
-            "segmented_s": round(seg_wall, 4),
             "speedup": round(ref_wall / max(col_wall, 1e-9), 2),
         })
     return {
         "benchmark": "columnar-vs-reference parity matrix",
         "budget": BUDGET,
-        "segments": SEGMENTS,
         "cases": cases,
         "summary": {
             "cases": len(cases),
             "mismatches": mismatches,
             "reference_s": round(ref_total, 3),
             "columnar_s": round(col_total, 3),
-            "segmented_s": round(seg_total, 3),
             "speedup": round(ref_total / max(col_total, 1e-9), 2),
         },
         "python": platform.python_version(),
@@ -168,8 +154,7 @@ def main(output_path=None) -> int:
     print(f"{summary['cases']} parity cases @ {BUDGET} instructions: "
           f"{summary['mismatches']} mismatches, "
           f"reference {summary['reference_s']}s vs columnar "
-          f"{summary['columnar_s']}s ({summary['speedup']}x); "
-          f"segmented x{report['segments']} {summary['segmented_s']}s")
+          f"{summary['columnar_s']}s ({summary['speedup']}x)")
     for case in report["cases"]:
         if not case["match"]:
             print(f"PARITY FAILED: {case['workload']} / {case['variant']}")

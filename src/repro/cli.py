@@ -415,79 +415,51 @@ def _segidx_report(trace_store, trace_entries) -> None:
 def _reindex(trace_store, segment_records: int) -> int:
     """Backfill segment-index sidecars for every stored trace.
 
-    Idempotent and resumable: a trace that already carries a sidecar
-    is skipped, and a journal beside the trace tier records each key
-    as it is indexed so a killed reindex picks up where it stopped.
-    The journal is removed once a pass completes cleanly — it is a
-    resume point for interrupted runs, not a permanent ledger, so a
-    trace that is later evicted and re-captured is indexed again.
-    Traces too short to span two segments are skipped *without* being
-    journaled: a longer recapture under the same key must still be
-    eligible.
+    Idempotent and resumable: sidecar presence is the only resume
+    point.  A trace that already carries a sidecar is skipped, so a
+    killed reindex picks up where it stopped, and a trace re-captured
+    since (``TraceStore.put`` drops its sidecar) is indexed again.
+    Traces too short to span two segments are skipped.
     """
     from repro.core.shard import build_index, plan_bounds
     from repro.cpu.tracefile import read_trace_columns
-    from repro.runner.journal import STATUS_DONE, RunJournal
     from repro.runner.tracestore import TRACE_SUFFIX
 
     if segment_records < 1:
         print("--segment-records must be >= 1", file=sys.stderr)
         return 1
-    journal_path = trace_store.root / "reindex.journal.jsonl"
-    try:
-        journal = RunJournal(journal_path, resume=True).open()
-    except Exception as error:
-        # Journal-less reindex still works (sidecar presence is the
-        # authoritative skip) -- it just cannot resume a killed run.
-        print(f"reindex journal unavailable ({error}); "
-              f"continuing without resume support", file=sys.stderr)
-        journal = None
     indexed = present = short = failed = 0
-    try:
-        for path in trace_store.entries():
-            key = path.name[: -len(TRACE_SUFFIX)]
-            if trace_store.has_segindex(key):
-                present += 1
-                continue
-            if journal is not None and journal.completed(key):
-                present += 1
-                continue
-            header = trace_store.header(key)
-            if header is None:
-                failed += 1
-                continue
-            workload = header.get("workload") or "?"
-            n = header.get("n_records", 0)
-            spans = n // segment_records
-            if spans < 2:
-                short += 1
-                continue
-            try:
-                __, columns = read_trace_columns(path)
-                index = build_index(columns, plan_bounds(n, spans))
-                written = trace_store.put_segindex(key, index)
-            except Exception as error:
-                failed += 1
-                print(f"  {key[:12]} [{workload}]: reindex failed "
-                      f"({error})", file=sys.stderr)
-                continue
-            if written is None:
-                failed += 1
-                continue
-            indexed += 1
-            if journal is not None:
-                journal.record(key, workload, STATUS_DONE)
-            print(f"  {key[:12]} [{workload}]: indexed "
-                  f"{len(index.bounds) - 1} segment(s) over {n:,} "
-                  f"record(s)")
-    finally:
-        if journal is not None:
-            journal.close()
-    if failed == 0 and journal is not None:
+    for path in trace_store.entries():
+        key = path.name[: -len(TRACE_SUFFIX)]
+        if trace_store.has_segindex(key):
+            present += 1
+            continue
+        header = trace_store.header(key)
+        if header is None:
+            failed += 1
+            continue
+        workload = header.get("workload") or "?"
+        n = header.get("n_records", 0)
+        spans = n // segment_records
+        if spans < 2:
+            short += 1
+            continue
         try:
-            journal_path.unlink()
-        except OSError:
-            pass
+            __, columns = read_trace_columns(path)
+            index = build_index(columns, plan_bounds(n, spans))
+            written = trace_store.put_segindex(key, index)
+        except Exception as error:
+            failed += 1
+            print(f"  {key[:12]} [{workload}]: reindex failed "
+                  f"({error})", file=sys.stderr)
+            continue
+        if written is None:
+            failed += 1
+            continue
+        indexed += 1
+        print(f"  {key[:12]} [{workload}]: indexed "
+              f"{len(index.bounds) - 1} segment(s) over {n:,} "
+              f"record(s)")
     print(f"reindexed {indexed} trace(s); {present} already indexed, "
           f"{short} too short, {failed} failed")
     return 0 if failed == 0 else 1

@@ -428,7 +428,6 @@ def analyze_trace(
     config: AnalysisConfig | None = None,
     profile_counts=None,
     static_counts=None,
-    segments: int | None = None,
 ) -> AnalysisResult:
     """Analyse an iterable of :class:`DynInst` records (or a
     pre-decoded :class:`~repro.core.kernel.TraceColumns`).
@@ -441,10 +440,7 @@ def analyze_trace(
     The columnar kernel runs the config unless it is out of the
     kernel's scope, in which case :func:`analyze_reference` does;
     results are byte-identical either way — see
-    :mod:`repro.core.kernel`.  ``segments`` > 1 splits a columnar
-    analysis into that many segment-parallel slices
-    (:func:`repro.core.shard.analyze_columns_segmented`, thread
-    executor) — byte-identical again; the reference loop ignores it.
+    :mod:`repro.core.kernel`.
     """
     config = config or AnalysisConfig()
     if _falls_back((config,)):
@@ -453,14 +449,6 @@ def analyze_trace(
         )[0]
     with get_recorder().span("analyze"):
         columns = _as_columns(trace, n_static, config.max_instructions)
-        if segments is not None and segments > 1:
-            from repro.core.shard import analyze_columns_segmented
-
-            return analyze_columns_segmented(
-                columns, config, name, segments=segments,
-                profile_counts=profile_counts,
-                static_counts=static_counts,
-            )
         return analyze_columns(
             columns, config, name, profile_counts, static_counts
         )
@@ -473,7 +461,6 @@ def analyze_many(
     name: str = "trace",
     profile_counts=None,
     static_counts=None,
-    segments: int | None = None,
 ) -> list[AnalysisResult]:
     """Analyse one trace under many configs in a single pass.
 
@@ -498,20 +485,6 @@ def analyze_many(
     limit = None if None in budgets else max(budgets)
     with get_recorder().span("analyze"):
         columns = _as_columns(trace, n_static, limit)
-        if segments is not None and segments > 1:
-            # Segment-parallel per config: trades the shared bank-pass
-            # cache of analyze_columns_many for intra-trace
-            # parallelism.  Byte-identical either way.
-            from repro.core.shard import analyze_columns_segmented
-
-            return [
-                analyze_columns_segmented(
-                    columns, config, name, segments=segments,
-                    profile_counts=profile_counts,
-                    static_counts=static_counts,
-                )
-                for config in configs
-            ]
         return analyze_columns_many(
             columns, configs, name, profile_counts, static_counts
         )

@@ -1,11 +1,12 @@
 """Segment-parallel analysis of a single trace.
 
 The columnar engine (:mod:`repro.core.kernel.engine`) analyzes one
-trace on one core.  This module splits the record stream into
-contiguous **segments** at checkpointed boundaries and runs the
-kernel's batched passes per segment — in-process threads for traces
-already decoded in memory, the runner's :class:`TaskPool` for big
-stored traces — then merges the per-segment partials into an
+trace on one core.  This module splits a *stored* v2 trace into
+contiguous **segments** at the checkpoints of its sidecar index:
+:func:`prepare_file_segments` plans one :func:`_segment_task` per
+segment, the runner schedules them on its :class:`TaskPool` (each
+worker decodes only its own byte range), and :class:`SegmentMerge`
+folds the payloads, in segment order, into an
 :class:`~repro.core.stats.AnalysisResult` **byte-identical** to the
 serial engine's (enforced by tests/core/test_shard.py, the extended
 kernel-parity suite, and the ``segments>1`` fuzz).
@@ -222,9 +223,9 @@ def build_index(columns, bounds, specs=None, branch=None) -> SegmentIndex:
 
     Runs every predictor stream once through the resumable passes of
     :mod:`repro.core.kernel.state`, snapshotting each segment's state
-    delta and per-PC record tally at the boundary.  Used both by the
-    in-memory segmented path (per-call, for the exact config) and by
-    capture/reindex (default family, persisted as the sidecar).
+    delta and per-PC record tally at the boundary.  Capture, replay
+    backfill and ``cache reindex`` build the default family and persist
+    it as the sidecar.
     """
     if specs is None or branch is None:
         d_specs, d_branch = default_family()
@@ -316,43 +317,8 @@ def select_segments(index: SegmentIndex, m: int, segments: int) -> list:
 
 
 # ======================================================================
-# Per-segment compute (runs in a worker process, a thread, or inline).
+# Per-segment compute (runs in a TaskPool worker process).
 # ======================================================================
-
-def _slice_columns(columns, r0: int, r1: int) -> TraceColumns:
-    """A local TraceColumns over records ``[r0, r1)`` of ``columns``.
-
-    Record/arc indexing is rebased to zero; producer uids and group
-    keys stay absolute (they are stored absolute).  Derived flag
-    columns and record subsets are recomputed by ``_finish`` on the
-    slice — the same code path the full decode uses.
-    """
-    starts = columns.src_start
-    a0, a1 = starts[r0], starts[r1]
-    d0, d1 = columns.d_prefix[r0], columns.d_prefix[r1]
-    seg = TraceColumns()
-    seg.n_static = columns.n_static
-    seg.ops = columns.ops
-    seg.pc = columns.pc[r0:r1]
-    seg.op_index = columns.op_index[r0:r1]
-    seg.out = columns.out[r0:r1]
-    seg.passthrough = columns.passthrough[r0:r1]
-    seg.taken = columns.taken[r0:r1]
-    seg.nsrc = columns.nsrc[r0:r1]
-    seg.src_start = [s - a0 for s in starts[r0:r1 + 1]]
-    seg.src_value = columns.src_value[a0:a1]
-    seg.src_prod = columns.src_prod[a0:a1]
-    seg.src_ppc = columns.src_ppc[a0:a1]
-    seg.src_mem = columns.src_mem[a0:a1]
-    seg.src_loc = columns.src_loc[a0:a1]
-    seg.in_key = columns.in_key[a0:a1]
-    seg.group_key = columns.group_key[a0:a1]
-    seg.d_prefix = [d - d0 for d in columns.d_prefix[r0:r1 + 1]]
-    seg.d_ids = columns.d_ids[d0:d1]
-    seg.n_records = r1 - r0
-    seg._finish()
-    return seg
-
 
 def _genclass_resumed(cols, counts_start) -> bytearray:
     """Count-so-far GenClass codes for a segment, seeded with the
@@ -919,77 +885,8 @@ class SegmentMerge:
 
 
 # ======================================================================
-# In-memory segmented analysis (threads or inline) — the parity/fuzz
-# vehicle, and the small-trace path.
-# ======================================================================
-
-def analyze_columns_segmented(columns, config, name="trace",
-                              segments=2, profile_counts=None,
-                              static_counts=None, index=None,
-                              executor="thread",
-                              max_workers=None) -> AnalysisResult:
-    """Segment-parallel twin of ``analyze_columns``.
-
-    Splits ``columns`` at checkpoint boundaries (building an in-memory
-    index for exactly this config when none is given — deliberately
-    exercising the same resume machinery the sidecar path uses), runs
-    :func:`compute_segment` per segment, and merges in order.  Byte-
-    identical to the serial engine for every config the kernel
-    supports.
-    """
-    cfg = config
-    n_records = columns.n_records
-    m = (n_records if cfg.max_instructions is None
-         else min(cfg.max_instructions, n_records))
-    family = ((cfg.predictors,
-               (cfg.branch_predictor, cfg.gshare_bits))
-              if index is None else (index.specs, index.branch))
-    if index is None:
-        bounds = plan_bounds(m, segments)
-        if len(bounds) > 2:
-            index = build_index(columns, bounds, family[0], family[1])
-            plan = select_segments(index, m, segments)
-        else:
-            plan = [(0, m, 0, 0)]
-    else:
-        reason = index.supports(cfg)
-        if reason is not None:
-            raise ShardError(f"segment index unusable: {reason}")
-        plan = select_segments(index, m, segments)
-    if len(plan) < 2:
-        from repro.core.kernel.engine import analyze_columns
-
-        return analyze_columns(columns, cfg, name, profile_counts,
-                               static_counts)
-
-    br_kind, br_bits = cfg.branch_predictor, cfg.gshare_bits
-
-    def run_one(seg):
-        r0, r1, __arc0, t0 = seg
-        cols = _slice_columns(columns, r0, r1)
-        states = index.states_at(t0, cfg.predictors, br_kind, br_bits)
-        counts_start = index.counts_at(t0)
-        return compute_segment(cols, r0, states, counts_start, cfg,
-                               profile_counts)
-
-    merge = SegmentMerge(cfg, name, columns.n_static, columns.ops,
-                         profile_counts, static_counts)
-    if executor == "thread":
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = max_workers or min(len(plan), 8)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for payload in pool.map(run_one, plan):
-                merge.add(payload)
-    else:
-        for seg in plan:
-            merge.add(run_one(seg))
-    return merge.finalize()
-
-
-# ======================================================================
-# Stored-trace segmented analysis: TaskPool workers decode their own
-# byte range, the parent merges (and walks) as payloads stream back.
+# Stored-trace planning: TaskPool workers decode their own byte range,
+# the parent merges (and walks) as payloads stream back.
 # ======================================================================
 
 def _segment_task(body, header, index, seg, config, profile_counts):
@@ -1044,48 +941,3 @@ def prepare_file_segments(path, config, index, segments, name="trace",
                          profile_counts, static_counts)
     return task_args, merge
 
-
-def analyze_trace_file_segmented(path, config, index, pool,
-                                 name="trace", segments=2,
-                                 profile_counts=None,
-                                 static_counts=None) -> AnalysisResult:
-    """Analyse a stored v2 trace segment-parallel across ``pool``.
-
-    The parent un-gzips the body once; each :class:`TaskPool` worker
-    decodes only its own byte range (fork shares the body copy-on-
-    write) and streams its payload back, so decode — the dominant
-    serial cost — parallelizes too.  Payloads merge in segment order
-    as they arrive; the parent's sequential paths walk overlaps the
-    workers' compute.  Any segment task that exhausts its retries
-    raises :class:`ShardError` (callers fall back to serial analysis,
-    which is byte-identical by construction).
-    """
-    from repro.runner.pool import Task, TaskError
-
-    task_args, merge = prepare_file_segments(
-        path, config, index, segments, name=name,
-        profile_counts=profile_counts, static_counts=static_counts,
-    )
-    recorder = get_recorder()
-    tasks = [
-        Task(key=f"seg{i}", fn=_segment_task, args=args)
-        for i, args in enumerate(task_args)
-    ]
-    plan = [args[3] for args in task_args]
-    pending = {}
-    next_seg = 0
-    with recorder.span("analyze"):
-        for key, outcome in pool.run_stream(tasks):
-            if isinstance(outcome, TaskError):
-                raise ShardError(
-                    f"segment task {key} failed after "
-                    f"{outcome.attempts} attempts ({outcome.kind}): "
-                    f"{outcome.error}")
-            pending[int(key[3:])] = outcome.value
-            while next_seg in pending:
-                merge.add(pending.pop(next_seg))
-                next_seg += 1
-        if next_seg != len(plan):
-            raise ShardError(
-                f"segment merge incomplete: {next_seg}/{len(plan)}")
-        return merge.finalize()

@@ -22,8 +22,9 @@ the format is a compact binary one:
 Integers travel as signed 64-bit fields and floats as IEEE doubles,
 so values survive the round trip exactly *including their type* —
 predictors compare values exactly and ``5 != 5.0`` for a last-value
-hit streak.  The legacy JSON-lines v1 format is still read
-transparently; writing always produces v2.
+hit streak.  v2 is the only format read or written: any other file
+raises :class:`~repro.errors.ReproError`, which the trace store treats
+as a corrupt entry (a miss).
 """
 
 from __future__ import annotations
@@ -41,9 +42,6 @@ from repro.isa.opcodes import Category
 
 #: Format identifier of the binary format written by :func:`save_trace`.
 FORMAT = "repro-trace-v2"
-
-#: Format identifier of the legacy JSON-lines format (read-only).
-FORMAT_V1 = "repro-trace-v1"
 
 #: Leading magic of a v2 payload (inside the gzip frame).
 MAGIC = b"RPRT2BIN"
@@ -76,7 +74,7 @@ _SRC_FLOAT = 0x04
 
 
 def _open_read(path):
-    """Binary read handle, transparently un-gzipping either format."""
+    """Binary read handle, transparently un-gzipping."""
     handle = open(path, "rb")
     magic = handle.read(2)
     handle.seek(0)
@@ -191,38 +189,20 @@ def _save_trace(trace, path, n_static: int, complete, workload,
 
 
 def _read_header(handle, path) -> dict:
-    lead = handle.read(len(MAGIC))
-    if lead == MAGIC:
-        (length,) = _U32.unpack(handle.read(4))
-        try:
-            header = json.loads(handle.read(length))
-        except ValueError as error:
-            raise ReproError(f"corrupt {FORMAT} header: {path}") from error
-        if header.get("format") != FORMAT:
-            raise ReproError(f"not a {FORMAT} file: {path}")
-        return header
-    # Legacy v1: a JSON header line followed by JSON-lines records.
-    line = lead + _read_line(handle)
+    if handle.read(len(MAGIC)) != MAGIC:
+        raise ReproError(f"not a {FORMAT} file: {path}")
+    (length,) = _U32.unpack(handle.read(4))
     try:
-        header = json.loads(line)
+        header = json.loads(handle.read(length))
     except ValueError as error:
-        raise ReproError(f"not a repro-trace file: {path}") from error
-    if header.get("format") != FORMAT_V1:
-        raise ReproError(f"not a repro-trace file: {path}")
+        raise ReproError(f"corrupt {FORMAT} header: {path}") from error
+    if header.get("format") != FORMAT:
+        raise ReproError(f"not a {FORMAT} file: {path}")
     return header
 
 
-def _read_line(handle) -> bytes:
-    chunks = bytearray()
-    while True:
-        byte = handle.read(1)
-        if not byte or byte == b"\n":
-            return bytes(chunks)
-        chunks += byte
-
-
 def trace_header(path) -> dict:
-    """Read and validate the header of a trace file (either version)."""
+    """Read and validate the header of a trace file."""
     with _open_read(path) as handle:
         return _read_header(handle, path)
 
@@ -230,16 +210,12 @@ def trace_header(path) -> dict:
 def load_trace(path):
     """Yield the :class:`DynInst` records stored in ``path``.
 
-    Reads both the binary v2 format and legacy v1 JSON-lines files.
     Decode errors raise :class:`ReproError` — callers holding a cache
     treat that as a miss.  For the replay hot path prefer
     :func:`read_trace`, which returns the fully-decoded list.
     """
     with _open_read(path) as handle:
         header = _read_header(handle, path)
-        if header["format"] == FORMAT_V1:
-            yield from _iter_v1(handle)
-            return
         records = _decode_v2(handle, header, path)
     yield from records
 
@@ -251,27 +227,7 @@ def read_trace(path) -> tuple[dict, list[DynInst]]:
     """
     with _open_read(path) as handle:
         header = _read_header(handle, path)
-        if header["format"] == FORMAT_V1:
-            return header, list(_iter_v1(handle))
         return header, _decode_v2(handle, header, path)
-
-
-def _iter_v1(handle):
-    for line in handle:
-        (uid, pc, op, category, has_imm, srcs, out, passthrough,
-         taken, target) = json.loads(line)
-        yield DynInst(
-            uid=uid,
-            pc=pc,
-            op=op,
-            category=Category(category),
-            has_imm=bool(has_imm),
-            srcs=tuple(Source(*src) for src in srcs),
-            out=out,
-            passthrough=passthrough,
-            taken=taken,
-            target=target,
-        )
 
 
 def _decode_v2(handle, header, path) -> list[DynInst]:
@@ -355,22 +311,14 @@ def read_trace_columns(path):
 
     The columnar engine's replay fast path: the v2 byte stream is
     parsed straight into :class:`~repro.core.kernel.TraceColumns` flat
-    arrays without materialising a ``DynInst`` per record.  Legacy v1
-    files decode through :func:`read_trace` first and are re-packed.
-    Decode errors raise :class:`ReproError`, same as :func:`read_trace`.
+    arrays without materialising a ``DynInst`` per record.  Decode
+    errors raise :class:`ReproError`, same as :func:`read_trace`.
     """
     from repro.core.kernel import TraceColumns
 
     recorder = get_recorder()
     with _open_read(path) as handle:
         header = _read_header(handle, path)
-        if header["format"] == FORMAT_V1:
-            columns = TraceColumns.from_records(
-                _iter_v1(handle), header["n_static"]
-            )
-            recorder.count("trace.decode.records", columns.n_records)
-            recorder.count("trace.decode.columnar", 1)
-            return header, columns
         with recorder.span("trace.decode"):
             try:
                 buf = handle.read()
@@ -391,15 +339,11 @@ def read_trace_raw(path) -> tuple[dict, bytes]:
     The segment-parallel path (:mod:`repro.core.shard`) un-gzips once
     in the parent and lets each worker decode only its own byte range
     — decode is the dominant serial cost, so it must happen in the
-    workers.  v1 files have no fixed-width body; callers fall back to
-    the serial columnar path for them (:class:`ReproError` here).
+    workers.
     """
     recorder = get_recorder()
     with _open_read(path) as handle:
         header = _read_header(handle, path)
-        if header["format"] == FORMAT_V1:
-            raise ReproError(
-                f"v1 trace has no byte-addressable body: {path}")
         try:
             body = handle.read()
         except (OSError, EOFError) as error:

@@ -221,43 +221,6 @@ def _maybe_write_segindex(trace_store: TraceStore, key: str, columns,
                      "serial", error)
 
 
-def _try_segmented(name: str, analysis_config, config: ExperimentConfig,
-                   trace_store: TraceStore, policy: ExecutionPolicy):
-    """Segment-parallel replay of a stored, indexed trace, or None.
-
-    None means "take the serial path" — trace missing or too short for
-    its budget, no (or unusable) sidecar, or a segment task failing
-    every retry.  Every fallback is counted so operators can see why
-    sharding did not engage.
-    """
-    from repro.core.shard import ShardError, analyze_trace_file_segmented
-
-    key = trace_key(name, config.scale)
-    header = trace_store.header(key)
-    if header is None or not trace_store._serves(
-            header, config.max_instructions):
-        return None
-    index = trace_store.get_segindex(key)
-    if index is None:
-        return None
-    pool = TaskPool(max_workers=policy.jobs, timeout=policy.timeout,
-                    retries=policy.retries)
-    try:
-        result = analyze_trace_file_segmented(
-            trace_store.path_for(key), analysis_config, index, pool,
-            name=name, segments=policy.segments,
-        )
-    except ShardError as error:
-        get_recorder().count("analyze.shard.fallback", 1)
-        _log.info("segmented analysis unavailable (%s); running "
-                  "serial", error)
-        return None
-    get_recorder().count("analyze.shard.runs", 1)
-    trace_store._hit()
-    trace_store._touch(trace_store.path_for(key))
-    return result
-
-
 def _resolve_trace(name: str, config: ExperimentConfig,
                    trace_store: TraceStore | None, budget: int | None,
                    policy: ExecutionPolicy | None = None):
@@ -311,34 +274,23 @@ def _resolve_trace(name: str, config: ExperimentConfig,
 
 def _analyze_two_tier(name: str, config: ExperimentConfig,
                       trace_store: TraceStore,
-                      policy: ExecutionPolicy | None = None,
-                      allow_shard: bool = True):
-    """Compute one job through the trace tier: ``(result, status)``.
+                      policy: ExecutionPolicy | None = None):
+    """Compute one job serially through the trace tier:
+    ``(result, status)``.
 
     Byte-identical to :func:`_analyze`: the analyzer sees the same
     record stream whether it comes from a live machine or a stored
     trace (``analyze_trace`` re-truncates to the config's own budget).
-
-    With a sharded policy (``segments > 1``) and a stored, indexed
-    trace, the columnar analysis runs segment-parallel across a
-    :class:`TaskPool` — byte-identical to serial by the parity suite's
-    guarantee.  ``allow_shard=False`` disables the attempt (pool
-    workers never nest pools) while still writing capture-time
-    sidecars.
+    ``policy`` only decides whether a capture or replay writes the
+    segment-index sidecar; segment-parallel replay is planned by the
+    parent runner (:meth:`ExperimentRunner._prepare_segments`), never
+    here, so pool workers cannot nest pools.
     """
-    job = Job(name, config)
-    analysis_config = job.analysis_config()
-    if (allow_shard and policy is not None and policy.segments > 1
-            and columnar_unsupported(analysis_config) is None):
-        result = _try_segmented(name, analysis_config, config,
-                                trace_store, policy)
-        if result is not None:
-            return result, STATUS_REPLAYED
     n_static, columns, status = _resolve_trace(
         name, config, trace_store, config.max_instructions, policy=policy,
     )
     result = analyze_trace(columns, n_static, name=name,
-                           config=analysis_config)
+                           config=Job(name, config).analysis_config())
     return result, status
 
 
@@ -354,8 +306,7 @@ def _execute_job(name: str, config: ExperimentConfig, key: str,
     read the result, and (when ``observe``) the worker's own recorder
     snapshot for the parent to merge, else None.  Runs in a separate
     process; must stay picklable/module-level.  ``policy`` rides along
-    for capture-time sidecar writes; workers never shard themselves
-    (``allow_shard=False`` — no nested pools).
+    for capture-time sidecar writes.
     """
     with recording(Recorder() if observe else None) as rec:
         store = ResultStore(store_root, max_bytes=max_bytes)
@@ -365,8 +316,7 @@ def _execute_job(name: str, config: ExperimentConfig, key: str,
                     trace_root, max_bytes=trace_max_bytes
                 )
                 result, __ = _analyze_two_tier(name, config, trace_store,
-                                               policy=policy,
-                                               allow_shard=False)
+                                               policy=policy)
             else:
                 result = _analyze(name, config)
             _store_put_safe(store, key, result_to_dict(result))
@@ -618,14 +568,12 @@ class ExperimentRunner:
         if self.store is not None:
             _store_put_safe(self.store, key, result_to_dict(result))
 
-    def _compute(self, name: str, config: ExperimentConfig,
-                 allow_shard: bool = True):
-        """Compute one job through whichever tiers exist:
+    def _compute(self, name: str, config: ExperimentConfig):
+        """Compute one job serially through whichever tiers exist:
         ``(result, status)``."""
         if self.trace_store is not None:
             return _analyze_two_tier(name, config, self.trace_store,
-                                     policy=self.policy,
-                                     allow_shard=allow_shard)
+                                     policy=self.policy)
         return _analyze(name, config), STATUS_COMPUTED
 
     # ------------------------------------------------------------------
@@ -666,12 +614,31 @@ class ExperimentRunner:
                 f"runner.resolve.{STATUS_CACHE_HIT}", 1
             )
         else:
-            result, status = self._compute(name, config)
+            result, status = self._compute_one(name, config, key)
             get_recorder().count(f"runner.resolve.{status}", 1)
             if self.store is not None:
                 self.store.put(key, result_to_dict(result))
         self._memo[key] = result
         return result
+
+    def _compute_one(self, name: str, config: ExperimentConfig,
+                     key: str):
+        """Compute one in-process job: ``(result, status)``.
+
+        Segment-parallel when the planner allows: the planned segment
+        tasks stream through their own :class:`TaskPool` and settle
+        through :meth:`_finish_segmented`, exactly as a parallel
+        :meth:`run` settles them.  Otherwise serial (:meth:`_compute`).
+        """
+        seg = self._prepare_segments(name, config, key)
+        if seg is None:
+            return self._compute(name, config)
+        pool = TaskPool(max_workers=self.policy.jobs,
+                        timeout=self.policy.timeout,
+                        retries=self.policy.retries)
+        for tkey, outcome in pool.run_stream(seg.tasks):
+            seg.absorb(int(tkey.rpartition("#seg")[2]), outcome)
+        return self._finish_segmented(config, seg)
 
     # ------------------------------------------------------------------
     # Suite path.
@@ -1042,7 +1009,7 @@ class ExperimentRunner:
                 return
             job_start = time.monotonic()
             try:
-                result, status = self._compute(name, config)
+                result, status = self._compute_one(name, config, key)
             except Exception as error:
                 self._journal_record(key, name, JOURNAL_FAILED)
                 self._record_failure(run, name, key, JobFailure(
@@ -1064,11 +1031,13 @@ class ExperimentRunner:
     def _prepare_segments(self, name: str, config, key: str):
         """Plan one miss as segment pool tasks, or None for a whole job.
 
-        The segmented plan applies only when the policy shards, the
-        kernel can run the config, and the stored trace covers the
+        The one segment planner, for :meth:`run_one` and :meth:`run`
+        alike.  The segmented plan applies only when the policy shards,
+        the kernel can run the config, and the stored trace covers the
         budget with a usable sidecar index; everything else (including
         a cold capture, which has no trace to split yet) stays a
-        whole-job task.
+        whole-job task.  A plan the sidecar cannot serve counts
+        ``analyze.shard.fallback``.
         """
         policy = self.policy
         if policy.segments <= 1 or self.trace_store is None:
@@ -1106,45 +1075,42 @@ class ExperimentRunner:
         self.trace_store._touch(self.trace_store.path_for(tkey))
         return _SegmentedJob(name, key, tasks, merge)
 
+    def _finish_segmented(self, config, seg: "_SegmentedJob"):
+        """A settled segmented job's ``(result, status)``.
+
+        The merged result when every segment landed; otherwise (a
+        segment task failed every pool retry, or the merge raised) the
+        whole job is recomputed serially in the parent — byte-identical
+        by the parity suite's guarantee.  Recompute errors propagate.
+        """
+        if seg.result is not None:
+            get_recorder().count("analyze.shard.runs", 1)
+            return seg.result, STATUS_REPLAYED
+        get_recorder().count("analyze.shard.fallback", 1)
+        _log.warning("runner: segmented %s failed (%s); retrying the "
+                     "whole job serially", seg.name, seg.failed)
+        return self._compute(seg.name, config)
+
     def _settle_segmented(self, run: ExperimentRun, config,
                           seg: "_SegmentedJob",
                           pool_cancelled: bool) -> None:
-        """Publish a segmented job's merged result, or retry it whole.
-
-        A segment task that failed every pool retry (or a merge error)
-        falls back to serial recomputation in the parent — the whole
-        job retries, and the result is byte-identical by the parity
-        suite's guarantee.
-        """
+        """Publish a segmented job's merged (or serially recomputed)
+        result into ``run``."""
         name, key = seg.name, seg.key
-        if seg.result is not None:
-            get_recorder().count("analyze.shard.runs", 1)
-            self._safe_put(key, seg.result)
-            self._journal_record(key, name, STATUS_DONE)
-            self._memo[key] = seg.result
-            run.results[name] = seg.result
-            _note(run, JobMetric(
-                workload=name, key=key, status=STATUS_REPLAYED,
-                wall_time=seg.wall, instructions=seg.result.nodes,
-                attempts=seg.attempts,
-            ))
-            return
-        if seg.failed is None and pool_cancelled:
+        merged = seg.result is not None
+        if not merged and seg.failed is None and pool_cancelled:
             return  # segments never all ran: not a failure, just unrun
-        get_recorder().count("analyze.shard.fallback", 1)
-        _log.warning("runner: segmented %s failed (%s); retrying the "
-                     "whole job serially", name, seg.failed)
         job_start = time.monotonic()
+        attempts = seg.attempts if merged else seg.attempts + 1
         try:
-            result, status = self._compute(name, config,
-                                           allow_shard=False)
+            result, status = self._finish_segmented(config, seg)
         except Exception as error:
             self._journal_record(key, name, JOURNAL_FAILED)
             self._record_failure(run, name, key, JobFailure(
                 workload=name,
                 error=f"{type(error).__name__}: {error}",
                 wall_time=time.monotonic() - job_start,
-                attempts=seg.attempts + 1,
+                attempts=attempts,
             ))
             return
         self._safe_put(key, result)
@@ -1153,8 +1119,8 @@ class ExperimentRunner:
         run.results[name] = result
         _note(run, JobMetric(
             workload=name, key=key, status=status,
-            wall_time=time.monotonic() - job_start,
-            instructions=result.nodes, attempts=seg.attempts + 1,
+            wall_time=seg.wall if merged else time.monotonic() - job_start,
+            instructions=result.nodes, attempts=attempts,
         ))
 
     def _run_parallel(self, run: ExperimentRun, config, misses,

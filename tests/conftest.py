@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.asm import assemble
+from repro.core.shard import (
+    _segment_task,
+    build_index,
+    plan_bounds,
+    prepare_file_segments,
+)
 from repro.cpu import Machine
+from repro.cpu.tracefile import read_trace_columns, save_trace
 from repro.minic import compile_program
 
 
@@ -51,6 +60,38 @@ def run_minic(source: str, input_words=None, input_floats=None,
     )
     machine.run()
     return machine.output
+
+
+def analyze_segmented(records, n_static: int, config, directory,
+                      segments: int = 2, bounds=None, name: str = "trace",
+                      profile_counts=None):
+    """Analyse ``records`` through the runner's segment-parallel path.
+
+    The production pipeline with the pool replaced by an in-order
+    loop: ``save_trace`` writes the config's budget of records as a v2
+    file under ``directory``, ``build_index`` checkpoints them at
+    ``bounds`` (default: ``segments`` near-equal spans) for the
+    config's own predictor family, ``prepare_file_segments`` plans the
+    tasks, each ``_segment_task`` decodes its byte range with
+    ``TraceColumns.from_v2_range``, and ``SegmentMerge`` folds the
+    payloads.  A budget too small for two segments raises the
+    planner's ``ShardError``.
+    """
+    budget = config.max_instructions
+    records = records if budget is None else records[:budget]
+    path = Path(directory) / "segmented.trace.gz"
+    save_trace(records, path, n_static, complete=True, workload=name)
+    __, columns = read_trace_columns(path)
+    if bounds is None:
+        bounds = plan_bounds(columns.n_records, segments)
+    index = build_index(columns, bounds, config.predictors,
+                        (config.branch_predictor, config.gshare_bits))
+    task_args, merge = prepare_file_segments(
+        path, config, index, segments, name=name,
+        profile_counts=profile_counts)
+    for args in task_args:
+        merge.add(_segment_task(*args))
+    return merge.finalize()
 
 
 @pytest.fixture

@@ -28,6 +28,7 @@ from repro.core.kernel import TraceColumns, columnar_unsupported
 from repro.gen import generated_workload
 from repro.obs import Recorder, recording
 from repro.workloads import SUITE, get_workload
+from tests.conftest import analyze_segmented
 
 #: Budget keeping the full-suite sweep inside tier-1 time.
 BUDGET = 4_000
@@ -77,8 +78,8 @@ def _reference(records, n_static, config, name="trace",
     return result
 
 
-def _assert_engines_agree(records, n_static, config, name="trace",
-                          profile_counts=None):
+def _assert_engines_agree(records, n_static, config, directory,
+                          name="trace", profile_counts=None):
     # A supported config, so analyze_trace runs the kernel.
     assert columnar_unsupported(config) is None
     reference = _reference(records, n_static, config, name=name,
@@ -88,25 +89,27 @@ def _assert_engines_agree(records, n_static, config, name="trace",
     assert _dump(columnar) == _dump(reference)
     # The segment-parallel kernel shares the byte-identity contract:
     # splitting the columnar pass must be invisible in the output
-    # (docs/sharding.md).  Budgets too small to split fall back to the
-    # serial kernel inside analyze_columns_segmented — still identical.
-    segmented = analyze_trace(records, n_static, name=name, config=config,
-                              profile_counts=profile_counts, segments=3)
+    # (docs/sharding.md).  Every budget here spans at least 3 records,
+    # so the planner always splits.
+    segmented = analyze_segmented(records, n_static, config, directory,
+                                  segments=3, name=name,
+                                  profile_counts=profile_counts)
     assert _dump(segmented) == _dump(reference)
 
 
 @pytest.mark.parametrize("name", [w.name for w in SUITE])
-def test_suite_workloads_identical(name):
+def test_suite_workloads_identical(name, tmp_path):
     records, n_static = _trace_of(name)
     _assert_engines_agree(records, n_static,
                           AnalysisConfig(max_instructions=BUDGET),
-                          name=name)
+                          tmp_path, name=name)
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
-def test_config_variants_identical(variant):
+def test_config_variants_identical(variant, tmp_path):
     records, n_static = _trace_of("com")
-    _assert_engines_agree(records, n_static, VARIANTS[variant], name="com")
+    _assert_engines_agree(records, n_static, VARIANTS[variant], tmp_path,
+                          name="com")
 
 
 @pytest.mark.parametrize("gen_name", [
@@ -116,16 +119,16 @@ def test_config_variants_identical(variant):
     "gen:float-kernel@4",
     "gen:callgraph@5",
 ])
-def test_generated_grid_identical(gen_name):
+def test_generated_grid_identical(gen_name, tmp_path):
     machine = generated_workload(gen_name).machine()
     records = list(machine.trace())
     n_static = len(machine.program.instructions)
     _assert_engines_agree(records, n_static,
                           AnalysisConfig(max_instructions=BUDGET),
-                          name=gen_name)
+                          tmp_path, name=gen_name)
 
 
-def test_profiled_counts_identical():
+def test_profiled_counts_identical(tmp_path):
     records, n_static = _trace_of("go")
     counts = [0] * 4096
     for dyn in records:
@@ -133,10 +136,10 @@ def test_profiled_counts_identical():
             counts[dyn.pc] += 1
     _assert_engines_agree(records, n_static,
                           AnalysisConfig(max_instructions=BUDGET),
-                          name="go", profile_counts=counts)
+                          tmp_path, name="go", profile_counts=counts)
 
 
-def test_analyze_many_identical():
+def test_analyze_many_identical(tmp_path):
     records, n_static = _trace_of("com")
     configs = [
         AnalysisConfig(max_instructions=BUDGET),
@@ -146,8 +149,11 @@ def test_analyze_many_identical():
     reference = analyze_reference(records, n_static, configs, name="com")
     columnar = analyze_many(records, n_static, configs, name="com")
     assert [_dump(r) for r in columnar] == [_dump(r) for r in reference]
-    segmented = analyze_many(records, n_static, configs, name="com",
-                             segments=4)
+    segmented = [
+        analyze_segmented(records, n_static, config, tmp_path,
+                          segments=4, name="com")
+        for config in configs
+    ]
     assert [_dump(r) for r in segmented] == [_dump(r) for r in reference]
 
 

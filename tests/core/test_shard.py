@@ -3,10 +3,13 @@
 The merge contract is byte-identity with the serial columnar kernel no
 matter where a cut lands: inside a loop body, between a producer and
 its consumer arc, after every single record, or past the end of the
-trace.  These tests place checkpoints at exactly those spots and
-compare serialized results; the file-path planner's rejection cases
-(stale index, unsupported config, budget below the first checkpoint)
-are pinned as :class:`ShardError`.
+trace.  These tests place checkpoints at exactly those spots and run
+them through the production path (a stored v2 file, its index, the
+file planner, per-segment ``from_v2_range`` decodes and the ordered
+merge; see ``tests.conftest.analyze_segmented``), comparing serialized
+results; the file-path planner's rejection cases (stale index,
+unsupported config, budget below the first checkpoint or too small to
+split) are pinned as :class:`ShardError`.
 """
 
 from __future__ import annotations
@@ -20,13 +23,13 @@ from repro.core.export import result_to_dict
 from repro.core.kernel import TraceColumns
 from repro.core.shard import (
     ShardError,
-    analyze_columns_segmented,
     build_index,
     plan_bounds,
     prepare_file_segments,
     select_segments,
 )
 from repro.workloads import get_workload
+from tests.conftest import analyze_segmented
 
 BUDGET = 1_200
 
@@ -59,54 +62,50 @@ def _serial(records, n_static, config):
 
 
 class TestAdversarialBoundaries:
-    def test_single_record_segments(self, com):
+    def test_single_record_segments(self, com, tmp_path):
         """Cut after *every* record: each boundary lands mid-loop and
         between every producer/consumer pair somewhere in the trace."""
-        records, n_static, columns = com
+        records, n_static, __ = com
         config = AnalysisConfig(max_instructions=120)
-        segmented = analyze_columns_segmented(columns, config, "com",
-                                              segments=120)
+        segmented = analyze_segmented(records, n_static, config,
+                                      tmp_path, segments=120, name="com")
+        assert segmented.nodes == 120
         assert _dump(segmented) == _serial(records, n_static, config)
 
-    def test_segments_exceed_record_count(self, com):
-        records, n_static, columns = com
+    def test_segments_exceed_record_count(self, com, tmp_path):
+        records, n_static, __ = com
         config = AnalysisConfig(max_instructions=50)
-        segmented = analyze_columns_segmented(columns, config, "com",
-                                              segments=500)
+        segmented = analyze_segmented(records, n_static, config,
+                                      tmp_path, segments=500, name="com")
         assert _dump(segmented) == _serial(records, n_static, config)
 
     @pytest.mark.parametrize("cut", [1, 7, 64, 65, 66, 100, 501])
-    def test_checkpoint_at_arbitrary_record(self, com, cut):
+    def test_checkpoint_at_arbitrary_record(self, com, tmp_path, cut):
         """A single explicit cut swept across the trace: loop entries,
         loop bodies, and back-edge records all get split."""
-        records, n_static, columns = com
+        records, n_static, __ = com
         config = AnalysisConfig(max_instructions=BUDGET)
-        m = min(BUDGET, columns.n_records)
-        specs, branch = _family_of(config)
-        index = build_index(columns, [0, cut, m], specs=specs,
-                            branch=branch)
-        segmented = analyze_columns_segmented(columns, config, "com",
-                                              segments=2, index=index)
+        segmented = analyze_segmented(records, n_static, config,
+                                      tmp_path, bounds=[0, cut, BUDGET],
+                                      name="com")
         assert _dump(segmented) == _serial(records, n_static, config)
 
-    def test_producer_consumer_arc_split(self, com):
+    def test_producer_consumer_arc_split(self, com, tmp_path):
         """Cuts between a value's producing record and the consuming
         arc: with contiguous 1-record bounds over a window, every
         def-use pair inside it is separated by some boundary."""
-        records, n_static, columns = com
+        records, n_static, __ = com
         config = AnalysisConfig(max_instructions=300)
-        specs, branch = _family_of(config)
         bounds = [0] + list(range(200, 300)) + [300]
-        index = build_index(columns, bounds, specs=specs, branch=branch)
-        segmented = analyze_columns_segmented(columns, config, "com",
-                                              segments=len(bounds) - 1,
-                                              index=index)
+        segmented = analyze_segmented(records, n_static, config,
+                                      tmp_path, segments=len(bounds) - 1,
+                                      bounds=bounds, name="com")
         assert _dump(segmented) == _serial(records, n_static, config)
 
-    def test_variant_configs_across_cuts(self, com):
+    def test_variant_configs_across_cuts(self, com, tmp_path):
         """Non-default banks (hybrid, local branch predictor) resumed
         mid-trace must fold their state deltas identically."""
-        records, n_static, columns = com
+        records, n_static, __ = com
         for config in (
             AnalysisConfig(predictors=("hybrid", "last"),
                            max_instructions=BUDGET),
@@ -115,9 +114,19 @@ class TestAdversarialBoundaries:
             AnalysisConfig(trees_for=("last",), gen_cap=4,
                            max_instructions=BUDGET),
         ):
-            segmented = analyze_columns_segmented(columns, config, "com",
-                                                  segments=5)
+            segmented = analyze_segmented(records, n_static, config,
+                                          tmp_path, segments=5,
+                                          name="com")
             assert _dump(segmented) == _serial(records, n_static, config)
+
+    def test_budget_too_small_to_split_raises(self, com, tmp_path):
+        """One record cannot be cut: the planner refuses instead of
+        quietly running serial."""
+        records, n_static, __ = com
+        config = AnalysisConfig(max_instructions=1)
+        with pytest.raises(ShardError, match="checkpoint"):
+            analyze_segmented(records, n_static, config, tmp_path,
+                              segments=4, name="com")
 
 
 class TestPlanning:

@@ -26,6 +26,7 @@ from repro.core import (
 )
 from repro.core.export import result_to_dict
 from repro.gen import PRESETS, generated_workload
+from tests.conftest import analyze_segmented
 
 FAST_SEEDS = 10
 SLOW_SEEDS = 200
@@ -69,7 +70,7 @@ def _variant_for(seed: int) -> AnalysisConfig:
     )
 
 
-def _check_seed(seed: int) -> None:
+def _check_seed(seed: int, directory) -> None:
     presets = sorted(PRESETS)
     preset = presets[seed % len(presets)]
     machine = generated_workload(f"gen:{preset}@{seed}").machine()
@@ -90,8 +91,8 @@ def _check_seed(seed: int) -> None:
     # so loop bodies, producer/consumer arcs and gshare histories all
     # get cut mid-flight somewhere in the sweep (docs/sharding.md).
     segments = 2 + seed % 4
-    segmented = analyze_trace(records, n_static, name=preset,
-                              config=config, segments=segments)
+    segmented = analyze_segmented(records, n_static, config, directory,
+                                  segments=segments, name=preset)
     assert (json.dumps(result_to_dict(segmented))
             == json.dumps(result_to_dict(reference))), (
         f"segmented kernel diverges for gen:{preset}@{seed} "
@@ -100,11 +101,11 @@ def _check_seed(seed: int) -> None:
 
 
 @pytest.mark.parametrize("seed", range(FAST_SEEDS))
-def test_differential_fast(seed):
-    _check_seed(seed)
+def test_differential_fast(seed, tmp_path):
+    _check_seed(seed, tmp_path)
 
 
 @pytest.mark.slow
-def test_differential_sweep():
+def test_differential_sweep(tmp_path):
     for seed in range(FAST_SEEDS, SLOW_SEEDS):
-        _check_seed(seed)
+        _check_seed(seed, tmp_path)

@@ -3,8 +3,8 @@
 Covers the sidecar lifecycle (capture-time write, replay backfill,
 invalidation on re-put), byte-identity of the segmented replay paths
 against the serial engine, chaos-injected worker crashes of segment
-tasks (pool-level retry and whole-job serial fallback), and the
-``cache reindex`` journal semantics.
+tasks (pool-level retry and whole-job serial fallback), and how
+``cache reindex`` skips and resumes (sidecar presence alone).
 """
 
 from __future__ import annotations
@@ -194,28 +194,50 @@ class TestReindex:
         assert _reindex(traces, 3_000) == 0
         assert not traces.has_segindex(KEY)
         assert "1 too short" in capsys.readouterr().out
-        # A finer spacing afterwards must still index it — the short
-        # skip was not journaled as done.
+        # A finer spacing afterwards must still index it: a short skip
+        # leaves nothing behind that marks the trace done.
         assert _reindex(traces, 500) == 0
         assert traces.has_segindex(KEY)
 
-    def test_killed_run_journal_resumes_then_clears(self, tmp_path,
-                                                    capsys):
+    def test_killed_pass_resumes_by_sidecar_then_indexes_recapture(
+            self, tmp_path, capsys, monkeypatch):
         from repro.cli import _reindex
-        from repro.runner.journal import STATUS_DONE, RunJournal
 
         traces = self._capture(tmp_path)
-        # Simulate a reindex killed after journaling this key: the
-        # journal says done, the sidecar write also landed.
-        assert _reindex(traces, 500) == 0
-        journal_path = traces.root / "reindex.journal.jsonl"
-        with RunJournal(journal_path) as journal:
-            journal.record(KEY, "com", STATUS_DONE)
-        assert journal_path.exists()
+        go = ExperimentConfig(max_instructions=4_000, workloads=("go",))
+        ExperimentRunner(store=ResultStore(tmp_path),
+                         trace_store=traces).run_one("go", go)
+        keys = (KEY, trace_key("go", go.scale))
+        # Kill the pass as it publishes its second sidecar.
+        publish = traces.put_segindex
+        calls = []
+
+        def killed_on_second(key, index):
+            calls.append(key)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return publish(key, index)
+
+        monkeypatch.setattr(traces, "put_segindex", killed_on_second)
+        with pytest.raises(KeyboardInterrupt):
+            _reindex(traces, 500)
+        monkeypatch.undo()
+        done = [key for key in keys if traces.has_segindex(key)]
+        assert done == [calls[0]]
+        # The finished key is re-captured, which drops its sidecar.
+        header, records = traces.get(done[0], need=4_000)
+        traces.put(done[0], records, header["n_static"],
+                   complete=header["complete"],
+                   workload=header["workload"])
+        assert not traces.has_segindex(done[0])
         capsys.readouterr()
-        # The resumed pass skips it and, having finished cleanly,
-        # removes its journal — the resume point is not a permanent
-        # ledger.
+        # The resumed pass indexes both: the one the kill interrupted
+        # and the re-capture.  Nothing but a sidecar counts as done.
         assert _reindex(traces, 500) == 0
-        assert "1 already indexed" in capsys.readouterr().out
-        assert not journal_path.exists()
+        assert ("reindexed 2 trace(s); 0 already indexed"
+                in capsys.readouterr().out)
+        assert all(traces.has_segindex(key) for key in keys)
+        capsys.readouterr()
+        assert _reindex(traces, 500) == 0
+        assert ("reindexed 0 trace(s); 2 already indexed"
+                in capsys.readouterr().out)

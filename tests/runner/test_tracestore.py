@@ -98,6 +98,26 @@ class TestCorruption:
         assert not path.exists()
         assert store.header(KEY_A) is None
 
+    def test_v1_file_is_corrupt_and_a_miss(self, tmp_path):
+        """The retired JSON-lines v1 format is not read back: a v1 file
+        under a key is dropped as corrupt and counts a miss."""
+        import json
+
+        store = TraceStore(tmp_path)
+        path = store.path_for(KEY_A)
+        path.parent.mkdir(parents=True)
+        header = {"format": "repro-trace-v1", "n_static": 8,
+                  "n_records": 1, "complete": True}
+        record = [0, 3, "addi", int(Category.ALU), 1, [], 1, None, None,
+                  None]
+        path.write_bytes(gzip.compress(
+            (json.dumps(header) + "\n" + json.dumps(record) + "\n")
+            .encode()))
+        assert store.get(KEY_A, 1) is None
+        assert store.get(KEY_A, 1, columns=True) is None
+        assert store.hits == 0 and store.misses == 2
+        assert not path.exists()
+
     def test_short_but_valid_trace_is_not_removed(self, tmp_path):
         store = TraceStore(tmp_path)
         path = store.put(KEY_A, _records(3), n_static=8, complete=False)
