@@ -11,7 +11,9 @@ The work is organised as batched passes instead of per-record dispatch:
 
 1. **bank passes** — each predictor bank's hit stream is replayed in
    one tight loop per (spec, tier) by :mod:`repro.core.kernel.passes`,
-   cached on the columns object and shared across configs and budgets;
+   cached on the columns object and shared across configs and budgets
+   (:func:`analyze_columns_many` runs each at the largest budget the
+   call needs, before any config);
 2. **bit assembly** — per-bank hit streams are combined into per-arc
    ``Y`` and per-record ``O``/``U``/``I``/``X`` byte columns with
    big-integer bitwise arithmetic (each byte holds one element's
@@ -25,8 +27,12 @@ The work is organised as batched passes instead of per-record dispatch:
    export contract) matches the streaming trackers;
 4. **paths** — the generator-influence walk is inherently sequential
    (each value's influence feeds its consumers'), so it remains a
-   Python loop, but one that touches only predicted arcs and reads
-   precomputed byte columns instead of driving five predictors.
+   Python loop (:class:`ResumableWalk`, shared with the segment
+   merge), but one that touches only predicted arcs and reads
+   precomputed byte columns instead of driving five predictors;
+5. **arcs** — a per-budget use-class byte column packed with each
+   bank's X and Y bits turns the 4x4 ``ArcStats`` table into sixteen
+   ``bytes.count`` calls.
 
 Everything is stdlib-only; see docs/kernel.md for the full layout.
 """
@@ -35,7 +41,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import compress, count
+from itertools import compress, count, islice, repeat
 
 from repro.core.arcs import ArcGroupTable
 from repro.core.events import InKind, _KIND_TABLE
@@ -182,13 +188,10 @@ def _derived(columns, specs, br_kind, br_bits, m, A):
             union[r] = u
             inter[r] = i_
         a = b
-    # Per-arc X: the producer's O byte (0 for D arcs).
-    x = bytearray(A)
-    prods = columns.src_prod
-    for j in range(A):
-        p = prods[j]
-        if p >= 0:
-            x[j] = out[p]
+    # Per-arc X: the producer's O byte.  D arcs have producer -1, which
+    # reads the zero byte padded onto the end of O.
+    padded_out = bytes(out) + b"\x00"
+    x = bytes(map(padded_out.__getitem__, islice(columns.src_prod, A)))
     entry = {"m": m, "A": A, "yb": yb, "out": out,
              "union": union, "inter": inter, "x": x}
     columns._pred_cache[key] = entry
@@ -212,170 +215,205 @@ def _comp_base(columns, m):
 
 
 # ----------------------------------------------------------------------
-# The sequential paths walk (PathTracker, array-ported).
+# The sequential paths walk.
 # ----------------------------------------------------------------------
 
-def _paths_pass(m, starts, ybk, xbk, prods, gcol, codes,
-                track_trees, gen_cap, stats, trees):
-    # Order-sensitive tallies (combo_counts and the tree histograms
-    # export in first-seen order) are collected as plain lists in
-    # stream order and folded with ``Counter.update`` at the end —
-    # same insertion order as the reference's per-element increments,
-    # counted at C speed.  The walk itself visits only predicted arcs:
-    # ``pred_idx`` is the compressed index list of ybk's set bits, and
-    # ``nxt`` leapfrogs whole records without predicted inputs.
-    gen_counts = stats.gen_counts
-    node_gc = _NODE_GC
-    end = starts[m]
-    pred_idx = list(compress(count(), ybk))
-    pred_idx.append(end)  # sentinel: never < any record bound
-    counted = []          # every count_propagate call's mask, in order
-    count_mask = counted.append
-    masks = []
-    store_mask = masks.append
-    pi = 0
-    nxt = pred_idx[0]
-    if track_trees:
-        sets_ = []
-        dists = []
-        gens = []
-        store_set = sets_.append
-        store_dist = dists.append
-        inf_list = []     # len(gen_set) per count_propagate, in order
-        dist_list = []    # dist per count_propagate, in order
-        count_inf = inf_list.append
-        count_dist = dist_list.append
-        empty = _EMPTY_SET
-        truncated = 0
-        for r in range(m):
-            b = starts[r + 1]
-            cur_mask = 0
-            cur_set = empty
-            cur_dist = -1
-            while nxt < b:
-                j = nxt
-                pi += 1
-                nxt = pred_idx[pi]
-                if xbk[j]:
-                    p = prods[j]
-                    pmask = masks[p]
-                    if not pmask:
-                        continue
-                    gen_set = sets_[p]
-                    dist = dists[p] + 1
-                    count_mask(pmask)
-                    count_inf(len(gen_set))
-                    count_dist(dist)
-                    for gid in gen_set:
-                        record = gens[gid]
-                        if dist > record[0]:
-                            record[0] = dist
-                        record[1] += 1
-                    cur_mask |= pmask
-                    if gen_set:
+class ResumableWalk:
+    """The generator-influence walk (PathTracker, array-ported).
+
+    The serial engine calls :meth:`feed` once with the whole budget;
+    the segment merge (:class:`repro.core.shard.SegmentMerge`) calls it
+    once per segment, in order.  Masks, sets and distances index
+    records globally and survive across calls, so a walk split at any
+    record boundary builds the same tallies as one unsplit walk.
+
+    Order-sensitive tallies (combo_counts and the tree histograms
+    export in first-seen order) are collected as plain lists in stream
+    order and folded with ``Counter.update`` in :meth:`finalize` —
+    same insertion order as the reference's per-element increments,
+    counted at C speed.  The walk visits only predicted arcs:
+    ``pred_idx`` is the compressed index list of ybk's set bits, and
+    ``nxt`` leapfrogs whole records without predicted inputs.
+    """
+
+    __slots__ = ("track_trees", "gen_cap", "gen_counts", "counted",
+                 "masks", "sets_", "dists", "gens", "inf_list",
+                 "dist_list", "truncated")
+
+    def __init__(self, track_trees: bool, gen_cap: int):
+        self.track_trees = track_trees
+        self.gen_cap = gen_cap
+        self.gen_counts = [0] * 6
+        self.counted = []
+        self.masks = []
+        self.truncated = 0
+        if track_trees:
+            self.sets_ = []
+            self.dists = []
+            self.gens = []
+            self.inf_list = []
+            self.dist_list = []
+
+    def feed(self, m, starts, ybk, xbk, prods, gcol, codes) -> None:
+        gen_counts = self.gen_counts
+        node_gc = _NODE_GC
+        end = starts[m]
+        pred_idx = list(compress(count(), ybk))
+        pred_idx.append(end)  # sentinel: never < any record bound
+        count_mask = self.counted.append
+        masks = self.masks
+        store_mask = masks.append
+        pi = 0
+        nxt = pred_idx[0]
+        gen_cap = self.gen_cap
+        if self.track_trees:
+            sets_ = self.sets_
+            dists = self.dists
+            gens = self.gens
+            store_set = sets_.append
+            store_dist = dists.append
+            count_inf = self.inf_list.append
+            count_dist = self.dist_list.append
+            empty = _EMPTY_SET
+            truncated = self.truncated
+            for r in range(m):
+                b = starts[r + 1]
+                cur_mask = 0
+                cur_set = empty
+                cur_dist = -1
+                while nxt < b:
+                    j = nxt
+                    pi += 1
+                    nxt = pred_idx[pi]
+                    if xbk[j]:
+                        p = prods[j]
+                        pmask = masks[p]
+                        if not pmask:
+                            continue
+                        gen_set = sets_[p]
+                        dist = dists[p] + 1
+                        count_mask(pmask)
+                        count_inf(len(gen_set))
+                        count_dist(dist)
+                        for gid in gen_set:
+                            record = gens[gid]
+                            if dist > record[0]:
+                                record[0] = dist
+                            record[1] += 1
+                        cur_mask |= pmask
+                        if gen_set:
+                            if cur_set:
+                                merged = cur_set | gen_set
+                                if len(merged) > gen_cap:
+                                    merged = frozenset(
+                                        sorted(merged)[:gen_cap]
+                                    )
+                                    truncated += 1
+                                cur_set = merged
+                            else:
+                                cur_set = gen_set
+                        if dist > cur_dist:
+                            cur_dist = dist
+                    else:
+                        gc = gcol[j]
+                        gen_counts[gc] += 1
+                        gens.append([0, 0])
+                        gen_set = frozenset((len(gens) - 1,))
+                        cur_mask |= 1 << gc
                         if cur_set:
                             merged = cur_set | gen_set
                             if len(merged) > gen_cap:
                                 merged = frozenset(
-                                    sorted(merged)[:gen_cap]
-                                )
+                                    sorted(merged)[:gen_cap])
                                 truncated += 1
                             cur_set = merged
                         else:
                             cur_set = gen_set
-                    if dist > cur_dist:
-                        cur_dist = dist
-                else:
-                    gc = gcol[j]
-                    gen_counts[gc] += 1
-                    gens.append([0, 0])
-                    gen_set = frozenset((len(gens) - 1,))
-                    cur_mask |= 1 << gc
-                    if cur_set:
-                        merged = cur_set | gen_set
-                        if len(merged) > gen_cap:
-                            merged = frozenset(sorted(merged)[:gen_cap])
-                            truncated += 1
-                        cur_set = merged
-                    else:
-                        cur_set = gen_set
-                    if cur_dist < 0:
-                        cur_dist = 0
-            code = codes[r]
-            if code == _NO_OUTPUT or not code & 1:
-                store_mask(0)
-                store_set(empty)
-                store_dist(0)
-            elif cur_mask:
-                dist = cur_dist + 1
-                count_mask(cur_mask)
-                count_inf(len(cur_set))
-                count_dist(dist)
-                for gid in cur_set:
-                    record = gens[gid]
-                    if dist > record[0]:
-                        record[0] = dist
-                    record[1] += 1
-                store_mask(cur_mask)
-                store_set(cur_set)
-                store_dist(dist)
-            else:
-                gc = node_gc.get(code >> 1)
-                if gc is None:
+                        if cur_dist < 0:
+                            cur_dist = 0
+                code = codes[r]
+                if code == _NO_OUTPUT or not code & 1:
                     store_mask(0)
                     store_set(empty)
                     store_dist(0)
+                elif cur_mask:
+                    dist = cur_dist + 1
+                    count_mask(cur_mask)
+                    count_inf(len(cur_set))
+                    count_dist(dist)
+                    for gid in cur_set:
+                        record = gens[gid]
+                        if dist > record[0]:
+                            record[0] = dist
+                        record[1] += 1
+                    store_mask(cur_mask)
+                    store_set(cur_set)
+                    store_dist(dist)
                 else:
-                    gen_counts[gc] += 1
-                    gens.append([0, 0])
-                    store_mask(1 << gc)
-                    store_set(frozenset((len(gens) - 1,)))
-                    store_dist(0)
-        trees.truncated = truncated
-        trees.influence_hist.update(inf_list)
-        trees.distance_hist.update(dist_list)
+                    gc = node_gc.get(code >> 1)
+                    if gc is None:
+                        store_mask(0)
+                        store_set(empty)
+                        store_dist(0)
+                    else:
+                        gen_counts[gc] += 1
+                        gens.append([0, 0])
+                        store_mask(1 << gc)
+                        store_set(frozenset((len(gens) - 1,)))
+                        store_dist(0)
+            self.truncated = truncated
+        else:
+            for r in range(m):
+                b = starts[r + 1]
+                cur_mask = 0
+                while nxt < b:
+                    j = nxt
+                    pi += 1
+                    nxt = pred_idx[pi]
+                    if xbk[j]:
+                        pmask = masks[prods[j]]
+                        if pmask:
+                            count_mask(pmask)
+                            cur_mask |= pmask
+                    else:
+                        gc = gcol[j]
+                        gen_counts[gc] += 1
+                        cur_mask |= 1 << gc
+                code = codes[r]
+                if code == _NO_OUTPUT or not code & 1:
+                    store_mask(0)
+                elif cur_mask:
+                    count_mask(cur_mask)
+                    store_mask(cur_mask)
+                else:
+                    gc = node_gc.get(code >> 1)
+                    if gc is None:
+                        store_mask(0)
+                    else:
+                        gen_counts[gc] += 1
+                        store_mask(1 << gc)
+
+    def finalize(self) -> tuple[PathStats, TreeStats | None]:
+        stats = PathStats()
+        stats.gen_counts = self.gen_counts
+        stats.propagate_elements = len(self.counted)
+        stats.combo_counts.update(self.counted)
+        class_counts = stats.class_counts
+        for mask, n in stats.combo_counts.items():
+            for bit in _MASK_BITS[mask]:
+                class_counts[bit] += n
+        if not self.track_trees:
+            return stats, None
+        trees = TreeStats()
+        trees.truncated = self.truncated
+        trees.influence_hist.update(self.inf_list)
+        trees.distance_hist.update(self.dist_list)
         depth_hist = trees.depth_hist
         agg_hist = trees.agg_hist
-        for depth, n in gens:
+        for depth, n in self.gens:
             depth_hist[depth] += 1
             agg_hist[depth] += n
-    else:
-        for r in range(m):
-            b = starts[r + 1]
-            cur_mask = 0
-            while nxt < b:
-                j = nxt
-                pi += 1
-                nxt = pred_idx[pi]
-                if xbk[j]:
-                    pmask = masks[prods[j]]
-                    if pmask:
-                        count_mask(pmask)
-                        cur_mask |= pmask
-                else:
-                    gc = gcol[j]
-                    gen_counts[gc] += 1
-                    cur_mask |= 1 << gc
-            code = codes[r]
-            if code == _NO_OUTPUT or not code & 1:
-                store_mask(0)
-            elif cur_mask:
-                count_mask(cur_mask)
-                store_mask(cur_mask)
-            else:
-                gc = node_gc.get(code >> 1)
-                if gc is None:
-                    store_mask(0)
-                else:
-                    gen_counts[gc] += 1
-                    store_mask(1 << gc)
-    stats.propagate_elements = len(counted)
-    stats.combo_counts.update(counted)
-    class_counts = stats.class_counts
-    mask_bits = _MASK_BITS
-    for mask, n in stats.combo_counts.items():
-        for bit in mask_bits[mask]:
-            class_counts[bit] += n
+        return stats, trees
 
 
 # ----------------------------------------------------------------------
@@ -393,6 +431,39 @@ def _run_lengths(selector: bytes) -> SequenceStats:
 
 
 # ----------------------------------------------------------------------
+# Arc fold.  An arc's use class needs its whole group (final static
+# counts, group size), so arcs fold only once the budget is known.
+# One use-class byte per arc, packed with a bank's X and Y bits as
+# (use << 2) | (x << 1) | y, turns every ArcStats cell into a count of
+# one byte value.
+# ----------------------------------------------------------------------
+
+def use_class_column(group_keys, final_counts, n_static: int) -> int:
+    """Per-arc :class:`~repro.core.events.UseClass` codes of
+    ``group_keys``, one byte per arc, packed little-endian in an int."""
+    use_class = ArcGroupTable._use_class
+    # Single-arc groups stay out of the map: they read UseClass.SINGLE.
+    classes = {
+        key: use_class(key, size, final_counts, n_static)
+        for key, size in Counter(group_keys).items() if size > 1
+    }
+    column = bytes(map(classes.get, group_keys, repeat(0)))
+    return int.from_bytes(column, "little")
+
+
+def fold_arcs(counts, use_v: int, xk: int, yk: int, n_arcs: int) -> None:
+    """Add one bank's arcs to its ``ArcStats.counts`` cells.
+
+    ``use_v`` comes from :func:`use_class_column`; ``xk`` and ``yk``
+    hold the bank's X and Y bit in each arc's byte (0 or 1, so the
+    shifts cannot carry across byte lanes).
+    """
+    packed = ((use_v << 2) | (xk << 1) | yk).to_bytes(n_arcs, "little")
+    for code in range(16):
+        counts[code >> 2][code & 3] += packed.count(code)
+
+
+# ----------------------------------------------------------------------
 # The engine proper.
 # ----------------------------------------------------------------------
 
@@ -407,9 +478,7 @@ def analyze_columns(columns, config, name="trace", profile_counts=None,
     ``"analyze"`` span.
     """
     cfg = config
-    n_records = columns.n_records
-    m = (n_records if cfg.max_instructions is None
-         else min(cfg.max_instructions, n_records))
+    m = _budget(columns, cfg)
     A = columns.src_start[m]
     n_static = columns.n_static
     specs = cfg.predictors
@@ -550,71 +619,84 @@ def analyze_columns(columns, config, name="trace", profile_counts=None,
                 pred.critical = critical
             preds.append(pred)
 
-        # --- paths ------------------------------------------------------
-        if cfg.track_paths:
+    # --- paths ----------------------------------------------------------
+    if cfg.track_paths:
+        with recorder.span("analyze.kernel.paths"):
             for k in fresh:
-                pred = preds[k]
-                track_trees = specs[k] in cfg.trees_for
-                stats = PathStats()
-                trees = TreeStats() if track_trees else None
-                ybk = ((y_v >> k) & ones_a).to_bytes(A, "little")
-                xbk = ((x_v >> k) & ones_a).to_bytes(A, "little")
-                codes = comp_list[k].translate(_NODE_T)
-                _paths_pass(
-                    m, starts, ybk, xbk, prods, gcol, codes,
-                    track_trees, cfg.gen_cap, stats, trees,
+                walk = ResumableWalk(specs[k] in cfg.trees_for, cfg.gen_cap)
+                walk.feed(
+                    m, starts, ((y_v >> k) & ones_a).to_bytes(A, "little"),
+                    ((x_v >> k) & ones_a).to_bytes(A, "little"), prods,
+                    gcol, comp_list[k].translate(_NODE_T),
                 )
-                pred.paths = stats
-                pred.trees = trees
+                preds[k].paths, preds[k].trees = walk.finalize()
 
-        # --- arcs -------------------------------------------------------
-        if fresh:
-            group_keys = columns.group_key
-            group_slice = (group_keys if A == len(group_keys)
-                           else group_keys[:A])
-            uses = (bank_cache.get(("uses", m))
-                    if static_counts is None else None)
-            if uses is None:
-                use_class = ArcGroupTable._use_class
-                uses = {
-                    key: use_class(key, size, final_counts, n_static)
-                    for key, size in Counter(group_slice).items()
-                }
+    # --- arcs -----------------------------------------------------------
+    if fresh:
+        with recorder.span("analyze.kernel.arcs"):
+            use_v = (bank_cache.get(("use_class", m))
+                     if static_counts is None else None)
+            if use_v is None:
+                group_keys = columns.group_key
+                use_v = use_class_column(
+                    group_keys if A == len(group_keys)
+                    else group_keys[:A],
+                    final_counts, n_static,
+                )
                 if static_counts is None:
-                    bank_cache[("uses", m)] = uses
+                    bank_cache[("use_class", m)] = use_v
             for k in fresh:
-                xk = (x_v >> k) & ones_a
-                yk = (y_v >> k) & ones_a
-                # Each byte of xk/yk is 0 or 1, so the shift cannot
-                # carry across byte lanes.
-                combo_bytes = ((xk << 1) | yk).to_bytes(A, "little")
-                counts_k = preds[k].arcs.counts
-                for (key, combo), count in Counter(
-                    zip(group_slice, combo_bytes)
-                ).items():
-                    counts_k[uses[key]][combo] += count
+                fold_arcs(preds[k].arcs.counts, use_v,
+                          (x_v >> k) & ones_a, (y_v >> k) & ones_a, A)
 
-        if cacheable:
-            for k in fresh:
-                bank_cache[bank_keys[k]] = preds[k]
+    if cacheable:
+        for k in fresh:
+            bank_cache[bank_keys[k]] = preds[k]
 
-        # --- recorder counters (mirrors Analyzer.finalize) --------------
-        if recorder.enabled:
-            recorder.count("analyze.passes", 1)
-            recorder.count("analyze.nodes", m)
-            recorder.count("analyze.arcs", A)
-            for k, pred in enumerate(preds):
-                for behavior, count in (
-                    pred.nodes.behavior_counts().items()
-                ):
-                    if count:
-                        recorder.count(
-                            f"analyze.pred.{specs[k]}."
-                            f"{behavior.name.lower()}", count,
-                        )
-        for pred in preds:
-            result.predictors[pred.kind] = pred
+    # --- recorder counters (mirrors Analyzer.finalize) ------------------
+    if recorder.enabled:
+        recorder.count("analyze.passes", 1)
+        recorder.count("analyze.nodes", m)
+        recorder.count("analyze.arcs", A)
+        for k, pred in enumerate(preds):
+            for behavior, count in (
+                pred.nodes.behavior_counts().items()
+            ):
+                if count:
+                    recorder.count(
+                        f"analyze.pred.{specs[k]}."
+                        f"{behavior.name.lower()}", count,
+                    )
+    for pred in preds:
+        result.predictors[pred.kind] = pred
     return result
+
+
+def _budget(columns, config) -> int:
+    """Records ``config`` analyses of ``columns``."""
+    n_records = columns.n_records
+    if config.max_instructions is None:
+        return n_records
+    return min(config.max_instructions, n_records)
+
+
+def _warm_largest(columns, configs) -> None:
+    """Assemble each bank tuple's derived columns once, at the largest
+    budget any config in ``configs`` gives it.
+
+    Largest budget first, so each spec's predictor passes (shared by
+    every tuple holding the spec) also run once, at the largest budget
+    the call needs.  Both are prefix-closed: every smaller budget
+    slices them instead of recomputing, whatever order the configs
+    come in.
+    """
+    need: dict = {}
+    for cfg in configs:
+        key = (cfg.predictors, cfg.branch_predictor, cfg.gshare_bits)
+        need[key] = max(need.get(key, 0), _budget(columns, cfg))
+    for (specs, kind, bits), m in sorted(need.items(),
+                                         key=lambda item: -item[1]):
+        _derived(columns, specs, kind, bits, m, columns.src_start[m])
 
 
 def analyze_columns_many(columns, configs, name="trace",
@@ -623,10 +705,13 @@ def analyze_columns_many(columns, configs, name="trace",
     """Analyse ``columns`` under many configs, sharing bank passes.
 
     Hit streams (and the derived bit columns) are cached on the columns
-    object keyed by predictor spec, so configs that share specs pay for
-    each predictor pass once — the multi-config analogue of the
-    reference path's ``analyze_many`` single decode.
+    object keyed by predictor spec and computed up front at the largest
+    budget the call needs, so configs that share specs pay for each
+    predictor pass once — the multi-config analogue of the reference
+    path's ``analyze_many`` single decode.
     """
+    with get_recorder().span("analyze.kernel.banks"):
+        _warm_largest(columns, configs)
     return [
         analyze_columns(columns, config, name, profile_counts,
                         static_counts)

@@ -37,8 +37,9 @@ Node/branch/arc class counts are fixed-size additive tallies.  The
 order-sensitive exports (run lengths, path combo counts, tree
 histograms) are never merged as Counters: selectors are concatenated
 and split once, and the generator-influence walk itself is resumed
-across segments (:class:`_ResumableWalk`), so every Counter is built
-in exactly the serial insertion order.  See docs/sharding.md.
+across segments (:class:`~repro.core.kernel.engine.ResumableWalk`, the
+serial engine's own walk), so every Counter is built in exactly the
+serial insertion order.  See docs/sharding.md.
 """
 
 from __future__ import annotations
@@ -46,23 +47,24 @@ from __future__ import annotations
 import pickle
 from bisect import bisect_left
 from collections import Counter
-from itertools import compress, count
+from itertools import compress
 
-from repro.core.arcs import ArcGroupTable
 from repro.core.events import InKind
 from repro.core.kernel.columns import TraceColumns
 from repro.core.kernel.engine import (
     _BRANCH_T,
     _MISS_T,
-    _NODE_GC,
     _NODE_T,
     _NO_OUTPUT,
     _SEQ_T,
     _TERM_T,
     _UNPRED_T,
+    ResumableWalk,
     _comp_base,
     _ones,
     _run_lengths,
+    fold_arcs,
+    use_class_column,
 )
 from repro.core.kernel.state import (
     fold_deltas,
@@ -73,14 +75,11 @@ from repro.core.kernel.state import (
     snapshot_delta,
     value_state_for,
 )
-from repro.core.paths import _EMPTY_SET, _MASK_BITS
 from repro.core.stats import (
     AnalysisResult,
     BranchStats,
     NodeStats,
-    PathStats,
     PredictorResult,
-    TreeStats,
 )
 from repro.core.unpred import CriticalPoints
 from repro.errors import ReproError
@@ -496,193 +495,6 @@ def compute_segment(cols, r0: int, states: dict, counts_start, config,
 
 
 # ======================================================================
-# The resumable generator-influence walk (engine._paths_pass, split at
-# segment boundaries: masks/sets/distances index records globally and
-# survive across feed() calls).
-# ======================================================================
-
-class _ResumableWalk:
-    __slots__ = ("track_trees", "gen_cap", "gen_counts", "counted",
-                 "masks", "sets_", "dists", "gens", "inf_list",
-                 "dist_list", "truncated")
-
-    def __init__(self, track_trees: bool, gen_cap: int):
-        self.track_trees = track_trees
-        self.gen_cap = gen_cap
-        self.gen_counts = [0] * 6
-        self.counted = []
-        self.masks = []
-        self.truncated = 0
-        if track_trees:
-            self.sets_ = []
-            self.dists = []
-            self.gens = []
-            self.inf_list = []
-            self.dist_list = []
-
-    def feed(self, m, starts, ybk, xbk, prods, gcol, codes) -> None:
-        gen_counts = self.gen_counts
-        node_gc = _NODE_GC
-        end = starts[m]
-        pred_idx = list(compress(count(), ybk))
-        pred_idx.append(end)  # sentinel: never < any record bound
-        count_mask = self.counted.append
-        masks = self.masks
-        store_mask = masks.append
-        pi = 0
-        nxt = pred_idx[0]
-        gen_cap = self.gen_cap
-        if self.track_trees:
-            sets_ = self.sets_
-            dists = self.dists
-            gens = self.gens
-            store_set = sets_.append
-            store_dist = dists.append
-            count_inf = self.inf_list.append
-            count_dist = self.dist_list.append
-            empty = _EMPTY_SET
-            truncated = self.truncated
-            for r in range(m):
-                b = starts[r + 1]
-                cur_mask = 0
-                cur_set = empty
-                cur_dist = -1
-                while nxt < b:
-                    j = nxt
-                    pi += 1
-                    nxt = pred_idx[pi]
-                    if xbk[j]:
-                        p = prods[j]
-                        pmask = masks[p]
-                        if not pmask:
-                            continue
-                        gen_set = sets_[p]
-                        dist = dists[p] + 1
-                        count_mask(pmask)
-                        count_inf(len(gen_set))
-                        count_dist(dist)
-                        for gid in gen_set:
-                            record = gens[gid]
-                            if dist > record[0]:
-                                record[0] = dist
-                            record[1] += 1
-                        cur_mask |= pmask
-                        if gen_set:
-                            if cur_set:
-                                merged = cur_set | gen_set
-                                if len(merged) > gen_cap:
-                                    merged = frozenset(
-                                        sorted(merged)[:gen_cap]
-                                    )
-                                    truncated += 1
-                                cur_set = merged
-                            else:
-                                cur_set = gen_set
-                        if dist > cur_dist:
-                            cur_dist = dist
-                    else:
-                        gc = gcol[j]
-                        gen_counts[gc] += 1
-                        gens.append([0, 0])
-                        gen_set = frozenset((len(gens) - 1,))
-                        cur_mask |= 1 << gc
-                        if cur_set:
-                            merged = cur_set | gen_set
-                            if len(merged) > gen_cap:
-                                merged = frozenset(
-                                    sorted(merged)[:gen_cap])
-                                truncated += 1
-                            cur_set = merged
-                        else:
-                            cur_set = gen_set
-                        if cur_dist < 0:
-                            cur_dist = 0
-                code = codes[r]
-                if code == _NO_OUTPUT or not code & 1:
-                    store_mask(0)
-                    store_set(empty)
-                    store_dist(0)
-                elif cur_mask:
-                    dist = cur_dist + 1
-                    count_mask(cur_mask)
-                    count_inf(len(cur_set))
-                    count_dist(dist)
-                    for gid in cur_set:
-                        record = gens[gid]
-                        if dist > record[0]:
-                            record[0] = dist
-                        record[1] += 1
-                    store_mask(cur_mask)
-                    store_set(cur_set)
-                    store_dist(dist)
-                else:
-                    gc = node_gc.get(code >> 1)
-                    if gc is None:
-                        store_mask(0)
-                        store_set(empty)
-                        store_dist(0)
-                    else:
-                        gen_counts[gc] += 1
-                        gens.append([0, 0])
-                        store_mask(1 << gc)
-                        store_set(frozenset((len(gens) - 1,)))
-                        store_dist(0)
-            self.truncated = truncated
-        else:
-            for r in range(m):
-                b = starts[r + 1]
-                cur_mask = 0
-                while nxt < b:
-                    j = nxt
-                    pi += 1
-                    nxt = pred_idx[pi]
-                    if xbk[j]:
-                        pmask = masks[prods[j]]
-                        if pmask:
-                            count_mask(pmask)
-                            cur_mask |= pmask
-                    else:
-                        gc = gcol[j]
-                        gen_counts[gc] += 1
-                        cur_mask |= 1 << gc
-                code = codes[r]
-                if code == _NO_OUTPUT or not code & 1:
-                    store_mask(0)
-                elif cur_mask:
-                    count_mask(cur_mask)
-                    store_mask(cur_mask)
-                else:
-                    gc = node_gc.get(code >> 1)
-                    if gc is None:
-                        store_mask(0)
-                    else:
-                        gen_counts[gc] += 1
-                        store_mask(1 << gc)
-
-    def finalize(self) -> tuple[PathStats, TreeStats | None]:
-        stats = PathStats()
-        stats.gen_counts = self.gen_counts
-        stats.propagate_elements = len(self.counted)
-        stats.combo_counts.update(self.counted)
-        class_counts = stats.class_counts
-        for mask, n in stats.combo_counts.items():
-            for bit in _MASK_BITS[mask]:
-                class_counts[bit] += n
-        if not self.track_trees:
-            return stats, None
-        trees = TreeStats()
-        trees.truncated = self.truncated
-        trees.influence_hist.update(self.inf_list)
-        trees.distance_hist.update(self.dist_list)
-        depth_hist = trees.depth_hist
-        agg_hist = trees.agg_hist
-        for depth, n in self.gens:
-            depth_hist[depth] += 1
-            agg_hist[depth] += n
-        return stats, trees
-
-
-# ======================================================================
 # Merge: consume payloads in segment order, finalize to a result.
 # ======================================================================
 
@@ -716,7 +528,7 @@ class SegmentMerge:
                 "walk": None,
             }
             if cfg.track_paths:
-                bank["walk"] = _ResumableWalk(
+                bank["walk"] = ResumableWalk(
                     self.specs[k] in cfg.trees_for, cfg.gen_cap)
             if cfg.track_ops:
                 bank["ops"] = Counter()
@@ -757,9 +569,10 @@ class SegmentMerge:
             acc["y_parts"].append(bank["ybk"])
             acc["x_parts"].append(bytes(bank["xbk"]))
             if acc["walk"] is not None:
-                acc["walk"].feed(
-                    m, payload["starts"], bank["ybk"], bank["xbk"],
-                    payload["prods"], payload["gcol"], bank["codes"])
+                with get_recorder().span("analyze.kernel.paths"):
+                    acc["walk"].feed(
+                        m, payload["starts"], bank["ybk"], bank["xbk"],
+                        payload["prods"], payload["gcol"], bank["codes"])
             if cfg.track_ops:
                 acc["ops"].update(bank["ops"])
             if cfg.track_branches:
@@ -798,14 +611,6 @@ class SegmentMerge:
             static_instructions=n_static,
             static_counts=list(final_counts),
         )
-        group_all: list = []
-        for part in self.group_parts:
-            group_all.extend(part)
-        use_class = ArcGroupTable._use_class
-        uses = {
-            key: use_class(key, size, final_counts, n_static)
-            for key, size in Counter(group_all).items()
-        }
         preds = []
         for k, acc in enumerate(self.banks):
             node_stats = NodeStats()
@@ -849,22 +654,27 @@ class SegmentMerge:
                 for pc, n in acc["term"].items():
                     terms[pc] = n
                 pred.critical = critical
-            if acc["walk"] is not None:
-                pred.paths, pred.trees = acc["walk"].finalize()
-            # Arc fold over the whole trace at once: the combo byte is
-            # (x<<1)|y, every byte 0..3, grouped with one C-speed
-            # Counter (ArcStats cells are purely additive).
-            xk = int.from_bytes(b"".join(acc["x_parts"]), "little")
-            yk = int.from_bytes(b"".join(acc["y_parts"]), "little")
-            combo_bytes = ((xk << 1) | yk).to_bytes(A, "little")
-            counts_k = pred.arcs.counts
-            for (key, combo), n in Counter(
-                zip(group_all, combo_bytes)
-            ).items():
-                counts_k[uses[key]][combo] += n
             preds.append(pred)
 
         recorder = get_recorder()
+        if cfg.track_paths:
+            with recorder.span("analyze.kernel.paths"):
+                for pred, acc in zip(preds, self.banks):
+                    pred.paths, pred.trees = acc["walk"].finalize()
+        # Arc fold over the whole trace at once (ArcStats cells are
+        # purely additive), through the serial engine's helpers.
+        with recorder.span("analyze.kernel.arcs"):
+            group_all: list = []
+            for part in self.group_parts:
+                group_all.extend(part)
+            use_v = use_class_column(group_all, final_counts, n_static)
+            for pred, acc in zip(preds, self.banks):
+                fold_arcs(
+                    pred.arcs.counts, use_v,
+                    int.from_bytes(b"".join(acc["x_parts"]), "little"),
+                    int.from_bytes(b"".join(acc["y_parts"]), "little"),
+                    A,
+                )
         if recorder.enabled:
             recorder.count("analyze.passes", 1)
             recorder.count("analyze.nodes", m)

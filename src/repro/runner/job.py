@@ -109,16 +109,6 @@ class JobFailure:
     kind: str = "error"
 
 
-def program_bytes(program) -> bytes:
-    """Canonical bytes of a compiled program, for content hashing."""
-    parts = [f"entry={program.entry}", program.listing()]
-    for item in program.data:
-        parts.append(
-            f"{item.addr}:{item.size}:{item.value!r}:{int(item.is_float)}"
-        )
-    return "\n".join(parts).encode()
-
-
 def _feed_execution(digest, workload, scale: int) -> None:
     """Hash everything that determines what would actually execute:
     program content, source hash, and the generated inputs at scale."""
@@ -129,7 +119,7 @@ def _feed_execution(digest, workload, scale: int) -> None:
             digest.update(b"\x00")
 
     feed("source", workload.source_hash())
-    digest.update(program_bytes(workload.program()))
+    digest.update(workload.program().canonical_bytes())
     words, floats = workload.make_inputs(scale)
     feed("scale", scale, "words", len(words))
     digest.update(",".join(map(str, words)).encode())

@@ -141,20 +141,39 @@ def test_profiled_counts_identical(tmp_path):
 
 def test_analyze_many_identical(tmp_path):
     records, n_static = _trace_of("com")
-    configs = [
+    mixed = [
         AnalysisConfig(max_instructions=BUDGET),
         AnalysisConfig(predictors=("hybrid",), max_instructions=2_000),
         AnalysisConfig(gshare_bits=8, max_instructions=BUDGET),
     ]
-    reference = analyze_reference(records, n_static, configs, name="com")
-    columnar = analyze_many(records, n_static, configs, name="com")
-    assert [_dump(r) for r in columnar] == [_dump(r) for r in reference]
-    segmented = [
-        analyze_segmented(records, n_static, config, tmp_path,
-                          segments=4, name="com")
-        for config in configs
+    # Shaped like a design-space sweep over one stored trace: the same
+    # banks at a quarter, a half, then the full budget (smallest first,
+    # so every shared predictor pass is first asked for a prefix),
+    # context trees at two caps, and a single-bank ablation.
+    sweep = [
+        AnalysisConfig(max_instructions=BUDGET // 4),
+        AnalysisConfig(max_instructions=BUDGET // 2),
+        AnalysisConfig(max_instructions=BUDGET),
+        AnalysisConfig(predictors=("context",), gen_cap=8,
+                       max_instructions=BUDGET // 2),
+        AnalysisConfig(predictors=("context",), gen_cap=32,
+                       max_instructions=BUDGET),
+        AnalysisConfig(predictors=("stride",), trees_for=(),
+                       max_instructions=BUDGET),
     ]
-    assert [_dump(r) for r in segmented] == [_dump(r) for r in reference]
+    for configs in (mixed, sweep):
+        reference = analyze_reference(records, n_static, configs,
+                                      name="com")
+        columnar = analyze_many(records, n_static, configs, name="com")
+        assert ([_dump(r) for r in columnar]
+                == [_dump(r) for r in reference])
+        segmented = [
+            analyze_segmented(records, n_static, config, tmp_path,
+                              segments=4, name="com")
+            for config in configs
+        ]
+        assert ([_dump(r) for r in segmented]
+                == [_dump(r) for r in reference])
 
 
 def test_columns_accepted_by_both_engines():

@@ -13,6 +13,7 @@ marked sweep covers 200 seeds for release-grade confidence
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -20,6 +21,7 @@ import pytest
 
 from repro.core import (
     AnalysisConfig,
+    analyze_many,
     analyze_reference,
     analyze_trace,
     columnar_unsupported,
@@ -85,6 +87,18 @@ def _check_seed(seed: int, directory) -> None:
     assert (json.dumps(result_to_dict(columnar))
             == json.dumps(result_to_dict(reference))), (
         f"engines diverge for gen:{preset}@{seed} with {config}"
+    )
+    # One multi-config call, smallest budget first: the predictor
+    # passes shared by both configs run once, at the larger budget,
+    # and the smaller analysis reads a prefix of them.
+    sweep = [dataclasses.replace(config, max_instructions=budget)
+             for budget in (200, BUDGET)]
+    assert ([json.dumps(result_to_dict(result)) for result in
+             analyze_many(records, n_static, sweep, name=preset)]
+            == [json.dumps(result_to_dict(result)) for result in
+                analyze_reference(records, n_static, sweep,
+                                  name=preset)]), (
+        f"analyze_many diverges for gen:{preset}@{seed} with {config}"
     )
     # Segment-parallel kernel: same seed, same config, a seed-derived
     # segment count -- the split point sweeps the trace as seeds vary,
