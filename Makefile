@@ -22,27 +22,28 @@ bench:
 bench-smoke:
 	$(PYTHON) benchmarks/bench_runner.py
 
-## Columnar-kernel parity gate: the differential test suites (fast
-## fuzz tier included), the runner's kernel/fallback selection suite,
-## and the full parity matrix, which writes reports/kernel_parity.json
-## and fails on any byte-level divergence between the columnar kernel
-## and the reference oracle, analyze_reference (see docs/kernel.md).
+## Columnar-kernel parity gate: the predictor slices against the
+## oracle's predictors, the differential test suites (fast fuzz tier
+## and the segmented cases included), the runner's kernel/fallback
+## selection suite, and the full parity matrix, which writes
+## reports/kernel_parity.json and fails on any byte-level divergence
+## between the columnar kernel and the reference oracle,
+## analyze_reference (see docs/kernel.md).
 kernel-parity:
-	$(PYTHON) -m pytest -x -q tests/core/test_kernel_parity.py \
+	$(PYTHON) -m pytest -x -q tests/core/test_kernel_state.py \
+		tests/core/test_kernel_parity.py \
 		tests/properties/test_kernel_fuzz.py tests/runner/test_engine.py
 	$(PYTHON) benchmarks/bench_kernel.py
 
 ## Segment-parallel parity gate: adversarial boundary tests, the
-## runner's segmented/chaos/reindex suite, policy semantics, and the
+## runner's segmented/chaos/reindex suite and policy semantics.  The
 ## segmented differential tier (the parity suite and the fuzz run every
 ## case through tests.conftest.analyze_segmented, the stored-file path:
 ## save_trace, build_index, prepare_file_segments, _segment_task,
-## SegmentMerge).  See docs/sharding.md.
+## SegmentMerge) runs in `make kernel-parity`.  See docs/sharding.md.
 shard-parity:
 	$(PYTHON) -m pytest -x -q tests/core/test_shard.py \
-		tests/runner/test_segmented.py tests/runner/test_policy.py \
-		tests/core/test_kernel_parity.py \
-		tests/properties/test_kernel_fuzz.py
+		tests/runner/test_segmented.py tests/runner/test_policy.py
 
 ## Service load smoke: zipf-skewed concurrent clients against a
 ## fresh server; writes BENCH_service.json at the repo root and

@@ -2,12 +2,13 @@
 
 The kernel package is the fast path of :mod:`repro.core.analysis`:
 the trace is decoded once into flat parallel columns
-(:mod:`~repro.core.kernel.columns`), predictor banks run as batched
-passes (:mod:`~repro.core.kernel.passes`), and node/arc classification
-happens through translate tables and Counters
-(:mod:`~repro.core.kernel.engine`) — byte-identical to the reference
-loop (:func:`repro.core.analysis.analyze_reference`), measured ≥5x
-faster on the analyze phase (benchmarks/bench_kernel.py).
+(:mod:`~repro.core.kernel.columns`), each predictor stream is replayed
+by the kernel's one copy of its update rule
+(:mod:`~repro.core.kernel.state`, the resumable slices segments also
+run), and node/arc classification happens through translate tables
+and Counters (:mod:`~repro.core.kernel.engine`) — byte-identical to
+the reference loop (:func:`repro.core.analysis.analyze_reference`),
+measured ≥5x faster on the analyze phase (benchmarks/bench_kernel.py).
 
 The kernel runs every config except those :func:`columnar_unsupported`
 names a reason for, which run the reference loop instead (counted

@@ -32,6 +32,12 @@ import struct
 from collections import Counter
 from itertools import islice
 
+from repro.core.kernel.state import (
+    new_branch_state,
+    run_branch_slice,
+    run_value_slice,
+    value_state_for,
+)
 from repro.cpu.trace import DynInst, Source
 from repro.errors import ReproError
 from repro.isa.opcodes import Category
@@ -67,6 +73,25 @@ _PASS_CATS = (Category.LOAD, Category.STORE, Category.JUMP_REG)
 
 #: byte -> bool(byte) table, for nsrc -> has_src.
 _NONZERO = bytes(1 if v else 0 for v in range(256))
+
+
+def _value_stream(spec: str, keys, values, n: int) -> bytearray:
+    """One value predictor's hits over the first ``n`` (key, value)
+    pairs, replayed from a fresh state."""
+    hits = bytearray()
+    run_value_slice(spec, value_state_for(spec), islice(keys, n),
+                    islice(values, n), hits)
+    return hits
+
+
+def _branch_stream(kind: str, index_bits: int, pcs, takens,
+                   n: int) -> bytearray:
+    """The direction predictor's hits over the first ``n`` branches,
+    replayed from a fresh state."""
+    hits = bytearray()
+    run_branch_slice(kind, index_bits, new_branch_state(kind),
+                     islice(pcs, n), islice(takens, n), hits)
+    return hits
 
 
 class TraceColumns:
@@ -414,18 +439,21 @@ class TraceColumns:
         self._counts_cache[m] = counts
         return counts
 
-    def genclass_so_far(self) -> bytearray:
+    def genclass_so_far(self, counts_start=None) -> bytearray:
         """Per-arc :class:`~repro.core.events.GenClass` codes using the
         count-so-far write-once approximation (profile-free analysis).
 
         Matches the reference analyzer exactly: the record's own
         execution is counted *before* its arcs are classified, so the
-        column is independent of any budget prefix.
+        column is independent of any budget prefix.  ``counts_start``
+        seeds the per-PC counts with the records before these columns
+        (a segment's local columns); such a column is not cached.
         """
         cached = self._genclass_cache
-        if cached is not None:
+        if cached is not None and counts_start is None:
             return cached
-        counts = [0] * self.n_static
+        counts = ([0] * self.n_static if counts_start is None
+                  else list(counts_start))
         out = bytearray(self.src_start[-1])
         pcs = self.pc
         starts = self.src_start
@@ -440,7 +468,8 @@ class TraceColumns:
                 elif counts[ppcs[a]] == 1:
                     out[a] = 2                      # GenClass.W
                 # else 0                            # GenClass.C
-        self._genclass_cache = out
+        if counts_start is None:
+            self._genclass_cache = out
         return out
 
     def genclass_profiled(self, profile_counts) -> bytearray:
@@ -475,33 +504,26 @@ class TraceColumns:
     def input_hits(self, spec: str, need: int) -> bytearray:
         """Hit stream of one bank's *input* predictor over the first
         ``need`` arcs (0/1 per arc; may be longer than ``need``)."""
-        from repro.core.kernel.passes import run_value_pass
-
         return self._cached_hits(
             ("in", spec), need,
-            lambda n: run_value_pass(spec, self.in_key, self.src_value, n),
+            lambda n: _value_stream(spec, self.in_key, self.src_value, n),
         )
 
     def output_hits(self, spec: str, need: int) -> bytearray:
         """Hit stream of one bank's *output* predictor over the first
         ``need`` output-predicted records (the ``ov_idx`` subset)."""
-        from repro.core.kernel.passes import run_value_pass
-
         return self._cached_hits(
             ("out", spec), need,
-            lambda n: run_value_pass(spec, self.ov_pc, self.ov_val, n),
+            lambda n: _value_stream(spec, self.ov_pc, self.ov_val, n),
         )
 
     def branch_hits(self, kind: str, index_bits: int, need: int) -> bytearray:
         """Hit stream of the shared direction predictor over the first
         ``need`` branch records (the ``br_idx`` subset)."""
-        from repro.core.kernel.passes import run_branch_pass
-
         return self._cached_hits(
             ("br", kind, index_bits), need,
-            lambda n: run_branch_pass(
-                kind, index_bits, self.br_pc, self.br_taken, n
-            ),
+            lambda n: _branch_stream(kind, index_bits, self.br_pc,
+                                     self.br_taken, n),
         )
 
     # ------------------------------------------------------------------

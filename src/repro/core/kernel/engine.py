@@ -9,22 +9,26 @@ fixed workload and a fuzzed ``gen:`` grid.
 
 The work is organised as batched passes instead of per-record dispatch:
 
-1. **bank passes** — each predictor bank's hit stream is replayed in
-   one tight loop per (spec, tier) by :mod:`repro.core.kernel.passes`,
-   cached on the columns object and shared across configs and budgets
-   (:func:`analyze_columns_many` runs each at the largest budget the
-   call needs, before any config);
+1. **bank passes** — each predictor bank's hit stream is one
+   :mod:`repro.core.kernel.state` slice per (spec, tier), replayed
+   from a fresh state (segments resume the same slices from a
+   checkpoint), cached on the columns object and shared across
+   configs and budgets (:func:`analyze_columns_many` runs each at the
+   largest budget the call needs, before any config);
 2. **bit assembly** — per-bank hit streams are combined into per-arc
    ``Y`` and per-record ``O``/``U``/``I``/``X`` byte columns with
    big-integer bitwise arithmetic (each byte holds one element's
-   per-bank bits, so shifts below 8 never carry across elements);
+   per-bank bits, so shifts below 8 never carry across elements;
+   :func:`assemble_bits`, shared with the segments);
 3. **classification** — a composite byte per (record, bank) encoding
    (has_p, has_n, has_imm, out_p, has_out, is_branch, has_src) is
    mapped through precomputed 256-entry ``bytes.translate`` tables and
-   tallied with ``collections.Counter`` at C speed; run-length stats
-   come from splitting the translated selector on zero bytes, which
-   visits runs in stream order so Counter insertion order (part of the
-   export contract) matches the streaming trackers;
+   tallied with ``collections.Counter`` at C speed
+   (:func:`bank_tallies`, then :func:`bank_result`; a segment runs the
+   first and the merge the second); run-length stats come from
+   splitting the translated selector on zero bytes, which visits runs
+   in stream order so Counter insertion order (part of the export
+   contract) matches the streaming trackers;
 4. **paths** — the generator-influence walk is inherently sequential
    (each value's influence feeds its consumers'), so it remains a
    Python loop (:class:`ResumableWalk`, shared with the segment
@@ -118,48 +122,49 @@ _NODE_GC = {int(InKind.II): 3, int(InKind.NN): 4, int(InKind.IN): 5}
 
 
 # ----------------------------------------------------------------------
-# Derived bit columns (cached per (specs, branch predictor) on the
-# columns object; prefix-closed, recomputed only when a larger budget
-# is requested).
+# Bit assembly: per-bank hit streams -> Y/O/U/I byte columns, shared by
+# the serial engine (one span, cached per (specs, branch predictor) on
+# the columns object) and by each segment (repro.core.shard).  Each
+# caller adds its own X step: X is the producer's O byte, and only the
+# serial engine has every producer's O byte at hand.
 # ----------------------------------------------------------------------
 
 def _ones(n: int) -> int:
     return int.from_bytes(b"\x01" * n, "little") if n else 0
 
 
-def _derived(columns, specs, br_kind, br_bits, m, A):
-    key = ("derived", specs, br_kind, br_bits)
-    cached = columns._pred_cache.get(key)
-    if cached is not None and cached["m"] >= m:
-        return cached
-    nk = len(specs)
+def assemble_bits(columns, in_hits, out_hits, br_hits, m, A):
+    """Combine hit streams into ``(yb, out, union, inter)`` over the
+    first ``m`` records and ``A`` arcs.
+
+    ``in_hits`` and ``out_hits`` hold one stream per bank (over the arcs
+    and the ``ov_idx`` subset), ``br_hits`` the direction predictor's
+    (over ``br_idx``); any of them may run past the budget.
+    """
+    nk = len(in_hits)
     full_mask = (1 << nk) - 1
     # Per-arc Y: each arc's byte holds every bank's input-hit bit.
     y_int = 0
-    for k, spec in enumerate(specs):
-        hits = columns.input_hits(spec, A)
+    for k, hits in enumerate(in_hits):
         y_int |= int.from_bytes(memoryview(hits)[:A], "little") << k
     yb = y_int.to_bytes(A, "little")
     # Per-record O: the reference's out_flags byte stream.
     out = bytearray(m)
-    br_cnt = bisect_left(columns.br_idx, m)
+    br_idx = columns.br_idx
+    br_cnt = bisect_left(br_idx, m)
     if br_cnt and full_mask:
-        hits = memoryview(columns.branch_hits(br_kind, br_bits,
-                                              br_cnt))[:br_cnt]
-        br_idx = columns.br_idx
-        for i, hit in zip(br_idx, hits):
+        for i, hit in zip(br_idx, memoryview(br_hits)[:br_cnt]):
             if hit:
                 out[i] = full_mask
-    ov_cnt = bisect_left(columns.ov_idx, m)
+    ov_idx = columns.ov_idx
+    ov_cnt = bisect_left(ov_idx, m)
     if ov_cnt and nk:
         o_int = 0
-        for k, spec in enumerate(specs):
-            hits = columns.output_hits(spec, ov_cnt)
+        for k, hits in enumerate(out_hits):
             o_int |= int.from_bytes(
                 memoryview(hits)[:ov_cnt], "little"
             ) << k
-        for i, value in zip(columns.ov_idx, o_int.to_bytes(ov_cnt,
-                                                           "little")):
+        for i, value in zip(ov_idx, o_int.to_bytes(ov_cnt, "little")):
             if value:
                 out[i] = value
     for i, arc in zip(columns.pt_idx, columns.pt_arc):
@@ -188,6 +193,23 @@ def _derived(columns, specs, br_kind, br_bits, m, A):
             union[r] = u
             inter[r] = i_
         a = b
+    return yb, out, union, inter
+
+
+def _derived(columns, specs, br_kind, br_bits, m, A):
+    key = ("derived", specs, br_kind, br_bits)
+    cached = columns._pred_cache.get(key)
+    if cached is not None and cached["m"] >= m:
+        return cached
+    ov_cnt = bisect_left(columns.ov_idx, m)
+    yb, out, union, inter = assemble_bits(
+        columns,
+        [columns.input_hits(spec, A) for spec in specs],
+        [columns.output_hits(spec, ov_cnt) for spec in specs],
+        columns.branch_hits(br_kind, br_bits,
+                            bisect_left(columns.br_idx, m)),
+        m, A,
+    )
     # Per-arc X: the producer's O byte.  D arcs have producer -1, which
     # reads the zero byte padded onto the end of O.
     padded_out = bytes(out) + b"\x00"
@@ -212,6 +234,137 @@ def _comp_base(columns, m):
         cached = base.to_bytes(n, "little") if n else b""
         columns._pred_cache["comp_base"] = cached
     return cached[:m]
+
+
+def composites(columns, out, union, inter, m, nk) -> list[bytes]:
+    """One composite byte column per bank over the first ``m`` records
+    (layout at the top of this module)."""
+    ones = _ones(m)
+    base_v = int.from_bytes(_comp_base(columns, m), "little")
+    out_v = int.from_bytes(out, "little")
+    union_v = int.from_bytes(union, "little")
+    inter_v = int.from_bytes(inter, "little")
+    comps = []
+    for k in range(nk):
+        hp = (union_v >> k) & ones
+        hn = ((inter_v >> k) & ones) ^ ones
+        op = (out_v >> k) & ones
+        comps.append(
+            (base_v | hp | (hn << 1) | (op << 3)).to_bytes(m, "little")
+        )
+    return comps
+
+
+# ----------------------------------------------------------------------
+# Run-length tallies: split the 0/1 selector on zero bytes; parts
+# arrive in stream order, so Counter insertion order matches the
+# streaming trackers' first-seen order (an export contract).
+# ----------------------------------------------------------------------
+
+def _run_lengths(selector: bytes) -> SequenceStats:
+    stats = SequenceStats()
+    stats.lengths.update(
+        len(part) for part in selector.split(b"\x00") if part
+    )
+    return stats
+
+
+# ----------------------------------------------------------------------
+# Bank tallies: a bank's composite bytes -> additive tallies -> its
+# PredictorResult.  The serial engine runs both steps on one span; a
+# segment runs the first, and the merge folds segments' tallies in
+# stream order (merge_tallies) before running the second.
+# ----------------------------------------------------------------------
+
+def bank_tallies(comp: bytes, cfg, op_col, pcs) -> dict:
+    """Node/ops/branch/seq/unpred/miss/term tallies of one bank's
+    composite bytes (``op_col`` and ``pcs`` may run past them)."""
+    node_codes = comp.translate(_NODE_T)
+    tallies = {"node": Counter(node_codes)}
+    if cfg.track_ops:
+        tallies["ops"] = Counter(zip(node_codes, op_col))
+    if cfg.track_branches:
+        tallies["branch"] = Counter(comp.translate(_BRANCH_T))
+    if cfg.track_sequences:
+        tallies["seq"] = comp.translate(_SEQ_T)
+    if cfg.track_unpred:
+        tallies["unpred"] = comp.translate(_UNPRED_T)
+    if cfg.track_critical:
+        tallies["miss"] = Counter(compress(pcs, comp.translate(_MISS_T)))
+        tallies["term"] = Counter(compress(pcs, comp.translate(_TERM_T)))
+    return tallies
+
+
+def merge_tallies(total: dict, part: dict) -> None:
+    """Fold the next span's tallies into ``total``: Counters add (first
+    occurrence order survives ``Counter.update``), selectors
+    concatenate (run lengths are split once, in :func:`bank_result`)."""
+    for name, value in part.items():
+        if name not in total:
+            total[name] = (Counter(value) if isinstance(value, Counter)
+                           else bytearray(value))
+        elif isinstance(value, Counter):
+            total[name].update(value)
+        else:
+            total[name] += value
+
+
+def bank_result(spec: str, tallies: dict, cfg, ops,
+                n_static: int) -> PredictorResult:
+    """One bank's :class:`PredictorResult` from its tallies, minus the
+    paths and arcs, which need the whole walk and the final counts."""
+    node_stats = NodeStats()
+    class_counts = node_stats.class_counts
+    for code, n in tallies["node"].items():
+        if code == _NO_OUTPUT:
+            node_stats.no_output = n
+        else:
+            class_counts[code >> 1][code & 1] = n
+    pred = PredictorResult(kind=spec, nodes=node_stats)
+    if cfg.track_ops:
+        # Assigning (not adding) resolves op-name collisions in first
+        # occurrence order, as the reference does.
+        node_ops = Counter()
+        for (code, opx), n in tallies["ops"].items():
+            if code != _NO_OUTPUT:
+                node_ops[(InKind(code >> 1), bool(code & 1),
+                          ops[opx][0])] = n
+        pred.node_ops = node_ops
+    if cfg.track_branches:
+        branches = BranchStats()
+        for code, n in tallies["branch"].items():
+            if code != _NO_OUTPUT:
+                branches.class_counts[code >> 1][code & 1] = n
+        pred.branches = branches
+    if cfg.track_sequences:
+        pred.sequences = _run_lengths(tallies["seq"])
+    if cfg.track_unpred:
+        pred.unpred = _run_lengths(tallies["unpred"])
+    if cfg.track_critical:
+        critical = CriticalPoints(n_static)
+        misses = critical.output_misses
+        for pc, n in tallies["miss"].items():
+            misses[pc] = n
+        terms = critical.terminations
+        for pc, n in tallies["term"].items():
+            terms[pc] = n
+        pred.critical = critical
+    return pred
+
+
+def count_analysis(recorder, specs, preds, m: int, A: int) -> None:
+    """The ``analyze.*`` counters of one finished analysis (mirrors
+    ``Analyzer.finalize``)."""
+    if not recorder.enabled:
+        return
+    recorder.count("analyze.passes", 1)
+    recorder.count("analyze.nodes", m)
+    recorder.count("analyze.arcs", A)
+    for spec, pred in zip(specs, preds):
+        for behavior, n in pred.nodes.behavior_counts().items():
+            if n:
+                recorder.count(
+                    f"analyze.pred.{spec}.{behavior.name.lower()}", n)
 
 
 # ----------------------------------------------------------------------
@@ -417,20 +570,6 @@ class ResumableWalk:
 
 
 # ----------------------------------------------------------------------
-# Run-length tallies: split the 0/1 selector on zero bytes; parts
-# arrive in stream order, so Counter insertion order matches the
-# streaming trackers' first-seen order (an export contract).
-# ----------------------------------------------------------------------
-
-def _run_lengths(selector: bytes) -> SequenceStats:
-    stats = SequenceStats()
-    stats.lengths.update(
-        len(part) for part in selector.split(b"\x00") if part
-    )
-    return stats
-
-
-# ----------------------------------------------------------------------
 # Arc fold.  An arc's use class needs its whole group (final static
 # counts, group size), so arcs fold only once the budget is known.
 # One use-class byte per arc, packed with a bank's X and Y bits as
@@ -501,14 +640,9 @@ def analyze_columns(columns, config, name="trace", profile_counts=None,
             union_col = union_col[:m]
             inter_col = inter_col[:m]
             x_col = x_col[:A]
-        out_v = int.from_bytes(out_col, "little")
-        union_v = int.from_bytes(union_col, "little")
-        inter_v = int.from_bytes(inter_col, "little")
         y_v = int.from_bytes(yb, "little")
         x_v = int.from_bytes(x_col, "little")
-        ones_m = _ones(m)
         ones_a = _ones(A)
-        base_v = int.from_bytes(_comp_base(columns, m), "little")
 
         if static_counts is None:
             final_counts = columns.counts_for(m)
@@ -538,25 +672,14 @@ def analyze_columns(columns, config, name="trace", profile_counts=None,
         # same bank — e.g. a single-bank ablation of the default tuple.
         # External per-PC counts change gcol / final_counts without
         # touching the key, so those calls bypass the cache entirely.
-        op_col = columns.op_index
-        pcs = columns.pc
-        ops = columns.ops
-        starts = columns.src_start
-        prods = columns.src_prod
+        comp_list = composites(columns, out_col, union_col, inter_col,
+                               m, nk)
         cacheable = profile_counts is None and static_counts is None
         bank_cache = columns._pred_cache
         preds = []
-        comp_list = []
         bank_keys = [None] * nk
         fresh = []
-        for k in range(nk):
-            hp = (union_v >> k) & ones_m
-            hn = ((inter_v >> k) & ones_m) ^ ones_m
-            op = (out_v >> k) & ones_m
-            comp = (base_v | hp | (hn << 1) | (op << 3)).to_bytes(
-                m, "little"
-            )
-            comp_list.append(comp)
+        for k, comp in enumerate(comp_list):
             if cacheable:
                 tracked = specs[k] in cfg.trees_for
                 bkey = (
@@ -572,52 +695,11 @@ def analyze_columns(columns, config, name="trace", profile_counts=None,
                     continue
                 bank_keys[k] = bkey
             fresh.append(k)
-            node_codes = comp.translate(_NODE_T)
-            node_stats = NodeStats()
-            class_counts = node_stats.class_counts
-            for code, count in Counter(node_codes).items():
-                if code == _NO_OUTPUT:
-                    node_stats.no_output = count
-                else:
-                    class_counts[code >> 1][code & 1] = count
-            pred = PredictorResult(kind=specs[k], nodes=node_stats)
-            if cfg.track_ops:
-                node_ops = Counter()
-                for (code, opx), count in Counter(
-                    zip(node_codes, op_col)
-                ).items():
-                    if code != _NO_OUTPUT:
-                        node_ops[
-                            (InKind(code >> 1), bool(code & 1),
-                             ops[opx][0])
-                        ] = count
-                pred.node_ops = node_ops
-            if cfg.track_branches:
-                branches = BranchStats()
-                for code, count in Counter(
-                    comp.translate(_BRANCH_T)
-                ).items():
-                    if code != _NO_OUTPUT:
-                        branches.class_counts[code >> 1][code & 1] = count
-                pred.branches = branches
-            if cfg.track_sequences:
-                pred.sequences = _run_lengths(comp.translate(_SEQ_T))
-            if cfg.track_unpred:
-                pred.unpred = _run_lengths(comp.translate(_UNPRED_T))
-            if cfg.track_critical:
-                critical = CriticalPoints(n_static)
-                misses = critical.output_misses
-                for pc, count in Counter(
-                    compress(pcs, comp.translate(_MISS_T))
-                ).items():
-                    misses[pc] = count
-                terms = critical.terminations
-                for pc, count in Counter(
-                    compress(pcs, comp.translate(_TERM_T))
-                ).items():
-                    terms[pc] = count
-                pred.critical = critical
-            preds.append(pred)
+            preds.append(bank_result(
+                specs[k],
+                bank_tallies(comp, cfg, columns.op_index, columns.pc),
+                cfg, columns.ops, n_static,
+            ))
 
     # --- paths ----------------------------------------------------------
     if cfg.track_paths:
@@ -625,9 +707,11 @@ def analyze_columns(columns, config, name="trace", profile_counts=None,
             for k in fresh:
                 walk = ResumableWalk(specs[k] in cfg.trees_for, cfg.gen_cap)
                 walk.feed(
-                    m, starts, ((y_v >> k) & ones_a).to_bytes(A, "little"),
-                    ((x_v >> k) & ones_a).to_bytes(A, "little"), prods,
-                    gcol, comp_list[k].translate(_NODE_T),
+                    m, columns.src_start,
+                    ((y_v >> k) & ones_a).to_bytes(A, "little"),
+                    ((x_v >> k) & ones_a).to_bytes(A, "little"),
+                    columns.src_prod, gcol,
+                    comp_list[k].translate(_NODE_T),
                 )
                 preds[k].paths, preds[k].trees = walk.finalize()
 
@@ -653,20 +737,7 @@ def analyze_columns(columns, config, name="trace", profile_counts=None,
         for k in fresh:
             bank_cache[bank_keys[k]] = preds[k]
 
-    # --- recorder counters (mirrors Analyzer.finalize) ------------------
-    if recorder.enabled:
-        recorder.count("analyze.passes", 1)
-        recorder.count("analyze.nodes", m)
-        recorder.count("analyze.arcs", A)
-        for k, pred in enumerate(preds):
-            for behavior, count in (
-                pred.nodes.behavior_counts().items()
-            ):
-                if count:
-                    recorder.count(
-                        f"analyze.pred.{specs[k]}."
-                        f"{behavior.name.lower()}", count,
-                    )
+    count_analysis(recorder, specs, preds, m, A)
     for pred in preds:
         result.predictors[pred.kind] = pred
     return result

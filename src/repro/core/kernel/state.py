@@ -1,33 +1,31 @@
-"""Resumable predictor passes — the segment boundary's state carrier.
+"""Resumable predictor slices — the kernel's one copy of every rule.
 
-The batched passes in :mod:`repro.core.kernel.passes` replay a whole
-predictor stream in one loop over dense tables.  Segment-parallel
-analysis (:mod:`repro.core.shard`) needs the same streams replayed in
-*pieces*: a worker that owns records ``[r0, r1)`` must start each
-predictor exactly where the previous segment left it.  This module
-provides the sparse twins of every pass:
+Each ``run_*_slice`` call replays one predictor's ``see()`` stream over
+a slice of a (key, value) column pair, resuming from (and mutating) a
+state, and appends one hit byte per element.  The update rules are
+transcribed line-for-line from :mod:`repro.predictors` (the oracle);
+tests/core/test_kernel_state.py holds every kind's hit stream to the
+oracle's, whole and split.  Two callers share the slices:
 
-* state lives in plain dicts keyed by table index, with untouched
-  cells reading as the dense tables' initial values — the same
-  equivalence the short-stream variant of ``_context_pass`` already
-  relies on ("untouched cells read as (empty, counter 0) either way"),
-  extended to every predictor kind;
-* each ``run_*_slice`` call consumes one slice of the stream, appends
-  its hit bytes, mutates the state in place, and can record the set of
-  table cells it wrote;
-* :func:`snapshot_delta` turns a touched-set into a **delta** — the
-  written cells' values at the boundary — and :func:`fold_deltas`
-  replays deltas ``0..i-1`` (mostly ``dict.update`` at C speed) to
-  reconstruct the state a segment ``i`` worker resumes from.
+* the serial engine replays each stream from a fresh state in one call
+  (:meth:`~repro.core.kernel.columns.TraceColumns.input_hits` and its
+  siblings);
+* segment-parallel analysis (:mod:`repro.core.shard`) replays it in
+  *pieces*: a worker that owns records ``[r0, r1)`` resumes each
+  predictor exactly where the previous segment left it.
+
+State lives in plain dicts keyed by table index; an untouched cell
+reads as the predictor's initial value (empty, counter 0, ...), so a
+state costs only the cells a stream actually writes.  A slice can
+record the set of cells it wrote: :func:`snapshot_delta` turns that
+touched-set into a **delta** — the written cells' values at the
+boundary — and :func:`fold_deltas` replays deltas ``0..i-1`` (mostly
+``dict.update`` at C speed) to reconstruct the state a segment ``i``
+worker resumes from.
 
 Deltas are what the v2 segment index persists (see docs/sharding.md):
 storing only the cells each segment wrote bounds the sidecar at
 O(total table writes) instead of O(segments x table size).
-
-The update rules are transcribed line-for-line from passes.py; the
-differential suite and the segmented fuzz in
-tests/properties/test_kernel_fuzz.py hold the two implementations
-byte-identical.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ _SIGN32 = 0x8000_0000
 #
 # A state is a dict of named sub-tables (plain dicts) plus, for
 # gshare, the scalar history register.  Keys absent from a sub-table
-# read as the dense pass's initial cell value.
+# read as the predictor's initial cell value.
 # ----------------------------------------------------------------------
 
 #: Sub-tables whose values are mutable lists (stride entries); folding
@@ -132,7 +130,8 @@ def fold_deltas(state: dict, deltas) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Value predictors (sparse twins of passes._last_pass etc.).
+# Value predictors (repro.predictors.last_value / stride / context /
+# hybrid).
 # ----------------------------------------------------------------------
 
 def _last_slice(state, keys, values, hits, touched,
@@ -362,7 +361,7 @@ def run_value_slice(spec: str, state: dict, keys, values,
 
 
 # ----------------------------------------------------------------------
-# Branch predictors.
+# Branch predictors (repro.predictors.gshare / local_branch).
 # ----------------------------------------------------------------------
 
 def _gshare_slice(state, pcs, takens, hits, touched, index_bits=16):
@@ -436,11 +435,6 @@ def run_branch_slice(kind: str, index_bits: int, state: dict, pcs,
         _local_slice(state, pcs, takens, hits, touched)
     else:
         raise ValueError(f"unknown branch predictor kind: {kind!r}")
-
-
-def branch_state_for(kind: str) -> dict:
-    """Fresh branch state for ``kind`` (convenience wrapper)."""
-    return new_branch_state(kind)
 
 
 def value_state_for(spec: str) -> dict:

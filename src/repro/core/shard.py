@@ -19,7 +19,8 @@ scratch.  A :class:`SegmentIndex` checkpoint at record ``r`` carries:
 * sparse **state deltas** for every predictor stream (per-bank input
   and output value predictors plus the shared branch predictor) as
   written by :mod:`repro.core.kernel.state` — folding deltas
-  ``0..i-1`` reconstructs each table exactly;
+  ``0..i-1`` reconstructs each table exactly, and the segment resumes
+  the very slices the serial engine runs from a fresh state;
 * the **arc index** at ``r`` (which also yields the v2 byte offset:
   the record layout is fixed-width, ``23*r + 25*arcs``);
 * cumulative **per-PC execution counts** before ``r``, so the
@@ -33,13 +34,16 @@ once the producer's segment has landed.
 
 Why the merge is exact
 ----------------------
-Node/branch/arc class counts are fixed-size additive tallies.  The
-order-sensitive exports (run lengths, path combo counts, tree
-histograms) are never merged as Counters: selectors are concatenated
-and split once, and the generator-influence walk itself is resumed
-across segments (:class:`~repro.core.kernel.engine.ResumableWalk`, the
-serial engine's own walk), so every Counter is built in exactly the
-serial insertion order.  See docs/sharding.md.
+A segment assembles its bits and tallies with the serial engine's own
+functions, and the merge finishes them with the serial engine's
+:func:`~repro.core.kernel.engine.bank_result`.  Node/branch/arc class
+counts are fixed-size additive tallies.  The order-sensitive exports
+(run lengths, path combo counts, tree histograms) are never merged as
+Counters: selectors are concatenated and split once, and the
+generator-influence walk itself is resumed across segments
+(:class:`~repro.core.kernel.engine.ResumableWalk`, the serial engine's
+own walk), so every Counter is built in exactly the serial insertion
+order.  See docs/sharding.md.
 """
 
 from __future__ import annotations
@@ -47,23 +51,19 @@ from __future__ import annotations
 import pickle
 from bisect import bisect_left
 from collections import Counter
-from itertools import compress
 
-from repro.core.events import InKind
 from repro.core.kernel.columns import TraceColumns
 from repro.core.kernel.engine import (
-    _BRANCH_T,
-    _MISS_T,
     _NODE_T,
-    _NO_OUTPUT,
-    _SEQ_T,
-    _TERM_T,
-    _UNPRED_T,
     ResumableWalk,
-    _comp_base,
     _ones,
-    _run_lengths,
+    assemble_bits,
+    bank_result,
+    bank_tallies,
+    composites,
+    count_analysis,
     fold_arcs,
+    merge_tallies,
     use_class_column,
 )
 from repro.core.kernel.state import (
@@ -75,13 +75,7 @@ from repro.core.kernel.state import (
     snapshot_delta,
     value_state_for,
 )
-from repro.core.stats import (
-    AnalysisResult,
-    BranchStats,
-    NodeStats,
-    PredictorResult,
-)
-from repro.core.unpred import CriticalPoints
+from repro.core.stats import AnalysisResult
 from repro.errors import ReproError
 from repro.obs import get_recorder
 
@@ -220,7 +214,7 @@ def plan_bounds(m: int, segments: int) -> list[int]:
 def build_index(columns, bounds, specs=None, branch=None) -> SegmentIndex:
     """Build checkpoints for ``columns`` at ``bounds``.
 
-    Runs every predictor stream once through the resumable passes of
+    Runs every predictor stream once through the resumable slices of
     :mod:`repro.core.kernel.state`, snapshotting each segment's state
     delta and per-PC record tally at the boundary.  Capture, replay
     backfill and ``cache reindex`` build the default family and persist
@@ -319,34 +313,16 @@ def select_segments(index: SegmentIndex, m: int, segments: int) -> list:
 # Per-segment compute (runs in a TaskPool worker process).
 # ======================================================================
 
-def _genclass_resumed(cols, counts_start) -> bytearray:
-    """Count-so-far GenClass codes for a segment, seeded with the
-    per-PC counts accumulated before it (mirrors
-    ``TraceColumns.genclass_so_far`` restricted to the slice)."""
-    counts = list(counts_start)
-    out = bytearray(cols.src_start[-1])
-    pcs = cols.pc
-    starts = cols.src_start
-    prods = cols.src_prod
-    ppcs = cols.src_ppc
-    for r in range(cols.n_records):
-        counts[pcs[r]] += 1
-        for a in range(starts[r], starts[r + 1]):
-            if prods[a] < 0:
-                out[a] = 1                      # GenClass.D
-            elif counts[ppcs[a]] == 1:
-                out[a] = 2                      # GenClass.W
-    return out
-
-
 def compute_segment(cols, r0: int, states: dict, counts_start, config,
                     profile_counts=None) -> dict:
     """Analyse one segment's local columns into a mergeable payload.
 
     ``cols`` is a *local* TraceColumns (record 0 = global ``r0``);
     ``states`` the folded predictor states at ``r0``.  The payload
-    mirrors everything ``analyze_columns`` derives per element, plus
-    the ``x_patches`` list for arcs whose producer lives in an earlier
+    carries each bank's tallies and bit columns (the serial engine's
+    own :func:`~repro.core.kernel.engine.assemble_bits` and
+    :func:`~repro.core.kernel.engine.bank_tallies`), plus the
+    ``x_patches`` list for arcs whose producer lives in an earlier
     segment (their X bit is unknowable locally).
     """
     cfg = config
@@ -354,69 +330,25 @@ def compute_segment(cols, r0: int, states: dict, counts_start, config,
     A = cols.src_start[-1]
     specs = cfg.predictors
     nk = len(specs)
-    full_mask = (1 << nk) - 1
-    br_kind = cfg.branch_predictor
-    br_bits = cfg.gshare_bits
 
-    # --- resumed predictor passes ------------------------------------
+    # --- resumed predictor slices ------------------------------------
     in_hits = []
+    out_hits = []
     for spec in specs:
         hits = bytearray()
         run_value_slice(spec, states["in"][spec], cols.in_key,
                         cols.src_value, hits)
         in_hits.append(hits)
-    ov_cnt = len(cols.ov_idx)
-    out_hits = []
-    for spec in specs:
         hits = bytearray()
         run_value_slice(spec, states["out"][spec], cols.ov_pc,
                         cols.ov_val, hits)
         out_hits.append(hits)
-    br_cnt = len(cols.br_idx)
     br_hits = bytearray()
-    run_branch_slice(br_kind, br_bits, states["br"], cols.br_pc,
-                     cols.br_taken, br_hits)
+    run_branch_slice(cfg.branch_predictor, cfg.gshare_bits, states["br"],
+                     cols.br_pc, cols.br_taken, br_hits)
+    yb, out, union, inter = assemble_bits(cols, in_hits, out_hits,
+                                          br_hits, m, A)
 
-    # --- derived bit columns (mirrors engine._derived, local) --------
-    y_int = 0
-    for k in range(nk):
-        y_int |= int.from_bytes(in_hits[k], "little") << k
-    yb = y_int.to_bytes(A, "little")
-    out = bytearray(m)
-    if br_cnt and full_mask:
-        for i, hit in zip(cols.br_idx, br_hits):
-            if hit:
-                out[i] = full_mask
-    if ov_cnt and nk:
-        o_int = 0
-        for k in range(nk):
-            o_int |= int.from_bytes(out_hits[k], "little") << k
-        for i, value in zip(cols.ov_idx,
-                            o_int.to_bytes(ov_cnt, "little")):
-            if value:
-                out[i] = value
-    for i, arc in zip(cols.pt_idx, cols.pt_arc):
-        value = yb[arc]
-        if value:
-            out[i] = value
-    union = bytearray(m)
-    inter = bytearray(m)
-    starts = cols.src_start
-    a = 0
-    for r in range(m):
-        b = starts[r + 1]
-        if b == a:
-            inter[r] = full_mask
-        else:
-            u = yb[a]
-            i_ = u
-            for j in range(a + 1, b):
-                v = yb[j]
-                u |= v
-                i_ &= v
-            union[r] = u
-            inter[r] = i_
-        a = b
     # Per-arc X: the producer's O byte.  Producers inside the segment
     # resolve locally; earlier producers become patches the merge
     # applies once their segment's O column has landed.
@@ -430,63 +362,36 @@ def compute_segment(cols, r0: int, states: dict, counts_start, config,
         elif p >= 0:
             x_patches.append((j, p))
 
-    # --- composite classification per bank ---------------------------
-    out_v = int.from_bytes(out, "little")
-    union_v = int.from_bytes(union, "little")
-    inter_v = int.from_bytes(inter, "little")
-    y_v = y_int
+    # --- per-bank tallies ---------------------------------------------
+    y_v = int.from_bytes(yb, "little")
     x_v = int.from_bytes(x, "little")
-    ones_m = _ones(m)
     ones_a = _ones(A)
-    base_v = int.from_bytes(_comp_base(cols, m), "little")
     gcol = (
-        _genclass_resumed(cols, counts_start) if profile_counts is None
+        cols.genclass_so_far(counts_start) if profile_counts is None
         else cols.genclass_profiled(profile_counts)
     )
-    op_col = cols.op_index
-    pcs = cols.pc
-
     banks = []
-    for k in range(nk):
-        hp = (union_v >> k) & ones_m
-        hn = ((inter_v >> k) & ones_m) ^ ones_m
-        op = (out_v >> k) & ones_m
-        comp = (base_v | hp | (hn << 1) | (op << 3)).to_bytes(
-            m, "little")
-        node_codes = comp.translate(_NODE_T)
+    for k, comp in enumerate(composites(cols, out, union, inter, m, nk)):
         bank = {
-            "node": Counter(node_codes),
+            "tallies": bank_tallies(comp, cfg, cols.op_index, cols.pc),
             "ybk": ((y_v >> k) & ones_a).to_bytes(A, "little"),
             "xbk": bytearray(
                 ((x_v >> k) & ones_a).to_bytes(A, "little")),
         }
         if cfg.track_paths:
-            bank["codes"] = node_codes
-        if cfg.track_ops:
-            bank["ops"] = Counter(zip(node_codes, bytes(op_col)))
-        if cfg.track_branches:
-            bank["branch"] = Counter(comp.translate(_BRANCH_T))
-        if cfg.track_sequences:
-            bank["seq"] = comp.translate(_SEQ_T)
-        if cfg.track_unpred:
-            bank["unpred"] = comp.translate(_UNPRED_T)
-        if cfg.track_critical:
-            bank["miss"] = Counter(
-                compress(pcs, comp.translate(_MISS_T)))
-            bank["term"] = Counter(
-                compress(pcs, comp.translate(_TERM_T)))
+            bank["codes"] = comp.translate(_NODE_T)
         banks.append(bank)
 
     return {
         "r0": r0,
         "n": m,
         "A": A,
-        "starts": starts,
+        "starts": cols.src_start,
         "prods": prods,
         "out": bytes(out),
         "x_patches": x_patches,
         "gcol": gcol,
-        "pc_counts": Counter(pcs),
+        "pc_counts": Counter(cols.pc),
         "d_ids": set(cols.d_ids),
         "d_arcs": len(cols.d_ids),
         "group_key": cols.group_key,
@@ -509,7 +414,6 @@ class SegmentMerge:
         self.ops = ops
         self.static_counts = static_counts
         self.specs = config.predictors
-        nk = len(self.specs)
         self.m = 0
         self.A = 0
         self.segments = 0
@@ -518,37 +422,23 @@ class SegmentMerge:
         self.d_ids: set = set()
         self.d_arcs = 0
         self.group_parts: list = []
-        cfg = config
-        self.banks = []
-        for k in range(nk):
-            bank = {
-                "node": Counter(),
+        self.banks = [
+            {
+                "tallies": {},
                 "y_parts": [],
                 "x_parts": [],
-                "walk": None,
+                "walk": (ResumableWalk(spec in config.trees_for,
+                                       config.gen_cap)
+                         if config.track_paths else None),
             }
-            if cfg.track_paths:
-                bank["walk"] = ResumableWalk(
-                    self.specs[k] in cfg.trees_for, cfg.gen_cap)
-            if cfg.track_ops:
-                bank["ops"] = Counter()
-            if cfg.track_branches:
-                bank["branch"] = Counter()
-            if cfg.track_sequences:
-                bank["seq_parts"] = []
-            if cfg.track_unpred:
-                bank["unpred_parts"] = []
-            if cfg.track_critical:
-                bank["miss"] = Counter()
-                bank["term"] = Counter()
-            self.banks.append(bank)
+            for spec in self.specs
+        ]
 
     def add(self, payload: dict) -> None:
         if payload["r0"] != self.m:
             raise ShardError(
                 f"segment merged out of order: got r0={payload['r0']}, "
                 f"expected {self.m}")
-        cfg = self.cfg
         banks = payload["banks"]
         # Resolve cross-segment X bits now: every producer < r0 has
         # already landed in out_global.
@@ -563,9 +453,8 @@ class SegmentMerge:
                             bank["xbk"][j] = 1
         self.out_global.extend(payload["out"])
         m = payload["n"]
-        for k, acc in enumerate(self.banks):
-            bank = banks[k]
-            acc["node"].update(bank["node"])
+        for acc, bank in zip(self.banks, banks):
+            merge_tallies(acc["tallies"], bank["tallies"])
             acc["y_parts"].append(bank["ybk"])
             acc["x_parts"].append(bytes(bank["xbk"]))
             if acc["walk"] is not None:
@@ -573,17 +462,6 @@ class SegmentMerge:
                     acc["walk"].feed(
                         m, payload["starts"], bank["ybk"], bank["xbk"],
                         payload["prods"], payload["gcol"], bank["codes"])
-            if cfg.track_ops:
-                acc["ops"].update(bank["ops"])
-            if cfg.track_branches:
-                acc["branch"].update(bank["branch"])
-            if cfg.track_sequences:
-                acc["seq_parts"].append(bank["seq"])
-            if cfg.track_unpred:
-                acc["unpred_parts"].append(bank["unpred"])
-            if cfg.track_critical:
-                acc["miss"].update(bank["miss"])
-                acc["term"].update(bank["term"])
         self.m += m
         self.A += payload["A"]
         self.segments += 1
@@ -611,50 +489,10 @@ class SegmentMerge:
             static_instructions=n_static,
             static_counts=list(final_counts),
         )
-        preds = []
-        for k, acc in enumerate(self.banks):
-            node_stats = NodeStats()
-            class_counts = node_stats.class_counts
-            for code, n in acc["node"].items():
-                if code == _NO_OUTPUT:
-                    node_stats.no_output = n
-                else:
-                    class_counts[code >> 1][code & 1] = n
-            pred = PredictorResult(kind=self.specs[k], nodes=node_stats)
-            if cfg.track_ops:
-                # Counter.update preserves global first-occurrence
-                # order across segments, so assigning (like the serial
-                # engine) resolves op-name collisions identically.
-                node_ops = Counter()
-                for (code, opx), n in acc["ops"].items():
-                    if code != _NO_OUTPUT:
-                        node_ops[
-                            (InKind(code >> 1), bool(code & 1),
-                             self.ops[opx][0])
-                        ] = n
-                pred.node_ops = node_ops
-            if cfg.track_branches:
-                branches = BranchStats()
-                for code, n in acc["branch"].items():
-                    if code != _NO_OUTPUT:
-                        branches.class_counts[code >> 1][code & 1] = n
-                pred.branches = branches
-            if cfg.track_sequences:
-                pred.sequences = _run_lengths(
-                    b"".join(acc["seq_parts"]))
-            if cfg.track_unpred:
-                pred.unpred = _run_lengths(
-                    b"".join(acc["unpred_parts"]))
-            if cfg.track_critical:
-                critical = CriticalPoints(n_static)
-                misses = critical.output_misses
-                for pc, n in acc["miss"].items():
-                    misses[pc] = n
-                terms = critical.terminations
-                for pc, n in acc["term"].items():
-                    terms[pc] = n
-                pred.critical = critical
-            preds.append(pred)
+        preds = [
+            bank_result(spec, acc["tallies"], cfg, self.ops, n_static)
+            for spec, acc in zip(self.specs, self.banks)
+        ]
 
         recorder = get_recorder()
         if cfg.track_paths:
@@ -675,20 +513,9 @@ class SegmentMerge:
                     int.from_bytes(b"".join(acc["y_parts"]), "little"),
                     A,
                 )
+        count_analysis(recorder, self.specs, preds, m, A)
         if recorder.enabled:
-            recorder.count("analyze.passes", 1)
-            recorder.count("analyze.nodes", m)
-            recorder.count("analyze.arcs", A)
             recorder.count("analyze.segments", self.segments)
-            for k, pred in enumerate(preds):
-                for behavior, n in (
-                    pred.nodes.behavior_counts().items()
-                ):
-                    if n:
-                        recorder.count(
-                            f"analyze.pred.{self.specs[k]}."
-                            f"{behavior.name.lower()}", n,
-                        )
         for pred in preds:
             result.predictors[pred.kind] = pred
         return result
