@@ -1,13 +1,14 @@
 """Shared fixtures for the benchmark harness.
 
-Every ``bench_*`` module regenerates one of the paper's exhibits.  The
-underlying workload analyses flow through the shared experiment runner
-(:mod:`repro.runner`): the first harness run traces every workload
-(in parallel when ``REPRO_JOBS`` > 1) and writes the results into the
-persistent store, so later harness runs — and ``python -m repro.report``
-— start warm and re-trace nothing.  Rendered tables are written to
+``bench_exhibits.py`` regenerates every registered exhibit (the
+paper's Table 1 and Figs. 5-13 among them) from one paper campaign.
+The underlying workload analyses flow through the shared experiment
+runner (:mod:`repro.runner`): the first harness run traces every
+workload and writes the results into the persistent store, so later
+harness runs — and ``python -m repro report`` at the same budget —
+start warm and re-trace nothing.  Rendered tables are written to
 ``benchmarks/results/`` so the regenerated exhibits persist as
-artifacts, alongside the runner's metrics for the suite run.
+artifacts.
 """
 
 from __future__ import annotations
@@ -16,22 +17,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.runner import ExperimentConfig, default_runner
+from repro.campaign import paper_spec, run_campaign
 
 #: Dynamic-instruction budget per workload for the bench harness.  The
 #: paper-quality runs use the report CLI with a larger budget; the
 #: bench runs keep the suite fast while preserving the shapes.
 BENCH_BUDGET = 25_000
 
-BENCH_CONFIG = ExperimentConfig(max_instructions=BENCH_BUDGET)
-
 
 @pytest.fixture(scope="session")
-def suite_results(results_dir):
-    """Per-workload analysis results for the whole suite."""
-    run = default_runner().run(BENCH_CONFIG)
-    run.metrics.dump(results_dir / "runner_metrics.json")
-    return run.require()
+def paper_campaign():
+    """The paper suite as a one-variant campaign at BENCH_BUDGET."""
+    return run_campaign(paper_spec(max_instructions=BENCH_BUDGET))
 
 
 @pytest.fixture(scope="session")
@@ -39,16 +36,3 @@ def results_dir() -> Path:
     path = Path(__file__).parent / "results"
     path.mkdir(exist_ok=True)
     return path
-
-
-@pytest.fixture()
-def save_tables(results_dir):
-    """Writer that persists rendered tables under benchmarks/results/."""
-
-    def save(name: str, tables) -> None:
-        if not isinstance(tables, (list, tuple)):
-            tables = [tables]
-        text = "\n\n".join(table.render() for table in tables) + "\n"
-        (results_dir / f"{name}.txt").write_text(text)
-
-    return save

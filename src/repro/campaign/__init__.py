@@ -27,6 +27,7 @@ from repro.campaign.spec import (
     CampaignSpec,
     PredictorVariant,
     load_spec,
+    paper_spec,
     spec_from_dict,
 )
 
@@ -36,6 +37,7 @@ __all__ = [
     "PredictorVariant",
     "create_report",
     "load_spec",
+    "paper_spec",
     "plot_registry",
     "run_campaign",
     "spec_from_dict",

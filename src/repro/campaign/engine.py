@@ -36,6 +36,8 @@ class CampaignResult:
             computed); the reconciliation channel for asserting a
             re-run was fully warm.
         wall: engine wall-clock seconds for the grid.
+        profile: the sweep's profile (spans + counters) when the
+            runner observes, else None.
     """
 
     spec: CampaignSpec
@@ -44,6 +46,7 @@ class CampaignResult:
     )
     resolve_counts: dict[str, int] = field(default_factory=dict)
     wall: float = 0.0
+    profile: dict | None = None
 
     @property
     def pool_jobs(self) -> int:
@@ -98,6 +101,7 @@ def run_campaign(
         spec=spec,
         resolve_counts=dict(statuses),
         wall=wall,
+        profile=runs[0].metrics.profile if runs else None,
     )
     for variant, run in zip(spec.variants, runs):
         result.results[variant.name] = dict(run.results)

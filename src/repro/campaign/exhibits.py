@@ -1,13 +1,15 @@
 """Registry-driven campaign exhibits.
 
 Every exhibit is a function from a
-:class:`~repro.campaign.engine.CampaignResult` to either a
-:class:`~repro.report.tables.Table` (text) or an SVG document string
-(plot), registered by decorating it with :func:`table` or
-:func:`plot`.  The report writer iterates the registries mechanically
-— it has no idea which exhibits exist — so adding one is a single
-decorated function anywhere in this module (or a test/plugin module
-that imports it).
+:class:`~repro.campaign.engine.CampaignResult` to either text — one
+:class:`~repro.report.tables.Table` or a tuple of them — or an SVG
+document string (plot), registered by decorating it with
+:func:`table` or :func:`plot`.  The report writer and ``repro report``
+iterate the registries mechanically — they have no idea which
+exhibits exist — so adding one is a single decorated function
+anywhere in this module (or a test/plugin module that imports it).
+The paper's exhibits live in :mod:`repro.report.experiments` and are
+registered here.
 
 Plots are hand-rolled SVG: self-contained, deterministic, diffable,
 and free of plotting-library dependencies.
@@ -19,10 +21,13 @@ from typing import Callable
 
 from repro.campaign.engine import CampaignResult
 from repro.core.events import InKind
+from repro.report import experiments
 from repro.report.tables import Table, percentage
 
-#: exhibit name -> builder(result) -> Table
-table_registry: dict[str, Callable[[CampaignResult], Table]] = {}
+#: exhibit name -> builder(result) -> Table or tuple of Tables
+table_registry: dict[
+    str, Callable[[CampaignResult], Table | tuple[Table, ...]]
+] = {}
 #: exhibit name -> builder(result) -> SVG text
 plot_registry: dict[str, Callable[[CampaignResult], str]] = {}
 
@@ -35,6 +40,12 @@ def table(name: str):
         table_registry[name] = func
         return func
     return register
+
+
+def build_tables(name: str, campaign: CampaignResult) -> tuple[Table, ...]:
+    """The tables of exhibit ``name`` for ``campaign``, always a tuple."""
+    built = table_registry[name](campaign)
+    return built if isinstance(built, tuple) else (built,)
 
 
 def plot(name: str):
@@ -159,22 +170,16 @@ def summary_table(campaign: CampaignResult) -> Table:
     return out
 
 
-@table("graph-shape")
-def graph_shape_table(campaign: CampaignResult) -> Table:
-    """DPG shape per workload (variant-independent sanity columns)."""
-    out = Table(
-        f"{campaign.spec.name}: DPG shape per workload",
-        ["workload", "nodes", "arcs", "arcs/node", "static instrs"],
-    )
-    seen: set[str] = set()
-    for __, name, result in campaign.iter_cells():
-        if name in seen:
-            continue
-        seen.add(name)
-        out.add_row(name, result.nodes, result.arcs,
-                    result.edge_node_ratio(),
-                    result.static_instructions)
-    return out
+# The paper's exhibits, under the names ``repro report --exhibit`` takes.
+for _name, _builder in (
+    ("table1", experiments.table1), ("fig5", experiments.figure5),
+    ("fig6", experiments.figure6), ("fig7", experiments.figure7),
+    ("fig8", experiments.figure8), ("fig9", experiments.figure9),
+    ("fig10", experiments.figure10), ("fig11", experiments.figure11),
+    ("fig12", experiments.figure12), ("fig13", experiments.figure13),
+    ("critical", experiments.critical_points),
+):
+    table(_name)(_builder)
 
 
 # ----------------------------------------------------------------------

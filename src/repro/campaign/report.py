@@ -8,7 +8,8 @@ self-contained directory::
       index.md          overview + every table inlined
       campaign.json     machine-readable manifest (spec, cache stats,
                         emitted exhibit files)
-      tables/<name>.txt one file per table_registry entry
+      tables/<name>.txt one file per table_registry entry (all of
+                        the exhibit's tables, blank-line separated)
       plots/<name>.svg  one file per plot_registry entry
 
 The writer iterates the registries — it never names an exhibit — so
@@ -22,7 +23,11 @@ import json
 from pathlib import Path
 
 from repro.campaign.engine import CampaignResult
-from repro.campaign.exhibits import plot_registry, table_registry
+from repro.campaign.exhibits import (
+    build_tables,
+    plot_registry,
+    table_registry,
+)
 
 
 def create_report(campaign: CampaignResult,
@@ -39,7 +44,9 @@ def create_report(campaign: CampaignResult,
 
     tables: dict[str, str] = {}
     for name in sorted(table_registry):
-        rendered = table_registry[name](campaign).render()
+        rendered = "\n\n".join(
+            table.render() for table in build_tables(name, campaign)
+        )
         (out / "tables" / f"{name}.txt").write_text(rendered + "\n")
         tables[name] = rendered
     plots: list[str] = []

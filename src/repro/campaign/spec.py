@@ -35,9 +35,9 @@ try:
 except ImportError:  # pragma: no cover - Python 3.10
     tomllib = None
 
-from repro.predictors.base import validate_predictor_specs
+from repro.predictors.base import PREDICTOR_KINDS, validate_predictor_specs
 from repro.runner.job import ExperimentConfig
-from repro.workloads.suite import get_workload
+from repro.workloads.suite import SUITE, get_workload
 
 
 @dataclass(frozen=True)
@@ -121,6 +121,21 @@ class CampaignSpec:
                 for v in self.variants
             ],
         }
+
+
+def paper_spec(workloads: tuple[str, ...] | None = None, scale: int = 1,
+               max_instructions: int = 150_000) -> CampaignSpec:
+    """The paper's run as a one-variant campaign (``repro report``):
+    variant ``paper`` is the default :class:`ExperimentConfig` bank, so
+    its job keys are a plain ``repro run``'s."""
+    return CampaignSpec(
+        name="paper",
+        workloads=tuple(workloads or (w.name for w in SUITE)),
+        variants=(PredictorVariant("paper", PREDICTOR_KINDS),),
+        scale=scale,
+        max_instructions=max_instructions,
+        trees_for=("context",),
+    )
 
 
 def spec_from_dict(data: dict) -> CampaignSpec:

@@ -3,7 +3,8 @@
 Eleven subcommands over one shared flag vocabulary
 (``--jobs/--scale/--cache-dir/--no-cache``):
 
-* ``report`` — regenerate the paper's tables and figures;
+* ``report`` — regenerate the paper's tables and figures: the suite
+  runs as a one-variant campaign and the exhibit registry renders it;
 * ``run`` — run the experiment suite through the two-tier-cached
   orchestrator and print per-job status (``--profile`` records and
   prints a span/counter profile, see docs/observability.md;
@@ -555,61 +556,33 @@ def cmd_stats(parser, args) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_report(parser, args) -> int:
-    from repro.report import experiments
+    """Run the paper suite as a one-variant campaign and print the
+    selected registry exhibits (``all``: every one, sorted by name)."""
+    from repro.campaign import paper_spec, table_registry
+    from repro.campaign.exhibits import build_tables
 
-    exhibits = {
-        "table1": lambda results: [experiments.table1(results)],
-        "fig5": lambda results: [experiments.figure5(results)],
-        "fig6": lambda results: list(experiments.figure6(results)),
-        "fig7": lambda results: list(experiments.figure7(results)),
-        "fig8": lambda results: list(experiments.figure8(results)),
-        "fig9": lambda results: list(experiments.figure9(results)),
-        "fig10": lambda results: [experiments.figure10(results)],
-        "fig11": lambda results: list(experiments.figure11(results)),
-        "fig12": lambda results: [experiments.figure12(results)],
-        "fig13": lambda results: list(experiments.figure13(results)),
-        # Extension exhibits (not paper figures).
-        "critical": lambda results: [experiments.critical_points(results)],
-    }
-    if args.exhibit != "all" and args.exhibit not in exhibits:
+    if args.exhibit != "all" and args.exhibit not in table_registry:
         parser.error(f"unknown exhibit {args.exhibit!r}")
-
-    store, trace_store = _make_stores(args)
-    policy = _policy_from_args(
-        parser, args,
-        jobs=args.jobs if args.jobs is not None
-        else int(os.environ.get("REPRO_JOBS", "1")),
-    )
-    runner = ExperimentRunner(
-        store=store, trace_store=trace_store,
-        observe=args.profile,
-        policy=policy,
-    )
-    config = ExperimentConfig(
+    spec = paper_spec(
+        workloads=_workload_tuple(parser, args.workloads),
         scale=args.scale,
         max_instructions=args.max_instructions,
-        workloads=_workload_tuple(parser, args.workloads),
     )
-    start = time.time()
-    run = runner.run(config)
-    results = run.require()
-    names = sorted(exhibits) if args.exhibit == "all" else [args.exhibit]
+    campaign = _run_campaign(parser, args, spec)
+    if campaign is None:
+        return EXIT_JOB_FAILURE
+    names = (sorted(table_registry) if args.exhibit == "all"
+             else [args.exhibit])
     for name in names:
-        try:
-            tables = exhibits[name](results)
-        except (KeyError, ValueError) as error:
-            print(f"[{name} skipped: {error}]", file=sys.stderr)
-            continue
-        for table in tables:
+        for table in build_tables(name, campaign):
             print(table.render())
             print()
-    elapsed = time.time() - start
-    print(f"[analysed {len(results)} workloads in {elapsed:.1f}s]",
-          file=sys.stderr)
-    if run.metrics.profile is not None:
+    print(f"[analysed {len(spec.workloads)} workloads in "
+          f"{campaign.wall:.1f}s]", file=sys.stderr)
+    if campaign.profile is not None:
         # stderr: exhibit tables own stdout.
-        print(render_profile(run.metrics.profile), file=sys.stderr)
-    return 0
+        print(render_profile(campaign.profile), file=sys.stderr)
+    return EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -782,10 +755,36 @@ def cmd_gen(parser, args) -> int:
 # repro campaign
 # ----------------------------------------------------------------------
 
+def _run_campaign(parser, args, spec):
+    """Run ``spec`` over the flag-configured stores, policy and runner.
+
+    Shared by ``repro campaign`` and ``repro report``.  Returns the
+    :class:`~repro.campaign.CampaignResult`, or None (after printing
+    why) when the spec is invalid or a grid job failed.
+    """
+    from repro.campaign import run_campaign
+    from repro.errors import RunnerError
+
+    store, trace_store = _make_stores(args)
+    policy = _policy_from_args(
+        parser, args,
+        jobs=args.jobs if args.jobs is not None
+        else int(os.environ.get("REPRO_JOBS", "1")),
+    )
+    runner = ExperimentRunner(
+        store=store, trace_store=trace_store,
+        observe=getattr(args, "profile", False), policy=policy,
+    )
+    try:
+        return run_campaign(spec, runner=runner, jobs=args.jobs)
+    except (RunnerError, ValueError) as error:
+        print(f"campaign failed: {error}", file=sys.stderr)
+        return None
+
+
 def cmd_campaign(parser, args) -> int:
     """Run, report on, or validate a design-space campaign spec."""
-    from repro.campaign import create_report, load_spec, run_campaign
-    from repro.errors import RunnerError
+    from repro.campaign import create_report, load_spec
 
     try:
         spec = load_spec(args.spec)
@@ -805,19 +804,8 @@ def cmd_campaign(parser, args) -> int:
     if args.action == "report" and args.out is None:
         parser.error("campaign report requires --out DIR")
 
-    store, trace_store = _make_stores(args)
-    policy = _policy_from_args(
-        parser, args,
-        jobs=args.jobs if args.jobs is not None
-        else int(os.environ.get("REPRO_JOBS", "1")),
-    )
-    runner = ExperimentRunner(
-        store=store, trace_store=trace_store, policy=policy,
-    )
-    try:
-        campaign = run_campaign(spec, runner=runner, jobs=args.jobs)
-    except RunnerError as error:
-        print(f"campaign failed: {error}", file=sys.stderr)
+    campaign = _run_campaign(parser, args, spec)
+    if campaign is None:
         return EXIT_JOB_FAILURE
     resolution = ", ".join(
         f"{status}={count}" for status, count
@@ -1309,7 +1297,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regenerate the paper's tables and figures.",
     )
     report.add_argument("--exhibit", default="all",
-                        help="which exhibit to regenerate (default: all)")
+                        help="registry exhibit to print: table1, fig5 "
+                             "... fig13, critical, or a campaign table "
+                             "(default: all)")
     _add_suite_flags(report)
     _add_cache_flags(report)
     report.set_defaults(func=cmd_report)

@@ -1,14 +1,19 @@
-"""One function per paper exhibit (Table 1, Figures 5-13).
+"""The paper's exhibits (Table 1, Figures 5-13) as campaign builders.
 
-Every function takes the per-workload :class:`AnalysisResult` mapping
-produced by :func:`repro.api.run_suite` and renders the same rows/series the
-paper's figure plots.  Percentages follow the paper's convention: the
-y-axes of Figs. 5-9 are percentages of *total nodes plus arcs* of the
-workload's DPG; Fig. 12 is a percentage of dynamic instructions;
-Fig. 13 a percentage of dynamic conditional branches.
+Each builder takes a :class:`~repro.campaign.engine.CampaignResult`
+and returns one :class:`~repro.report.tables.Table` or a tuple of
+them; :mod:`repro.campaign.exhibits` registers them.  Series follow
+each variant's own predictor list (bare paper kinds read L/S/C).
+
+Percentages follow the paper's convention: the y-axes of Figs. 5-9
+are percentages of *total nodes plus arcs* of the workload's DPG;
+Fig. 12 is a percentage of dynamic instructions; Fig. 13 a percentage
+of dynamic conditional branches.
 """
 
 from __future__ import annotations
+
+import functools
 
 from repro.core import AnalysisResult
 from repro.core.events import (
@@ -19,9 +24,9 @@ from repro.core.events import (
     InKind,
     UseClass,
     gen_mask_name,
+    node_class_name,
 )
 from repro.core.stats import PredictorResult
-from repro.predictors.base import PREDICTOR_KINDS
 from repro.report.tables import (
     Table,
     bucket_label,
@@ -29,60 +34,100 @@ from repro.report.tables import (
     log2_bucket_edges,
     percentage,
 )
-# Re-exported for backwards compatibility: the config type moved to
-# the runner subsystem, which owns experiment execution.
-from repro.runner.job import ExperimentConfig  # noqa: F401
 from repro.workloads import get_workload
 
 #: Single-letter predictor labels in the paper's order.
 LETTERS = {"last": "L", "stride": "S", "context": "C"}
 
-
-def _kinds(results):
-    kinds = {}
-    for name in results:
-        kinds[name] = get_workload(name).kind
-    return kinds
+#: The workloads Figs. 10 and 11 plot, when the campaign runs them.
+FIG10_WORKLOAD = "gcc"
+FIG11_WORKLOADS = ("com", "go", "gcc")
 
 
-def _averaged_rows(results, row_fn):
-    """Yield per-workload rows plus INT/FLOAT average rows.
+def _label(spec: str) -> str:
+    return LETTERS.get(spec, spec)
 
-    ``row_fn(result) -> list[float]`` produces the numeric cells for
-    one workload; averages are arithmetic means of those percentages,
-    matching the paper's averaging.
+
+def _per_variant(build):
+    """Lift ``build(variant, results)`` to a campaign builder.
+
+    ``results`` is the variant's ``workload -> AnalysisResult`` map in
+    spec order.  The tables of every variant are concatenated; with
+    more than one variant each title names its variant.
     """
-    kinds = _kinds(results)
+    @functools.wraps(build)
+    def builder(campaign):
+        variants = campaign.spec.variants
+        tables = []
+        for variant in variants:
+            built = build(variant, campaign.results.get(variant.name, {}))
+            for table in built if isinstance(built, tuple) else (built,):
+                if len(variants) > 1:
+                    table.title += f" [variant {variant.name}]"
+                tables.append(table)
+        return tables[0] if len(tables) == 1 else tuple(tables)
+    return builder
+
+
+def _int_results(results) -> list[AnalysisResult]:
+    return [result for name, result in results.items()
+            if get_workload(name).kind == "int"]
+
+
+def _add_bank_rows(table, predictors, results, cell_fn,
+                   prop_total=False):
+    """One row per (workload, predictor), then INT/FLOAT averages.
+
+    ``cell_fn(result, pred) -> list[float]`` produces one predictor's
+    cells; averages are arithmetic means of those percentages,
+    matching the paper's averaging.  ``prop_total`` appends node plus
+    arc propagation (Fig. 5's cells 1 and 4).
+    """
     groups = {"int": [], "fp": []}
     rows = []
     for name, result in results.items():
-        cells = row_fn(result)
+        cells = [cell_fn(result, result.predictors[spec])
+                 for spec in predictors]
         rows.append((name, cells))
-        groups[kinds[name]].append(cells)
+        groups[get_workload(name).kind].append(cells)
     for label, key in (("INT", "int"), ("FLOAT", "fp")):
-        member_rows = groups[key]
-        if member_rows:
-            mean = [
-                sum(column) / len(member_rows)
-                for column in zip(*member_rows)
-            ]
-            rows.append((label, mean))
-    return rows
+        members = groups[key]
+        if members:
+            rows.append((label, [
+                [sum(column) / len(members) for column in zip(*chunks)]
+                for chunks in zip(*members)
+            ]))
+    for name, cells in rows:
+        for index, (spec, chunk) in enumerate(zip(predictors, cells)):
+            row = [name if index == 0 else "", _label(spec), *chunk]
+            if prop_total:
+                row.append(chunk[1] + chunk[4])
+            table.add_row(*row)
+
+
+def _mean(values) -> float:
+    values = list(values)
+    return sum(values) / len(values) if values else 0.0
 
 
 # ----------------------------------------------------------------------
 # Table 1.
 # ----------------------------------------------------------------------
 
-def table1(results) -> Table:
-    """Benchmark characteristics (paper Table 1)."""
+def table1(campaign) -> Table:
+    """Benchmark characteristics (paper Table 1).
+
+    The DPG does not depend on the predictor bank, so one table serves
+    every variant; it reads the first variant's results.
+    """
     table = Table(
         "Table 1: Benchmark characteristics (DPG statistics)",
         ["bench", "static", "nodes", "edges", "edges/node",
          "D-nodes %", "D-edges %"],
         float_format="{:.3f}",
     )
-    for name, result in results.items():
+    first = campaign.results[campaign.spec.variants[0].name]
+    for name, result in first.items():
         table.add_row(
             name,
             result.static_instructions,
@@ -124,7 +169,8 @@ def _behavior_cells(result: AnalysisResult, pred: PredictorResult):
     ]
 
 
-def figure5(results) -> Table:
+@_per_variant
+def figure5(variant, results) -> Table:
     """Overall node and arc predictability (paper Fig. 5)."""
     table = Table(
         "Figure 5: overall node/arc generation, propagation, termination"
@@ -132,89 +178,44 @@ def figure5(results) -> Table:
         ["bench", "pred", "node gen", "node prop", "node term",
          "arc gen", "arc prop", "arc term", "prop total"],
     )
-    for name, cells in _averaged_rows(
-        results, lambda r: _all_pred_cells(r, _behavior_cells)
-    ):
-        _emit_pred_rows(table, name, cells, per_pred=6, extra_total=(1, 4))
+    _add_bank_rows(table, variant.predictors, results, _behavior_cells,
+                   prop_total=True)
     table.add_note("paper: propagation dominates; 40-65% (INT) / "
                    "25-60% (FP) of nodes+arcs propagate; C > S > L")
     return table
-
-
-def _all_pred_cells(result: AnalysisResult, cell_fn):
-    cells = []
-    for kind in PREDICTOR_KINDS:
-        pred = result.predictors.get(kind)
-        if pred is not None:
-            cells.extend(cell_fn(result, pred))
-    return cells
-
-
-def _emit_pred_rows(table, name, cells, per_pred, extra_total=None):
-    """Split a flat averaged row back into one table row per predictor."""
-    for index, kind in enumerate(PREDICTOR_KINDS):
-        chunk = cells[index * per_pred:(index + 1) * per_pred]
-        if not chunk:
-            continue
-        row = [name if index == 0 else "", LETTERS[kind], *chunk]
-        if extra_total is not None:
-            node_prop_idx, arc_prop_idx = extra_total
-            row.append(chunk[node_prop_idx] + chunk[arc_prop_idx])
-        table.add_row(*row)
 
 
 # ----------------------------------------------------------------------
 # Figures 6-8: generation / propagation / termination detail.
 # ----------------------------------------------------------------------
 
-def _node_class_cells(kinds_out):
-    def cell_fn(result, pred):
-        elements = result.elements
-        return [
-            percentage(pred.nodes.count(kind, out), elements)
-            for kind, out in kinds_out
-        ]
-    return cell_fn
+def _detail_figure(variant, results, title, node_headers, node_kinds,
+                   arc_headers, arc_uses, xy):
+    node_out = xy == ARC_PP or xy == ARC_NP
+
+    def node_cells(result, pred):
+        return [percentage(pred.nodes.count(kind, node_out),
+                           result.elements) for kind in node_kinds]
+
+    def arc_cells(result, pred):
+        return [percentage(pred.arcs.count(use, xy), result.elements)
+                for use in arc_uses]
+
+    tables = []
+    for part, headers, cell_fn in (("nodes", node_headers, node_cells),
+                                   ("arcs", arc_headers, arc_cells)):
+        table = Table(f"{title} -- {part} (% of nodes+arcs)",
+                      ["bench", "pred", *headers])
+        _add_bank_rows(table, variant.predictors, results, cell_fn)
+        tables.append(table)
+    return tuple(tables)
 
 
-def _arc_class_cells(uses_xy):
-    def cell_fn(result, pred):
-        elements = result.elements
-        return [
-            percentage(pred.arcs.count(use, xy), elements)
-            for use, xy in uses_xy
-        ]
-    return cell_fn
-
-
-def _detail_figure(results, title, node_headers, node_kinds, arc_headers,
-                   arc_uses, xy):
-    node_table = Table(
-        f"{title} -- nodes (% of nodes+arcs)",
-        ["bench", "pred", *node_headers],
-    )
-    node_fn = _node_class_cells([(kind, xy == ARC_PP or xy == ARC_NP)
-                                 for kind in node_kinds])
-    for name, cells in _averaged_rows(
-        results, lambda r: _all_pred_cells(r, node_fn)
-    ):
-        _emit_pred_rows(node_table, name, cells, per_pred=len(node_kinds))
-    arc_table = Table(
-        f"{title} -- arcs (% of nodes+arcs)",
-        ["bench", "pred", *arc_headers],
-    )
-    arc_fn = _arc_class_cells([(use, xy) for use in arc_uses])
-    for name, cells in _averaged_rows(
-        results, lambda r: _all_pred_cells(r, arc_fn)
-    ):
-        _emit_pred_rows(arc_table, name, cells, per_pred=len(arc_uses))
-    return node_table, arc_table
-
-
-def figure6(results):
+@_per_variant
+def figure6(variant, results):
     """Generation detail (paper Fig. 6)."""
     node_table, arc_table = _detail_figure(
-        results,
+        variant, results,
         "Figure 6: generation",
         ["i,i->p", "n,n->p", "i,n->p"],
         [InKind.II, InKind.NN, InKind.IN],
@@ -230,10 +231,11 @@ def figure6(results):
     return node_table, arc_table
 
 
-def figure7(results):
+@_per_variant
+def figure7(variant, results):
     """Propagation detail (paper Fig. 7)."""
     node_table, arc_table = _detail_figure(
-        results,
+        variant, results,
         "Figure 7: propagation",
         ["p,p->p", "p,i->p", "p,n->p"],
         [InKind.PP, InKind.PI, InKind.PN],
@@ -248,10 +250,11 @@ def figure7(results):
     return node_table, arc_table
 
 
-def figure8(results):
+@_per_variant
+def figure8(variant, results):
     """Termination detail (paper Fig. 8)."""
     node_table, arc_table = _detail_figure(
-        results,
+        variant, results,
         "Figure 8: termination",
         ["p,n->n", "p,p->n", "p,i->n"],
         [InKind.PN, InKind.PP, InKind.PI],
@@ -270,69 +273,56 @@ def figure8(results):
 # Figure 9: path analysis.
 # ----------------------------------------------------------------------
 
-def figure9(results, top: int = 24):
+@_per_variant
+def figure9(variant, results, top: int = 24):
     """Generator-class contributions to propagation (paper Fig. 9).
 
-    Averages over the integer workloads in ``results``.
+    Averages over the integer workloads; the bottom table ranks the
+    exact combinations by the variant's last-listed predictor.
     """
-    kinds = _kinds(results)
-    int_results = [
-        result for name, result in results.items() if kinds[name] == "int"
-    ]
+    int_results = _int_results(results)
+    predictors = variant.predictors
     overall = Table(
         "Figure 9 (top): % of nodes+arcs on predictable paths from each "
         "generator class (INT average)",
         ["pred", *(cls.name for cls in GenClass)],
     )
-    for kind in PREDICTOR_KINDS:
-        row = [LETTERS[kind]]
-        for cls in GenClass:
-            shares = [
-                percentage(
-                    r.predictors[kind].paths.class_counts[cls], r.elements
-                )
-                for r in int_results if kind in r.predictors
-            ]
-            row.append(sum(shares) / len(shares) if shares else 0.0)
-        overall.add_row(*row)
+    for spec in predictors:
+        overall.add_row(_label(spec), *(
+            _mean(percentage(r.predictors[spec].paths.class_counts[cls],
+                             r.elements) for r in int_results)
+            for cls in GenClass
+        ))
     overall.add_note("paper: control flow (C) dominates (~45% of the DPG "
                      "for C prediction); immediates (I) second (~30%)")
 
-    # Bottom: exact combinations, top-N by the context predictor share.
+    # Bottom: exact combinations, top-N by the ranking predictor.
     combo_shares: dict[int, dict[str, float]] = {}
-    for kind in PREDICTOR_KINDS:
+    for spec in predictors:
         shares: dict[int, float] = {}
-        count = 0
         for result in int_results:
-            pred = result.predictors.get(kind)
-            if pred is None:
-                continue
-            count += 1
-            for mask, value in pred.paths.combo_counts.items():
+            counts = result.predictors[spec].paths.combo_counts
+            for mask, value in counts.items():
                 if mask:
                     shares[mask] = shares.get(mask, 0.0) + percentage(
                         value, result.elements
                     )
         for mask, total in shares.items():
-            combo_shares.setdefault(mask, {})[kind] = (
-                total / count if count else 0.0
-            )
+            combo_shares.setdefault(mask, {})[spec] = total / len(int_results)
     ranked = sorted(
         combo_shares,
-        key=lambda mask: combo_shares[mask].get("context", 0.0),
+        key=lambda mask: combo_shares[mask].get(predictors[-1], 0.0),
         reverse=True,
     )[:top]
     combos = Table(
         f"Figure 9 (bottom): top {top} generator combinations "
         "(% of nodes+arcs, INT average)",
-        ["combo", "L", "S", "C"],
+        ["combo", *map(_label, predictors)],
     )
     for mask in ranked:
         combos.add_row(
             gen_mask_name(mask),
-            combo_shares[mask].get("last", 0.0),
-            combo_shares[mask].get("stride", 0.0),
-            combo_shares[mask].get("context", 0.0),
+            *(combo_shares[mask].get(spec, 0.0) for spec in predictors),
         )
     combos.add_note("paper: C is the largest set (12-17%), then I (~10% "
                     "for L), CI and M close behind")
@@ -340,25 +330,47 @@ def figure9(results, top: int = 24):
 
 
 # ----------------------------------------------------------------------
-# Figure 10: predictability trees.
+# Figures 10-11: predictability trees.
 # ----------------------------------------------------------------------
 
-def figure10(results, workload: str = "gcc",
-             predictor: str = "context") -> Table:
+def _tree_inputs(variant, results, wanted):
+    """``(workloads, predictor, missing)`` for a tree exhibit: the
+    ``wanted`` workloads the campaign runs, the variant's first
+    tree-tracked predictor, and a note naming what is missing."""
+    workloads = [name for name in wanted if name in results]
+    if not workloads:
+        return workloads, None, (f"needs workload(s) {', '.join(wanted)},"
+                                 " not in this campaign")
+    predictor = next((spec for spec in variant.predictors
+                      if results[workloads[0]].predictors[spec].trees
+                      is not None), None)
+    if predictor is None:
+        return workloads, None, ("needs a tree-tracked predictor: the "
+                                 "campaign's trees_for names none of "
+                                 "this variant's predictors")
+    return workloads, predictor, None
+
+
+@_per_variant
+def figure10(variant, results) -> Table:
     """Tree longest-path and aggregate-propagation curves (Fig. 10)."""
-    result = results[workload]
-    trees = result.predictors[predictor].trees
-    if trees is None:
-        raise ValueError(f"tree tracking was not enabled for {predictor}")
+    __, predictor, missing = _tree_inputs(variant, results,
+                                          (FIG10_WORKLOAD,))
+    table = Table(
+        "Figure 10: predictability trees" + (
+            f" ({FIG10_WORKLOAD}, {predictor} predictor)" if predictor
+            else ""
+        ),
+        ["longest path <=", "% of generates", "% of aggregate propagation"],
+    )
+    if missing:
+        table.add_note(missing)
+        return table
+    trees = results[FIG10_WORKLOAD].predictors[predictor].trees
     maximum = max(trees.depth_hist) if trees.depth_hist else 1
     edges = log2_bucket_edges(max(maximum, 1))
     gen_curve = cumulative_percent(trees.depth_hist, edges)
     agg_curve = cumulative_percent(trees.agg_hist, edges)
-    table = Table(
-        f"Figure 10: predictability trees ({workload}, {predictor} "
-        "predictor)",
-        ["longest path <=", "% of generates", "% of aggregate propagation"],
-    )
     for edge, gen_pct, agg_pct in zip(edges, gen_curve, agg_curve):
         table.add_row(edge, gen_pct, agg_pct)
     table.add_note("paper: ~90% of generates have longest path <= 8, yet "
@@ -367,41 +379,37 @@ def figure10(results, workload: str = "gcc",
     return table
 
 
-# ----------------------------------------------------------------------
-# Figure 11: generates influencing a propagate; distances.
-# ----------------------------------------------------------------------
-
-def figure11(results, workloads=("com", "go", "gcc"),
-             predictor: str = "context"):
+@_per_variant
+def figure11(variant, results):
     """Influence counts and generate distances (paper Fig. 11)."""
+    workloads, predictor, missing = _tree_inputs(variant, results,
+                                                 FIG11_WORKLOADS)
+    suffix = f" ({predictor} predictor)" if predictor else ""
     influence = Table(
         "Figure 11 (top): cumulative % of propagates influenced by <= K "
-        f"generates ({predictor} predictor)",
+        f"generates{suffix}",
         ["K", *workloads],
     )
     distance = Table(
         "Figure 11 (bottom): cumulative % of propagates with farthest "
-        f"generate <= D elements away ({predictor} predictor)",
+        f"generate <= D elements away{suffix}",
         ["D", *workloads],
     )
-    hists = []
-    dist_hists = []
-    for name in workloads:
-        trees = results[name].predictors[predictor].trees
-        if trees is None:
-            raise ValueError(f"tree tracking was not enabled for {name}")
-        hists.append(trees.influence_hist)
-        dist_hists.append(trees.distance_hist)
-    max_influence = max((max(h) if h else 1) for h in hists)
-    edges = log2_bucket_edges(max(max_influence, 1))
-    curves = [cumulative_percent(h, edges) for h in hists]
-    for index, edge in enumerate(edges):
-        influence.add_row(edge, *(curve[index] for curve in curves))
-    max_distance = max((max(h) if h else 1) for h in dist_hists)
-    dist_edges = log2_bucket_edges(max(max_distance, 1))
-    dist_curves = [cumulative_percent(h, dist_edges) for h in dist_hists]
-    for index, edge in enumerate(dist_edges):
-        distance.add_row(edge, *(curve[index] for curve in dist_curves))
+    if missing:
+        influence.add_note(missing)
+        distance.add_note(missing)
+        return influence, distance
+    trees = [results[name].predictors[predictor].trees
+             for name in workloads]
+    for table, hists in (
+        (influence, [t.influence_hist for t in trees]),
+        (distance, [t.distance_hist for t in trees]),
+    ):
+        maximum = max((max(h) if h else 1) for h in hists)
+        edges = log2_bucket_edges(max(maximum, 1))
+        curves = [cumulative_percent(h, edges) for h in hists]
+        for index, edge in enumerate(edges):
+            table.add_row(edge, *(curve[index] for curve in curves))
     influence.add_note("paper: 70-85% of propagates influenced by < 4 "
                        "generates")
     distance.add_note("paper: ~50% of compress propagates within 64 "
@@ -419,34 +427,26 @@ SEQUENCE_BUCKETS = [(1, 1), (2, 2), (3, 4), (5, 8), (9, 16), (17, 32),
                     (33, 64), (65, 128), (129, 256), (257, 1 << 30)]
 
 
-def figure12(results) -> Table:
+@_per_variant
+def figure12(variant, results) -> Table:
     """Predictable sequence lengths (paper Fig. 12), INT average."""
-    kinds = _kinds(results)
-    int_results = [
-        result for name, result in results.items() if kinds[name] == "int"
-    ]
+    int_results = _int_results(results)
     table = Table(
         "Figure 12: % of instructions inside fully-predictable sequences, "
         "by sequence length (INT average)",
-        ["length", "L", "S", "C"],
+        ["length", *map(_label, variant.predictors)],
     )
     for low, high in SEQUENCE_BUCKETS:
         label = bucket_label(low, high) if high < (1 << 30) else f"{low}+"
-        row = [label]
-        for kind in PREDICTOR_KINDS:
-            shares = []
-            for result in int_results:
-                pred = result.predictors.get(kind)
-                if pred is None or pred.sequences is None:
-                    continue
-                in_bucket = sum(
-                    length * count
-                    for length, count in pred.sequences.lengths.items()
-                    if low <= length <= high
-                )
-                shares.append(percentage(in_bucket, result.nodes))
-            row.append(sum(shares) / len(shares) if shares else 0.0)
-        table.add_row(*row)
+        table.add_row(label, *(
+            _mean(percentage(
+                sum(length * count for length, count
+                    in r.predictors[spec].sequences.lengths.items()
+                    if low <= length <= high),
+                r.nodes,
+            ) for r in int_results)
+            for spec in variant.predictors
+        ))
     table.add_note("paper: long sequences common -- e.g. ~13% of "
                    "instructions in 9-16 blocks and ~40% in 9-256 "
                    "sequences for C")
@@ -457,49 +457,6 @@ def figure12(results) -> Table:
 # Figure 13: branch predictability.
 # ----------------------------------------------------------------------
 
-# ----------------------------------------------------------------------
-# Extension exhibit: critical points (not a paper figure; Section 1's
-# third stated application of the model).
-# ----------------------------------------------------------------------
-
-def critical_points(results, predictor: str = "context",
-                     top: int = 5) -> Table:
-    """Top termination sites per workload — the model's 'critical
-    points for prediction'."""
-    table = Table(
-        f"Critical points: top-{top} termination sites per workload "
-        f"({predictor} predictor)",
-        ["bench", "pc", "instruction", "executed", "terminated",
-         "miss %"],
-        float_format="{:.1f}",
-    )
-    for name, result in results.items():
-        critical = result.predictors[predictor].critical
-        if critical is None:
-            continue
-        listing = {
-            index: instr.render()
-            for index, instr in enumerate(
-                get_workload(name).program().instructions
-            )
-        }
-        concentration = critical.concentration(top)
-        sites = critical.top_sites(result.static_counts, count=top)
-        for index, site in enumerate(sites):
-            label = name if index == 0 else ""
-            table.add_row(
-                label, site.pc, listing.get(site.pc, "?"),
-                site.executions, site.terminations,
-                100.0 * site.miss_rate,
-            )
-        if sites:
-            table.add_note(
-                f"{name}: top-{top} sites cause "
-                f"{100 * concentration:.0f}% of terminations"
-            )
-    return table
-
-
 #: Paper's Fig. 13 x-axis, predicted classes first.
 FIG13_CLASSES = [
     (InKind.PP, True), (InKind.PI, True), (InKind.PN, True),
@@ -509,43 +466,69 @@ FIG13_CLASSES = [
 ]
 
 
-def figure13(results) -> Table:
-    """Branch predictability behaviour (paper Fig. 13), INT average."""
-    from repro.core.events import node_class_name
+@_per_variant
+def figure13(variant, results) -> Table:
+    """Branch predictability behaviour (paper Fig. 13), INT average.
 
-    kinds = _kinds(results)
-    int_results = [
-        result for name, result in results.items() if kinds[name] == "int"
-    ]
+    The gshare accuracy note reads the variant's first-listed
+    predictor (every bank sees the same gshare outcomes).
+    """
+    int_results = _int_results(results)
     table = Table(
         "Figure 13: branch classes, value-predicted inputs x gshare "
         "direction (% of branches, INT average)",
-        ["class", "L", "S", "C"],
+        ["class", *map(_label, variant.predictors)],
     )
     for kind_class, predicted in FIG13_CLASSES:
-        row = [node_class_name(kind_class, predicted)]
-        for kind in PREDICTOR_KINDS:
-            shares = []
-            for result in int_results:
-                pred = result.predictors.get(kind)
-                if pred is None or pred.branches is None:
-                    continue
-                shares.append(percentage(
-                    pred.branches.count(kind_class, predicted),
-                    pred.branches.total(),
-                ))
-            row.append(sum(shares) / len(shares) if shares else 0.0)
-        table.add_row(*row)
-    accuracies = [
-        result.predictors[PREDICTOR_KINDS[0]].branches.accuracy()
-        for result in int_results
-    ]
-    if accuracies:
-        table.add_note(
-            "gshare accuracy (INT average): "
-            f"{100 * sum(accuracies) / len(accuracies):.1f}% "
-            "(paper: 93%)"
-        )
+        table.add_row(node_class_name(kind_class, predicted), *(
+            _mean(percentage(r.predictors[spec].branches.count(
+                kind_class, predicted), r.predictors[spec].branches.total())
+                for r in int_results)
+            for spec in variant.predictors
+        ))
+    if int_results:
+        accuracy = _mean(r.predictors[variant.predictors[0]]
+                         .branches.accuracy() for r in int_results)
+        table.add_note(f"gshare accuracy (INT average): "
+                       f"{100 * accuracy:.1f}% (paper: 93%)")
     table.add_note("paper: 70-82% of branches propagate; slightly over "
                    "half of mispredictions have all-predictable inputs")
+    return table
+
+
+# ----------------------------------------------------------------------
+# Extension exhibit: critical points (not a paper figure; Section 1's
+# third stated application of the model).
+# ----------------------------------------------------------------------
+
+@_per_variant
+def critical_points(variant, results, top: int = 5) -> Table:
+    """Top termination sites per workload — the model's 'critical
+    points for prediction' — under the variant's last-listed
+    predictor."""
+    predictor = variant.predictors[-1]
+    table = Table(
+        f"Critical points: top-{top} termination sites per workload "
+        f"({predictor} predictor)",
+        ["bench", "pc", "instruction", "executed", "terminated",
+         "miss %"],
+        float_format="{:.1f}",
+    )
+    for name, result in results.items():
+        critical = result.predictors[predictor].critical
+        instructions = get_workload(name).program().instructions
+        concentration = critical.concentration(top)
+        sites = critical.top_sites(result.static_counts, count=top)
+        for index, site in enumerate(sites):
+            label = name if index == 0 else ""
+            table.add_row(
+                label, site.pc, instructions[site.pc].render(),
+                site.executions, site.terminations,
+                100.0 * site.miss_rate,
+            )
+        if sites:
+            table.add_note(
+                f"{name}: top-{top} sites cause "
+                f"{100 * concentration:.0f}% of terminations"
+            )
     return table

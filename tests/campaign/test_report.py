@@ -17,13 +17,16 @@ from repro.campaign.exhibits import (
     branch_accuracy_percent,
     predicted_node_percent,
 )
+from repro.core.events import InKind
+from repro.report.tables import percentage
 from repro.runner import ExperimentRunner, ResultStore, TraceStore
 
 _SPEC = {
     "name": "report-e2e",
     "scale": 1,
     "max_instructions": 20_000,
-    "workloads": ["gen:branchy@3", "gen:arith@5"],
+    "workloads": ["gen:branchy@3", "gen:arith@5", "gcc"],
+    "trees_for": ["context"],
     "variants": [
         {"name": "baseline", "predictors": ["last", "stride"]},
         {"name": "hybrid", "predictors": ["context", "stride"]},
@@ -57,11 +60,11 @@ def test_manifest_is_machine_readable(campaign, tmp_path):
     out = create_report(campaign, tmp_path / "report")
     manifest = json.loads((out / "campaign.json").read_text())
     assert manifest["campaign"]["name"] == "report-e2e"
-    assert manifest["grid_jobs"] == 4
+    assert manifest["grid_jobs"] == 6
     assert manifest["pool_jobs"] + sum(
         count for status, count in manifest["resolve_counts"].items()
         if status in ("memo-hit", "cache-hit")
-    ) == 4
+    ) == 6
     assert sorted(manifest["tables"]) == [
         f"tables/{name}.txt" for name in sorted(table_registry)
     ]
@@ -102,6 +105,42 @@ def test_metric_helpers_in_range(campaign):
             assert 0.0 <= nodes <= 100.0
             branches = branch_accuracy_percent(result, spec)
             assert branches is None or 0.0 <= branches <= 100.0
+
+
+def test_fig5_rows_carry_their_own_predictor(campaign):
+    """Rows follow the variant's bank: ``hybrid`` lists context first,
+    and its S rows hold stride's numbers, not context's."""
+    __, hybrid = table_registry["fig5"](campaign)
+    assert hybrid.title.endswith("[variant hybrid]")
+    rows = iter(hybrid.rows)
+    for name, result in campaign.results["hybrid"].items():
+        for label, spec in (("C", "context"), ("S", "stride")):
+            row = next(rows)
+            assert row[:2] == [name if label == "C" else "", label]
+            nodes = result.predictors[spec].nodes
+            propagated = sum(nodes.count(kind, True)
+                             for kind in (InKind.PP, InKind.PI, InKind.PN))
+            assert row[3] == pytest.approx(
+                percentage(propagated, result.elements)
+            )
+
+
+def test_paper_exhibits_render_per_variant(campaign):
+    """One table (or pair) per variant; the tree exhibits read the
+    campaign's tree-tracked predictor or say what they are missing."""
+    baseline, hybrid = table_registry["fig10"](campaign)
+    assert not baseline.rows
+    assert any("tree-tracked" in note for note in baseline.notes)
+    assert hybrid.title.startswith(
+        "Figure 10: predictability trees (gcc, context predictor)"
+    )
+    assert hybrid.rows[-1][1] == pytest.approx(100.0)
+    influence = table_registry["fig11"](campaign)[2]
+    assert influence.headers == ["K", "gcc"]
+    assert len(table_registry["fig9"](campaign)) == 4
+    critical = table_registry["critical"](campaign)
+    assert "(stride predictor)" in critical[0].title
+    assert "(stride predictor)" in critical[1].title
 
 
 def test_duplicate_registration_refused():

@@ -1,19 +1,23 @@
-"""Tests for the report layer: tables, experiments and the CLI."""
+"""Tests for the report layer: tables, the paper exhibits and the CLI.
+
+The paper exhibits are read through the campaign's exhibit registry,
+the one path ``repro report`` and campaign reports render them by.
+"""
+
+import dataclasses
 
 import pytest
 
 from repro.api import run_suite
-from repro.report import (
-    ExperimentConfig,
-    figure5,
-    figure6,
-    figure9,
-    figure10,
-    figure11,
-    figure12,
-    figure13,
-    table1,
+from repro.campaign import (
+    CampaignResult,
+    PredictorVariant,
+    paper_spec,
+    run_campaign,
+    table_registry,
 )
+from repro.campaign.exhibits import build_tables
+from repro.report.experiments import SEQUENCE_BUCKETS
 from repro.report.tables import (
     Table,
     bucket_label,
@@ -23,12 +27,18 @@ from repro.report.tables import (
 )
 
 #: Small budget keeps this module fast; results are cached in-process.
-CONFIG = ExperimentConfig(max_instructions=8_000)
+SPEC = paper_spec(max_instructions=8_000)
+CONFIG = SPEC.configs()[0]
 
 
 @pytest.fixture(scope="module")
-def results():
-    return run_suite(CONFIG)
+def campaign():
+    return run_campaign(SPEC)
+
+
+def exhibit(name, campaign):
+    """The registry builder's output for ``name``."""
+    return table_registry[name](campaign)
 
 
 class TestTableRendering:
@@ -69,28 +79,36 @@ class TestTableRendering:
 
 
 class TestExperiments:
-    def test_table1_covers_suite(self, results):
-        table = table1(results)
+    def test_table1_covers_suite(self, campaign):
+        table = exhibit("table1", campaign)
         assert len(table.rows) == 12
+        assert table.headers == ["bench", "static", "nodes", "edges",
+                                 "edges/node", "D-nodes %", "D-edges %"]
         for row in table.rows:
             assert row[2] > 0 and row[3] > 0  # nodes, edges
 
-    def test_figure5_percentages_bounded(self, results):
-        table = figure5(results)
+    def test_figure5_percentages_bounded(self, campaign):
+        table = exhibit("fig5", campaign)
+        # 12 workloads + INT + FLOAT averages, one row per predictor.
+        assert len(table.rows) == (12 + 2) * 3
         for row in table.rows:
             for cell in row[2:]:
                 assert 0.0 <= cell <= 100.0
 
-    def test_figure5_has_averages(self, results):
-        table = figure5(results)
+    def test_figure5_has_averages(self, campaign):
+        table = exhibit("fig5", campaign)
         first_column = [row[0] for row in table.rows]
         assert "INT" in first_column and "FLOAT" in first_column
 
-    def test_figure6_detail_sums_to_overall(self, results):
+    def test_figure6_detail_sums_to_overall(self, campaign):
         """Figure 6's arc generation classes partition Figure 5's
         arc-generation total."""
-        overall = figure5(results)
-        __, arc_detail = figure6(results)
+        overall = exhibit("fig5", campaign)
+        node_detail, arc_detail = exhibit("fig6", campaign)
+        assert node_detail.headers[2:] == ["i,i->p", "n,n->p", "i,n->p"]
+        assert arc_detail.headers[2:] == [
+            "<wl:n,p>", "<rd:n,p>", "<r:n,p>", "<1:n,p>"
+        ]
         for overall_row, detail_row in zip(overall.rows, arc_detail.rows):
             assert overall_row[0] == detail_row[0]
             assert overall_row[1] == detail_row[1]
@@ -98,8 +116,11 @@ class TestExperiments:
             detail_total = sum(detail_row[2:])
             assert detail_total == pytest.approx(arc_gen, abs=1e-9)
 
-    def test_figure9_combo_counts_bounded(self, results):
-        overall, combos = figure9(results)
+    def test_figure9_combo_counts_bounded(self, campaign):
+        overall, combos = exhibit("fig9", campaign)
+        assert overall.headers[1:] == ["C", "D", "W", "I", "N", "M"]
+        assert len(overall.rows) == 3
+        assert combos.headers == ["combo", "L", "S", "C"]
         for row in combos.rows:
             for cell in row[1:]:
                 assert 0.0 <= cell <= 100.0
@@ -108,23 +129,50 @@ class TestExperiments:
         for column in (1, 2, 3):
             assert sum(row[column] for row in combos.rows) <= 100.0
 
-    def test_figure10_curves_cumulative(self, results):
-        table = figure10(results, "gcc", "context")
+    def test_figure10_curves_cumulative(self, campaign):
+        table = exhibit("fig10", campaign)
+        assert "(gcc, context predictor)" in table.title
         gens = [row[1] for row in table.rows]
-        assert gens == sorted(gens)
+        aggs = [row[2] for row in table.rows]
+        assert gens == sorted(gens) and aggs == sorted(aggs)
         assert gens[-1] == pytest.approx(100.0)
+        assert aggs[-1] == pytest.approx(100.0)
 
-    def test_figure11_requires_trees(self, results):
-        with pytest.raises(ValueError, match="tree tracking"):
-            figure11(results, workloads=("com",), predictor="last")
+    def test_figure11_requires_trees(self, campaign):
+        """Without a tree-tracked predictor (or without com/go/gcc),
+        Fig. 11 names the missing input instead of raising."""
+        influence, distance = exhibit("fig11", campaign)
+        assert influence.headers == ["K", "com", "go", "gcc"]
+        for row in influence.rows:
+            for cell in row[1:]:
+                assert 0.0 <= cell <= 100.0
+        untracked = run_campaign(dataclasses.replace(
+            paper_spec(workloads=("com",), max_instructions=2_000),
+            trees_for=(),
+        ))
+        for table in exhibit("fig11", untracked):
+            assert not table.rows
+            assert any("tree-tracked" in note for note in table.notes)
+        no_inputs = CampaignResult(
+            spec=dataclasses.replace(SPEC, workloads=("ijp",)),
+            results={"paper": {"ijp": campaign.results["paper"]["ijp"]}},
+        )
+        for table in exhibit("fig11", no_inputs):
+            assert not table.rows
+            assert any("com, go, gcc" in note for note in table.notes)
 
-    def test_figure12_bucket_structure(self, results):
-        table = figure12(results)
+    def test_figure12_bucket_structure(self, campaign):
+        table = exhibit("fig12", campaign)
+        assert len(table.rows) == len(SEQUENCE_BUCKETS)
         assert table.rows[0][0] == "1"
         assert table.rows[-1][0] == "257+"
+        # Bucket shares cannot exceed 100% of instructions in total.
+        for column in (1, 2, 3):
+            assert sum(row[column] for row in table.rows) <= 100.0 + 1e-9
 
-    def test_figure13_partitions_branches(self, results):
-        table = figure13(results)
+    def test_figure13_partitions_branches(self, campaign):
+        table = exhibit("fig13", campaign)
+        assert len(table.rows) == 12
         for column in (1, 2, 3):
             assert sum(row[column] for row in table.rows) == pytest.approx(
                 100.0
@@ -159,52 +207,74 @@ class TestCli:
         assert code == 0
         assert "Figure 12" in capsys.readouterr().out
 
+    def test_cli_all_prints_every_registered_table(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.runner import ExperimentRunner, ResultStore, TraceStore
+
+        workloads = ("com", "go", "gcc", "swm")
+        cache = tmp_path / "cache"
+        code = main([
+            "report", "--exhibit", "all", "--workloads", ",".join(workloads),
+            "--max-instructions", "2000", "--cache-dir", str(cache),
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        warm = run_campaign(
+            paper_spec(workloads=workloads, max_instructions=2_000),
+            runner=ExperimentRunner(store=ResultStore(cache),
+                                    trace_store=TraceStore(cache)),
+        )
+        assert warm.fully_warm
+        for name in table_registry:
+            for table in build_tables(name, warm):
+                assert table.title in out, name
+
 
 class TestDetailConsistency:
     """Figures 6-8 must partition Figure 5's aggregate bars exactly."""
 
-    def test_figure7_nodes_partition_propagation(self, results):
-        from repro.report import figure7
-
-        overall = figure5(results)
-        node_detail, __ = figure7(results)
+    def test_figure7_nodes_partition_propagation(self, campaign):
+        overall = exhibit("fig5", campaign)
+        node_detail, __ = exhibit("fig7", campaign)
+        assert node_detail.headers[2:] == ["p,p->p", "p,i->p", "p,n->p"]
         for overall_row, detail_row in zip(overall.rows, node_detail.rows):
             node_prop = overall_row[3]
             assert sum(detail_row[2:]) == pytest.approx(node_prop)
 
-    def test_figure7_arcs_partition_propagation(self, results):
-        from repro.report import figure7
-
-        overall = figure5(results)
-        __, arc_detail = figure7(results)
+    def test_figure7_arcs_partition_propagation(self, campaign):
+        overall = exhibit("fig5", campaign)
+        __, arc_detail = exhibit("fig7", campaign)
         for overall_row, detail_row in zip(overall.rows, arc_detail.rows):
             arc_prop = overall_row[6]
             # wl + r + 1 use classes; rd:p,p cannot exist (D arcs are
             # <n,*>), so the three classes cover everything.
             assert sum(detail_row[2:]) == pytest.approx(arc_prop)
 
-    def test_figure8_nodes_partition_termination(self, results):
-        from repro.report import figure8
-
-        overall = figure5(results)
-        node_detail, __ = figure8(results)
+    def test_figure8_nodes_partition_termination(self, campaign):
+        overall = exhibit("fig5", campaign)
+        node_detail, __ = exhibit("fig8", campaign)
+        assert node_detail.headers[2:] == ["p,n->n", "p,p->n", "p,i->n"]
         for overall_row, detail_row in zip(overall.rows, node_detail.rows):
             node_term = overall_row[4]
             assert sum(detail_row[2:]) == pytest.approx(node_term)
 
-    def test_figure8_arcs_partition_termination(self, results):
-        from repro.report import figure8
-
-        overall = figure5(results)
-        __, arc_detail = figure8(results)
+    def test_figure8_arcs_partition_termination(self, campaign):
+        overall = exhibit("fig5", campaign)
+        __, arc_detail = exhibit("fig8", campaign)
         for overall_row, detail_row in zip(overall.rows, arc_detail.rows):
             arc_term = overall_row[7]
             assert sum(detail_row[2:]) == pytest.approx(arc_term)
 
-    def test_critical_points_exhibit(self, results):
-        from repro.report import critical_points
-
-        table = critical_points(results, predictor="stride", top=3)
+    def test_critical_points_exhibit(self, campaign):
+        """``critical`` ranks by the variant's last-listed predictor."""
+        stride_last = CampaignResult(
+            spec=dataclasses.replace(SPEC, variants=(
+                PredictorVariant("paper", ("context", "stride")),
+            )),
+            results=campaign.results,
+        )
+        table = exhibit("critical", stride_last)
+        assert "(stride predictor)" in table.title
         assert table.rows
         # miss % column bounded.
         for row in table.rows:

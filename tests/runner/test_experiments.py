@@ -7,7 +7,8 @@ import pytest
 from repro import api
 from repro.cli import main as cli_main
 from repro.errors import RunnerError
-from repro.report.experiments import figure5, figure9, table1
+from repro.campaign import CampaignResult, paper_spec
+from repro.campaign.exhibits import build_tables
 from repro.runner import (
     ExecutionPolicy,
     ExperimentConfig,
@@ -93,13 +94,19 @@ class TestParallelRunner:
         runner = ExperimentRunner(store=ResultStore(tmp_path),
                                   policy=ExecutionPolicy(jobs=2))
         parallel = runner.run(SMALL).require()
-        assert table1(serial).render() == table1(parallel).render()
-        assert figure5(serial).render() == figure5(parallel).render()
+        spec = paper_spec(workloads=SMALL.workloads,
+                          max_instructions=SMALL.max_instructions)
         # Figure 9 breaks ranking ties by Counter insertion order: the
         # store round trip must preserve it, not just the counts.
-        for serial_table, parallel_table in zip(figure9(serial),
-                                                figure9(parallel)):
-            assert serial_table.render() == parallel_table.render()
+        for name in ("table1", "fig5", "fig9"):
+            serial_text, parallel_text = (
+                [table.render() for table in build_tables(
+                    name, CampaignResult(spec=spec,
+                                         results={"paper": results}),
+                )]
+                for results in (serial, parallel)
+            )
+            assert serial_text == parallel_text
 
     def test_parallel_without_store_uses_scratch_transport(self):
         runner = ExperimentRunner(store=None,
