@@ -1,8 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast bench bench-smoke kernel-parity shard-parity \
-        service-smoke qos-smoke campaign-smoke fleet-smoke clean-cache
+.PHONY: test test-fast bench bench-smoke perfbench-check kernel-parity \
+        shard-parity service-smoke qos-smoke campaign-smoke fleet-smoke clean-cache
 
 ## Tier-1 verification: the full test suite.
 test:
@@ -21,6 +21,12 @@ bench:
 ## sweep is not >= 3x faster than cold.
 bench-smoke:
 	$(PYTHON) benchmarks/bench_runner.py
+
+## perfbench's self-tests (outside `testpaths`): its metric plumbing,
+## and that every layer site it wraps still exists in the program, so
+## a refactor of src that drops a wrapped function fails here.
+perfbench-check:
+	$(PYTHON) -m pytest -q perfbench/test_perfbench.py
 
 ## Columnar-kernel parity gate: the predictor slices against the
 ## oracle's predictors, the differential test suites (fast fuzz tier

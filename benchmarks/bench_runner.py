@@ -290,20 +290,35 @@ def smoke(output_path=None) -> dict:
     def phase_breakdown(runs) -> dict:
         """Per-phase wall seconds from a sweep's recorded profile.
 
-        ``store`` sums the four store span kinds; ``trace.encode`` is
-        nested inside ``store.trace.put`` so it is reported separately
-        rather than added to the store total.
+        ``store`` sums the four store span kinds (``trace.encode``,
+        nested inside ``store.trace.put``, included) minus the decode
+        nested inside ``store.trace.get``, which is reported as
+        ``trace_decode``.  ``columnize`` is the capture path's
+        ``TraceColumns`` build, outside every store span.
         """
-        totals = aggregate_spans(runs[0].metrics.profile["spans"])
+        spans = runs[0].metrics.profile["spans"]
+        totals = aggregate_spans(spans)
         wall = lambda name: totals.get(name, {}).get("wall", 0.0)  # noqa: E731
+
+        def nested_decode(nodes, in_get=False) -> float:
+            return sum(
+                (node.get("wall", 0.0)
+                 if in_get and node["name"] == "trace.decode" else 0.0)
+                + nested_decode(node.get("children", ()),
+                                in_get or node["name"] == "store.trace.get")
+                for node in nodes
+            )
+
+        decode = nested_decode(spans)
         return {
             "simulate": round(wall("simulate"), 3),
-            "trace_decode": round(wall("trace.decode"), 3),
+            "columnize": round(wall("trace.columnize"), 3),
+            "trace_decode": round(decode, 3),
             "analyze": round(wall("analyze"), 3),
             "store": round(
                 wall("store.result.get") + wall("store.result.put")
                 + wall("store.trace.get") + wall("store.trace.put")
-                - wall("trace.decode"), 3
+                - decode, 3
             ),
         }
 

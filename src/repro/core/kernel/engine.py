@@ -19,13 +19,18 @@ The work is organised as batched passes instead of per-record dispatch:
    ``Y`` and per-record ``O``/``U``/``I``/``X`` byte columns with
    big-integer bitwise arithmetic (each byte holds one element's
    per-bank bits, so shifts below 8 never carry across elements;
-   :func:`assemble_bits`, shared with the segments);
+   :func:`assemble_bits`, shared with the segments).  The serial
+   engine assembles once per branch predictor over every spec of the
+   call (up to 8 per assembly, one lane each) and each bank reads its
+   spec's lane, whatever tuple holds it (:func:`_assemble`);
 3. **classification** — a composite byte per (record, bank) encoding
    (has_p, has_n, has_imm, out_p, has_out, is_branch, has_src) is
    mapped through precomputed 256-entry ``bytes.translate`` tables and
    tallied with ``collections.Counter`` at C speed
    (:func:`bank_tallies`, then :func:`bank_result`; a segment runs the
-   first and the merge the second); run-length stats come from
+   first and the merge the second, and the serial engine tallies each
+   bank's records once per call, merging budget ranges in ascending
+   order, :func:`_run_banks`); run-length stats come from
    splitting the translated selector on zero bytes, which visits runs
    in stream order so Counter insertion order (part of the export
    contract) matches the streaming trackers;
@@ -33,7 +38,12 @@ The work is organised as batched passes instead of per-record dispatch:
    (each value's influence feeds its consumers'), so it remains a
    Python loop (:class:`ResumableWalk`, shared with the segment
    merge), but one that touches only predicted arcs and reads
-   precomputed byte columns instead of driving five predictors;
+   precomputed byte columns instead of driving five predictors.  Its
+   inputs are prefix-closed, so one walk per (spec, branch predictor,
+   tracked, ``gen_cap``) runs per call, to the largest budget asked of
+   it, with a snapshot at each smaller one; untracked banks read a
+   tracked walk of their spec when one reaches their budget
+   (:func:`_run_walks`);
 5. **arcs** — a per-budget use-class byte column packed with each
    bank's X and Y bits turns the 4x4 ``ArcStats`` table into sixteen
    ``bytes.count`` calls.
@@ -45,6 +55,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from dataclasses import replace
 from itertools import compress, count, islice, repeat
 
 from repro.core.arcs import ArcGroupTable
@@ -123,10 +134,11 @@ _NODE_GC = {int(InKind.II): 3, int(InKind.NN): 4, int(InKind.IN): 5}
 
 # ----------------------------------------------------------------------
 # Bit assembly: per-bank hit streams -> Y/O/U/I byte columns, shared by
-# the serial engine (one span, cached per (specs, branch predictor) on
-# the columns object) and by each segment (repro.core.shard).  Each
-# caller adds its own X step: X is the producer's O byte, and only the
-# serial engine has every producer's O byte at hand.
+# the serial engine (one assembly per branch predictor over every spec
+# of the call, cut into per-spec lanes by _assemble) and by each segment
+# (repro.core.shard).  Each caller adds its own X step: X is the
+# producer's O byte, and only the serial engine has every producer's O
+# byte at hand.
 # ----------------------------------------------------------------------
 
 def _ones(n: int) -> int:
@@ -141,6 +153,9 @@ def assemble_bits(columns, in_hits, out_hits, br_hits, m, A):
     and the ``ov_idx`` subset), ``br_hits`` the direction predictor's
     (over ``br_idx``); any of them may run past the budget.
     """
+    recorder = get_recorder()
+    if recorder.enabled:
+        recorder.count("analyze.assemble.calls", 1)
     nk = len(in_hits)
     full_mask = (1 << nk) - 1
     # Per-arc Y: each arc's byte holds every bank's input-hit bit.
@@ -196,28 +211,61 @@ def assemble_bits(columns, in_hits, out_hits, br_hits, m, A):
     return yb, out, union, inter
 
 
-def _derived(columns, specs, br_kind, br_bits, m, A):
-    key = ("derived", specs, br_kind, br_bits)
-    cached = columns._pred_cache.get(key)
-    if cached is not None and cached["m"] >= m:
-        return cached
+#: Banks one assembly holds: each byte carries one bit (lane) per bank.
+_LANES = 8
+
+
+def _assemble(columns, specs, br_kind, br_bits, m) -> dict:
+    """Each spec's bit lanes under one branch predictor, over at least
+    the first ``m`` records: ``{spec: {"y", "x", "comp"}}`` (``specs``
+    without repeats).
+
+    A bank's Y/O/U/I/X bits depend only on its spec and the branch
+    predictor, never on the tuple holding it, and are prefix-closed.
+    So one :func:`assemble_bits` call per group of at most ``_LANES``
+    specs, at the largest budget, serves every tuple and budget: each
+    spec reads its own lane (shift and mask) as ``y`` and ``x`` (0/1
+    per arc) and ``comp``, its composite byte per record.  Cached on
+    the columns object per branch predictor; a larger budget rebuilds
+    the lanes it is asked for.
+    """
+    key = ("lanes", br_kind, br_bits)
+    entry = columns._pred_cache.get(key)
+    if entry is None or entry["m"] < m:
+        entry = {"m": m, "lanes": {}}
+        columns._pred_cache[key] = entry
+    lanes = entry["lanes"]
+    todo = [spec for spec in specs if spec not in lanes]
+    if not todo:
+        return lanes
+    m = entry["m"]
+    A = columns.src_start[m]
     ov_cnt = bisect_left(columns.ov_idx, m)
-    yb, out, union, inter = assemble_bits(
-        columns,
-        [columns.input_hits(spec, A) for spec in specs],
-        [columns.output_hits(spec, ov_cnt) for spec in specs],
-        columns.branch_hits(br_kind, br_bits,
-                            bisect_left(columns.br_idx, m)),
-        m, A,
-    )
-    # Per-arc X: the producer's O byte.  D arcs have producer -1, which
-    # reads the zero byte padded onto the end of O.
-    padded_out = bytes(out) + b"\x00"
-    x = bytes(map(padded_out.__getitem__, islice(columns.src_prod, A)))
-    entry = {"m": m, "A": A, "yb": yb, "out": out,
-             "union": union, "inter": inter, "x": x}
-    columns._pred_cache[key] = entry
-    return entry
+    br_hits = columns.branch_hits(br_kind, br_bits,
+                                  bisect_left(columns.br_idx, m))
+    ones_a = _ones(A)
+    for g in range(0, len(todo), _LANES):
+        group = todo[g:g + _LANES]
+        yb, out, union, inter = assemble_bits(
+            columns,
+            [columns.input_hits(spec, A) for spec in group],
+            [columns.output_hits(spec, ov_cnt) for spec in group],
+            br_hits, m, A,
+        )
+        # Per-arc X: the producer's O byte.  D arcs have producer -1,
+        # which reads the zero byte padded onto the end of O.
+        padded_out = bytes(out) + b"\x00"
+        x = bytes(map(padded_out.__getitem__, islice(columns.src_prod, A)))
+        y_v = int.from_bytes(yb, "little")
+        x_v = int.from_bytes(x, "little")
+        comps = composites(columns, out, union, inter, m, len(group))
+        for lane, (spec, comp) in enumerate(zip(group, comps)):
+            lanes[spec] = {
+                "y": ((y_v >> lane) & ones_a).to_bytes(A, "little"),
+                "x": ((x_v >> lane) & ones_a).to_bytes(A, "little"),
+                "comp": comp,
+            }
+    return lanes
 
 
 def _comp_base(columns, m):
@@ -271,7 +319,8 @@ def _run_lengths(selector: bytes) -> SequenceStats:
 
 # ----------------------------------------------------------------------
 # Bank tallies: a bank's composite bytes -> additive tallies -> its
-# PredictorResult.  The serial engine runs both steps on one span; a
+# PredictorResult.  The serial engine tallies the budget ranges of a
+# call in ascending order and runs the second step at each budget; a
 # segment runs the first, and the merge folds segments' tallies in
 # stream order (merge_tallies) before running the second.
 # ----------------------------------------------------------------------
@@ -374,11 +423,14 @@ def count_analysis(recorder, specs, preds, m: int, A: int) -> None:
 class ResumableWalk:
     """The generator-influence walk (PathTracker, array-ported).
 
-    The serial engine calls :meth:`feed` once with the whole budget;
-    the segment merge (:class:`repro.core.shard.SegmentMerge`) calls it
-    once per segment, in order.  Masks, sets and distances index
+    The serial engine feeds one walk over the shared columns in
+    ascending budget steps (``r0`` is where the previous step stopped)
+    and snapshots it with :meth:`finalize` at each budget; the segment
+    merge (:class:`repro.core.shard.SegmentMerge`) feeds it each
+    segment's local columns, in order.  Masks, sets and distances index
     records globally and survive across calls, so a walk split at any
-    record boundary builds the same tallies as one unsplit walk.
+    record boundary builds the same tallies as one unsplit walk, and a
+    snapshot at a cut equals a fresh walk stopped there.
 
     Order-sensitive tallies (combo_counts and the tree histograms
     export in first-seen order) are collected as plain lists in stream
@@ -407,11 +459,15 @@ class ResumableWalk:
             self.inf_list = []
             self.dist_list = []
 
-    def feed(self, m, starts, ybk, xbk, prods, gcol, codes) -> None:
+    def feed(self, m, starts, ybk, xbk, prods, gcol, codes,
+             r0: int = 0) -> None:
+        """Walk records ``r0`` to ``m`` (``ybk`` and the other columns
+        may run past them)."""
         gen_counts = self.gen_counts
         node_gc = _NODE_GC
+        a0 = starts[r0]
         end = starts[m]
-        pred_idx = list(compress(count(), ybk))
+        pred_idx = list(compress(count(a0), memoryview(ybk)[a0:end]))
         pred_idx.append(end)  # sentinel: never < any record bound
         count_mask = self.counted.append
         masks = self.masks
@@ -429,7 +485,7 @@ class ResumableWalk:
             count_dist = self.dist_list.append
             empty = _EMPTY_SET
             truncated = self.truncated
-            for r in range(m):
+            for r in range(r0, m):
                 b = starts[r + 1]
                 cur_mask = 0
                 cur_set = empty
@@ -516,7 +572,7 @@ class ResumableWalk:
                         store_dist(0)
             self.truncated = truncated
         else:
-            for r in range(m):
+            for r in range(r0, m):
                 b = starts[r + 1]
                 cur_mask = 0
                 while nxt < b:
@@ -546,15 +602,23 @@ class ResumableWalk:
                         gen_counts[gc] += 1
                         store_mask(1 << gc)
 
-    def finalize(self) -> tuple[PathStats, TreeStats | None]:
+    def path_stats(self) -> PathStats:
+        """The paths tallies of the records fed so far (a detached copy:
+        later feeds leave it unchanged)."""
         stats = PathStats()
-        stats.gen_counts = self.gen_counts
+        stats.gen_counts = list(self.gen_counts)
         stats.propagate_elements = len(self.counted)
         stats.combo_counts.update(self.counted)
         class_counts = stats.class_counts
         for mask, n in stats.combo_counts.items():
             for bit in _MASK_BITS[mask]:
                 class_counts[bit] += n
+        return stats
+
+    def finalize(self) -> tuple[PathStats, TreeStats | None]:
+        """Paths and (when tracked) tree tallies of the records fed so
+        far; a snapshot, so the walk may be fed further afterwards."""
+        stats = self.path_stats()
         if not self.track_trees:
             return stats, None
         trees = TreeStats()
@@ -608,139 +672,10 @@ def fold_arcs(counts, use_v: int, xk: int, yk: int, n_arcs: int) -> None:
 
 def analyze_columns(columns, config, name="trace", profile_counts=None,
                     static_counts=None) -> AnalysisResult:
-    """Analyse one budget-sliced view of ``columns`` under ``config``.
-
-    Equivalent to feeding the first ``config.max_instructions`` records
-    through a reference :class:`~repro.core.analysis.Analyzer`.  The
-    caller is responsible for engine resolution (this function assumes
-    the config is columnar-supported) and for the enclosing
-    ``"analyze"`` span.
-    """
-    cfg = config
-    m = _budget(columns, cfg)
-    A = columns.src_start[m]
-    n_static = columns.n_static
-    specs = cfg.predictors
-    nk = len(specs)
-    recorder = get_recorder()
-
-    with recorder.span("analyze.kernel.banks"):
-        derived = _derived(
-            columns, specs, cfg.branch_predictor, cfg.gshare_bits, m, A
-        )
-
-    with recorder.span("analyze.kernel.classify"):
-        yb = derived["yb"][:A]
-        out_col = derived["out"]
-        union_col = derived["union"]
-        inter_col = derived["inter"]
-        x_col = derived["x"]
-        if derived["m"] > m:
-            out_col = out_col[:m]
-            union_col = union_col[:m]
-            inter_col = inter_col[:m]
-            x_col = x_col[:A]
-        y_v = int.from_bytes(yb, "little")
-        x_v = int.from_bytes(x_col, "little")
-        ones_a = _ones(A)
-
-        if static_counts is None:
-            final_counts = columns.counts_for(m)
-        else:
-            final_counts = static_counts
-        gcol = (
-            columns.genclass_so_far() if profile_counts is None
-            else columns.genclass_profiled(profile_counts)
-        )
-
-        result = AnalysisResult(
-            name=name,
-            nodes=m,
-            arcs=A,
-            d_nodes=len(set(columns.d_ids[:columns.d_prefix[m]])),
-            d_arcs=columns.d_prefix[m],
-            static_instructions=n_static,
-            static_counts=list(final_counts),
-        )
-
-        # --- per-bank composite classification -------------------------
-        # Everything a bank's PredictorResult contains derives from its
-        # composite stream (plus spec-determined hit columns and
-        # columns-determined layout), so a finished result can be cached
-        # on the columns object keyed by (spec, comp, tracking flags)
-        # and reused verbatim when another config in the sweep runs the
-        # same bank — e.g. a single-bank ablation of the default tuple.
-        # External per-PC counts change gcol / final_counts without
-        # touching the key, so those calls bypass the cache entirely.
-        comp_list = composites(columns, out_col, union_col, inter_col,
-                               m, nk)
-        cacheable = profile_counts is None and static_counts is None
-        bank_cache = columns._pred_cache
-        preds = []
-        bank_keys = [None] * nk
-        fresh = []
-        for k, comp in enumerate(comp_list):
-            if cacheable:
-                tracked = specs[k] in cfg.trees_for
-                bkey = (
-                    "bankres", specs[k], comp,
-                    cfg.track_ops, cfg.track_branches,
-                    cfg.track_sequences, cfg.track_unpred,
-                    cfg.track_critical, cfg.track_paths,
-                    tracked, cfg.gen_cap if tracked else None,
-                )
-                cached = bank_cache.get(bkey)
-                if cached is not None:
-                    preds.append(cached)
-                    continue
-                bank_keys[k] = bkey
-            fresh.append(k)
-            preds.append(bank_result(
-                specs[k],
-                bank_tallies(comp, cfg, columns.op_index, columns.pc),
-                cfg, columns.ops, n_static,
-            ))
-
-    # --- paths ----------------------------------------------------------
-    if cfg.track_paths:
-        with recorder.span("analyze.kernel.paths"):
-            for k in fresh:
-                walk = ResumableWalk(specs[k] in cfg.trees_for, cfg.gen_cap)
-                walk.feed(
-                    m, columns.src_start,
-                    ((y_v >> k) & ones_a).to_bytes(A, "little"),
-                    ((x_v >> k) & ones_a).to_bytes(A, "little"),
-                    columns.src_prod, gcol,
-                    comp_list[k].translate(_NODE_T),
-                )
-                preds[k].paths, preds[k].trees = walk.finalize()
-
-    # --- arcs -----------------------------------------------------------
-    if fresh:
-        with recorder.span("analyze.kernel.arcs"):
-            use_v = (bank_cache.get(("use_class", m))
-                     if static_counts is None else None)
-            if use_v is None:
-                group_keys = columns.group_key
-                use_v = use_class_column(
-                    group_keys if A == len(group_keys)
-                    else group_keys[:A],
-                    final_counts, n_static,
-                )
-                if static_counts is None:
-                    bank_cache[("use_class", m)] = use_v
-            for k in fresh:
-                fold_arcs(preds[k].arcs.counts, use_v,
-                          (x_v >> k) & ones_a, (y_v >> k) & ones_a, A)
-
-    if cacheable:
-        for k in fresh:
-            bank_cache[bank_keys[k]] = preds[k]
-
-    count_analysis(recorder, specs, preds, m, A)
-    for pred in preds:
-        result.predictors[pred.kind] = pred
-    return result
+    """Analyse one budget-sliced view of ``columns`` under ``config``:
+    the one-config call of :func:`analyze_columns_many`."""
+    return analyze_columns_many(columns, [config], name, profile_counts,
+                                static_counts)[0]
 
 
 def _budget(columns, config) -> int:
@@ -751,40 +686,235 @@ def _budget(columns, config) -> int:
     return min(config.max_instructions, n_records)
 
 
-def _warm_largest(columns, configs) -> None:
-    """Assemble each bank tuple's derived columns once, at the largest
-    budget any config in ``configs`` gives it.
+def _warm_largest(columns, configs) -> dict:
+    """Assemble every spec's lanes once per branch predictor, at the
+    largest budget any config gives that predictor:
+    ``{(branch_predictor, gshare_bits): lanes}`` (see :func:`_assemble`).
 
     Largest budget first, so each spec's predictor passes (shared by
-    every tuple holding the spec) also run once, at the largest budget
+    both branch predictors' lanes) also run once, at the largest budget
     the call needs.  Both are prefix-closed: every smaller budget
     slices them instead of recomputing, whatever order the configs
     come in.
     """
     need: dict = {}
     for cfg in configs:
-        key = (cfg.predictors, cfg.branch_predictor, cfg.gshare_bits)
-        need[key] = max(need.get(key, 0), _budget(columns, cfg))
-    for (specs, kind, bits), m in sorted(need.items(),
-                                         key=lambda item: -item[1]):
-        _derived(columns, specs, kind, bits, m, columns.src_start[m])
+        key = (cfg.branch_predictor, cfg.gshare_bits)
+        m, specs = need.get(key, (0, {}))
+        specs.update(dict.fromkeys(cfg.predictors))
+        need[key] = (max(m, _budget(columns, cfg)), specs)
+    return {
+        (kind, bits): _assemble(columns, specs, kind, bits, m)
+        for (kind, bits), (m, specs) in sorted(
+            need.items(), key=lambda item: -item[1][0])
+    }
+
+
+def _walk_key(cfg, spec) -> tuple:
+    """The walk a config's bank reads its paths from: (spec, branch
+    predictor, index bits, tracked, gen_cap when tracked)."""
+    tracked = spec in cfg.trees_for
+    return (spec, cfg.branch_predictor, cfg.gshare_bits, tracked,
+            cfg.gen_cap if tracked else None)
+
+
+def _run_walks(columns, configs, lanes, snapshots: dict,
+               profile_counts) -> None:
+    """Add to ``snapshots`` every ``(walk key, budget) -> (paths,
+    trees)`` the configs' banks need and it lacks.
+
+    One walk per (spec, branch predictor, tracked, gen_cap) runs to
+    the largest budget asked of it, fed in ascending budget order and
+    snapshotted (:meth:`ResumableWalk.finalize`) at each budget: every
+    walk input is prefix-closed.  A walk's masks, ``counted`` list and
+    ``gen_counts`` do not depend on tree tracking or ``gen_cap``, so an
+    untracked budget rides on a tracked walk of the same bank that
+    reaches it.
+    """
+    plan: dict = {}  # walk key -> {budget: keys served at that cut}
+    for cfg in configs:
+        if cfg.track_paths:
+            m = _budget(columns, cfg)
+            for spec in cfg.predictors:
+                key = _walk_key(cfg, spec)
+                if (key, m) not in snapshots:
+                    plan.setdefault(key, {})[m] = {key}
+    for key in [key for key in plan if not key[3]]:
+        hosts = [host for host in plan if host[3] and host[:3] == key[:3]]
+        for m in list(plan[key]):
+            host = next((host for host in hosts if max(plan[host]) >= m),
+                        None)
+            if host is not None:
+                plan[host].setdefault(m, set()).add(key)
+                del plan[key][m]
+        if not plan[key]:
+            del plan[key]
+    if not plan:
+        return
+    gcol = (
+        columns.genclass_so_far() if profile_counts is None
+        else columns.genclass_profiled(profile_counts)
+    )
+    starts = columns.src_start
+    prods = columns.src_prod
+    recorder = get_recorder()
+    for key, cuts in plan.items():
+        spec, kind, bits, tracked, gen_cap = key
+        lane = lanes[(kind, bits)][spec]
+        codes = lane["comp"].translate(_NODE_T)
+        walk = ResumableWalk(tracked, gen_cap)
+        r0 = 0
+        for m in sorted(cuts):
+            walk.feed(m, starts, lane["y"], lane["x"], prods, gcol, codes,
+                      r0)
+            r0 = m
+            served = cuts[m]
+            paths, trees = (walk.finalize() if key in served
+                            else (walk.path_stats(), None))
+            for want in served:
+                snapshots[(want, m)] = (paths, trees if want[3] else None)
+        if recorder.enabled:
+            recorder.count("analyze.walk.records."
+                           + ("tracked" if tracked else "untracked"), r0)
+
+
+def _bank_key(cfg, spec, m) -> tuple:
+    """A bank result's key: (spec, branch predictor, index bits, the
+    tally flags, budget).  It holds no tree flags: paths and trees come
+    from the walk snapshots."""
+    return (spec, cfg.branch_predictor, cfg.gshare_bits, cfg.track_ops,
+            cfg.track_branches, cfg.track_sequences, cfg.track_unpred,
+            cfg.track_critical, m)
+
+
+def _final_counts(columns, m, static_counts):
+    return columns.counts_for(m) if static_counts is None else static_counts
+
+
+def _run_banks(columns, configs, lanes, banks: dict,
+               static_counts) -> None:
+    """Add to ``banks`` every bank result (all of a
+    :class:`PredictorResult` but its paths and trees) the configs need
+    and it lacks.
+
+    A bank's tallies add over record ranges (:func:`merge_tallies`, as
+    the segment merge uses), so each (spec, branch predictor, tally
+    flags) tallies its records once, in ascending budget order, with a
+    :func:`bank_result` at each budget.  The arc fold needs each
+    budget's final counts, so it runs per budget.
+    """
+    plan: dict = {}  # key minus budget -> (a config, budgets)
+    for cfg in configs:
+        m = _budget(columns, cfg)
+        for spec in cfg.predictors:
+            key = _bank_key(cfg, spec, m)
+            if key not in banks:
+                plan.setdefault(key[:-1], (cfg, set()))[1].add(m)
+    recorder = get_recorder()
+    n_static = columns.n_static
+    for key, (cfg, budgets) in plan.items():
+        spec = key[0]
+        lane = lanes[(cfg.branch_predictor, cfg.gshare_bits)][spec]
+        fresh = []
+        with recorder.span("analyze.kernel.classify"):
+            totals: dict = {}
+            r0 = 0
+            for m in sorted(budgets):
+                merge_tallies(totals, bank_tallies(
+                    lane["comp"][r0:m], cfg,
+                    memoryview(columns.op_index)[r0:m], columns.pc[r0:m],
+                ))
+                r0 = m
+                fresh.append((m, bank_result(spec, totals, cfg,
+                                             columns.ops, n_static)))
+        with recorder.span("analyze.kernel.arcs"):
+            for m, pred in fresh:
+                A = columns.src_start[m]
+                fold_arcs(pred.arcs.counts,
+                          _use_class(columns, m, static_counts),
+                          int.from_bytes(memoryview(lane["x"])[:A],
+                                         "little"),
+                          int.from_bytes(memoryview(lane["y"])[:A],
+                                         "little"),
+                          A)
+                banks[key + (m,)] = pred
+
+
+def _use_class(columns, m, static_counts) -> int:
+    """The use-class column of the first ``m`` records' arcs, cached
+    per budget unless ``static_counts`` overrides the final counts."""
+    use_v = (columns._pred_cache.get(("use_class", m))
+             if static_counts is None else None)
+    if use_v is None:
+        A = columns.src_start[m]
+        group_keys = columns.group_key
+        use_v = use_class_column(
+            group_keys if A == len(group_keys) else group_keys[:A],
+            _final_counts(columns, m, static_counts), columns.n_static,
+        )
+        if static_counts is None:
+            columns._pred_cache[("use_class", m)] = use_v
+    return use_v
 
 
 def analyze_columns_many(columns, configs, name="trace",
                          profile_counts=None,
                          static_counts=None) -> list[AnalysisResult]:
-    """Analyse ``columns`` under many configs, sharing bank passes.
+    """Analyse ``columns`` under many configs, doing per-spec work once.
 
-    Hit streams (and the derived bit columns) are cached on the columns
-    object keyed by predictor spec and computed up front at the largest
-    budget the call needs, so configs that share specs pay for each
-    predictor pass once — the multi-config analogue of the reference
-    path's ``analyze_many`` single decode.
+    Equivalent to feeding each config's first ``max_instructions``
+    records through a reference :class:`~repro.core.analysis.Analyzer`.
+    Predictor passes and bit lanes are built up front at the largest
+    budget the call needs (:func:`_warm_largest`); then each walk
+    (:func:`_run_walks`) and each bank's tallies (:func:`_run_banks`)
+    run once, to the largest budget that reads them, with a snapshot
+    at each smaller one — the multi-config analogue of the reference
+    path's ``analyze_many`` single decode.  Lanes, walk snapshots and
+    bank results are cached on the columns object.  The caller is
+    responsible for engine resolution (every config must be
+    columnar-supported) and for the enclosing ``"analyze"`` span.
+
+    External per-PC counts (``profile_counts`` / ``static_counts``)
+    change the generate classes and use classes without entering any
+    cache key, so such calls share walks and banks only among their own
+    configs and never read or write those two caches.
     """
-    with get_recorder().span("analyze.kernel.banks"):
-        _warm_largest(columns, configs)
-    return [
-        analyze_columns(columns, config, name, profile_counts,
-                        static_counts)
-        for config in configs
-    ]
+    recorder = get_recorder()
+    with recorder.span("analyze.kernel.banks"):
+        lanes = _warm_largest(columns, configs)
+    cache = columns._pred_cache
+    if profile_counts is None and static_counts is None:
+        snapshots = cache.setdefault("walks", {})
+        banks = cache.setdefault("banks", {})
+    else:
+        snapshots, banks = {}, {}
+    if any(cfg.track_paths for cfg in configs):
+        with recorder.span("analyze.kernel.paths"):
+            _run_walks(columns, configs, lanes, snapshots, profile_counts)
+    _run_banks(columns, configs, lanes, banks, static_counts)
+
+    results = []
+    for cfg in configs:
+        m = _budget(columns, cfg)
+        preds = []
+        for spec in cfg.predictors:
+            pred = banks[_bank_key(cfg, spec, m)]
+            if cfg.track_paths:
+                paths, trees = snapshots[(_walk_key(cfg, spec), m)]
+                pred = replace(pred, paths=paths, trees=trees)
+            preds.append(pred)
+        A = columns.src_start[m]
+        count_analysis(recorder, cfg.predictors, preds, m, A)
+        result = AnalysisResult(
+            name=name,
+            nodes=m,
+            arcs=A,
+            d_nodes=len(set(columns.d_ids[:columns.d_prefix[m]])),
+            d_arcs=columns.d_prefix[m],
+            static_instructions=columns.n_static,
+            static_counts=list(_final_counts(columns, m, static_counts)),
+        )
+        for pred in preds:
+            result.predictors[pred.kind] = pred
+        results.append(result)
+    return results

@@ -257,10 +257,9 @@ def _resolve_trace(name: str, config: ExperimentConfig,
             _log.warning("trace store write failed (%s); continuing "
                          "without the stored trace", error)
     recorder = get_recorder()
-    with recorder.span("trace.decode"):
+    with recorder.span("trace.columnize"):
         columns = TraceColumns.from_records(records, n_static)
-    recorder.count("trace.decode.records", columns.n_records)
-    recorder.count("trace.decode.columnar", 1)
+    recorder.count("trace.columnize.records", columns.n_records)
     if stored_ok:
         trace_store.memoize_columns(
             key,

@@ -25,6 +25,7 @@ from repro.core import (
 )
 from repro.core.export import result_to_dict
 from repro.core.kernel import TraceColumns, columnar_unsupported
+from repro.core.kernel.engine import _NODE_T, ResumableWalk, _assemble
 from repro.gen import generated_workload
 from repro.obs import Recorder, recording
 from repro.workloads import SUITE, get_workload
@@ -161,10 +162,38 @@ def test_analyze_many_identical(tmp_path):
         AnalysisConfig(predictors=("stride",), trees_for=(),
                        max_instructions=BUDGET),
     ]
-    for configs in (mixed, sweep):
+    # Shaped like perfbench's replay sweep, to pin the per-call
+    # sharing: context walked tracked at two caps and untracked, from
+    # different bank tuples; budgets out of order; a second gshare
+    # size; and ten distinct specs under the default branch predictor,
+    # so its lanes split into two assembly groups.
+    lasts = tuple(f"last(bits={bits})" for bits in range(6, 13))
+    shared = [
+        AnalysisConfig(predictors=("stride", "context"), gen_cap=4,
+                       max_instructions=BUDGET // 2),
+        AnalysisConfig(predictors=("context",), trees_for=(),
+                       max_instructions=BUDGET),
+        AnalysisConfig(predictors=("last", "context"), gen_cap=16,
+                       max_instructions=BUDGET // 4),
+        AnalysisConfig(predictors=("context", "stride"), gen_cap=4,
+                       max_instructions=BUDGET),
+        AnalysisConfig(predictors=lasts[:4], trees_for=lasts[:1],
+                       max_instructions=BUDGET // 2),
+        AnalysisConfig(predictors=lasts[4:], trees_for=(),
+                       max_instructions=BUDGET // 4),
+        AnalysisConfig(predictors=("context", "last"), trees_for=(),
+                       gshare_bits=10, max_instructions=BUDGET // 2),
+        AnalysisConfig(predictors=("context",), gen_cap=16,
+                       gshare_bits=10, max_instructions=BUDGET),
+    ]
+    assert len(records) >= BUDGET
+    for configs in (mixed, sweep, shared):
         reference = analyze_reference(records, n_static, configs,
                                       name="com")
-        columnar = analyze_many(records, n_static, configs, name="com")
+        recorder = Recorder()
+        with recording(recorder):
+            columnar = analyze_many(records, n_static, configs,
+                                    name="com")
         assert ([_dump(r) for r in columnar]
                 == [_dump(r) for r in reference])
         segmented = [
@@ -174,6 +203,49 @@ def test_analyze_many_identical(tmp_path):
         ]
         assert ([_dump(r) for r in segmented]
                 == [_dump(r) for r in reference])
+    # The shared sweep's walks: context/4 to the full budget (its half
+    # budget and the untracked full one ride on it), context/16 to a
+    # quarter, last(bits=6)/64 to a half, and under gshare_bits=10
+    # context/16 to the full budget (serving untracked context at a
+    # half).  Untracked: stride to the full budget, last to a quarter,
+    # three last(bits=..) to a half, three to a quarter, and last to a
+    # half under gshare_bits=10.
+    counters = recorder.snapshot()["counters"]
+    assert counters["analyze.walk.records.tracked"] == (
+        BUDGET + BUDGET // 4 + BUDGET // 2 + BUDGET)
+    assert counters["analyze.walk.records.untracked"] == (
+        BUDGET + BUDGET // 4 + 3 * (BUDGET // 2) + 3 * (BUDGET // 4)
+        + BUDGET // 2)
+    # Ten specs under gshare/16 fill two groups of at most 8 lanes;
+    # gshare/10 holds two.
+    assert counters["analyze.assemble.calls"] == 3
+
+
+def test_walk_snapshot_is_detached():
+    """A finalized snapshot survives further feeds unchanged and equals
+    a fresh walk cut at the same record."""
+    records, n_static = _trace_of("com")
+    columns = TraceColumns.from_records(records, n_static)
+    lane = _assemble(columns, ("context",), "gshare", 16, BUDGET)["context"]
+    codes = lane["comp"].translate(_NODE_T)
+    gcol = columns.genclass_so_far()
+
+    def walk_to(cut, track_trees, resume_to=None):
+        walk = ResumableWalk(track_trees, 8)
+        walk.feed(cut, columns.src_start, lane["y"], lane["x"],
+                  columns.src_prod, gcol, codes)
+        snapshot = walk.finalize()
+        before = repr(snapshot)
+        if resume_to is not None:
+            walk.feed(resume_to, columns.src_start, lane["y"], lane["x"],
+                      columns.src_prod, gcol, codes, cut)
+        return snapshot, before
+
+    for track_trees in (False, True):
+        snapshot, before = walk_to(BUDGET // 3, track_trees,
+                                   resume_to=BUDGET)
+        fresh, __ = walk_to(BUDGET // 3, track_trees)
+        assert repr(snapshot) == before == repr(fresh)
 
 
 def test_columns_accepted_by_both_engines():

@@ -44,6 +44,18 @@ def _config() -> ExperimentConfig:
     return ExperimentConfig(workloads=WORKLOADS, max_instructions=BUDGET)
 
 
+def _span_names(profile) -> set:
+    names = set()
+
+    def walk(spans) -> None:
+        for span in spans:
+            names.add(span["name"])
+            walk(span.get("children", ()))
+
+    walk(profile["spans"])
+    return names
+
+
 class TestProfileReconciliation:
     def test_cold_run_counters_match_metrics(self, tmp_path):
         run = _runner(tmp_path, observe=True).run(_config())
@@ -108,6 +120,31 @@ class TestProfileReconciliation:
         assert "trace.decode" in {s["name"] for c in root["children"]
                                   for s in c["children"]} | child_names
         assert "simulate" not in child_names
+
+    def test_cold_run_columnizes_and_replay_decodes(self, tmp_path):
+        cold = _runner(tmp_path, observe=True).run(_config())
+        assert not cold.failures
+        counters = cold.metrics.profile["counters"]
+        names = _span_names(cold.metrics.profile)
+        # A capture builds columns from the records it just simulated;
+        # nothing is decoded.
+        assert "trace.columnize" in names
+        assert "trace.decode" not in names
+        assert counters["trace.columnize.records"] == \
+            BUDGET * len(WORKLOADS)
+        assert not any(name.startswith("trace.decode")
+                       for name in counters)
+        replay = _runner(tmp_path, observe=True).run(
+            ExperimentConfig(workloads=WORKLOADS,
+                             max_instructions=BUDGET - 500))
+        assert not replay.failures
+        counters = replay.metrics.profile["counters"]
+        names = _span_names(replay.metrics.profile)
+        assert "trace.decode" in names
+        assert "trace.columnize" not in names
+        assert counters["trace.decode.records"] == BUDGET * len(WORKLOADS)
+        assert not any(name.startswith("trace.columnize")
+                       for name in counters)
 
     def test_hits_are_counted_without_work(self, tmp_path):
         runner = _runner(tmp_path, observe=True)

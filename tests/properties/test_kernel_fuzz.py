@@ -72,6 +72,28 @@ def _variant_for(seed: int) -> AnalysisConfig:
     )
 
 
+def _sibling_for(seed: int, config: AnalysisConfig) -> AnalysisConfig:
+    """A second config from ``seed`` whose bank tuple overlaps
+    ``config``'s in one spec, with that spec's tree tracking flipped
+    and another ``gen_cap``: in one ``analyze_many`` call the two share
+    the spec's bit lanes and its walk (a tracked walk serves the
+    untracked bank's budgets it reaches)."""
+    rng = random.Random(0x5EED ^ seed)
+    shared = rng.choice(config.predictors)
+    others = [spec for spec in _SPEC_POOL if spec not in config.predictors]
+    predictors = [shared, *rng.sample(others, rng.randint(0, 3))]
+    rng.shuffle(predictors)
+    return dataclasses.replace(
+        config,
+        predictors=tuple(predictors),
+        trees_for=() if shared in config.trees_for else (shared,),
+        gen_cap=rng.choice([cap for cap in (2, 8, 64)
+                            if cap != config.gen_cap]),
+        track_paths=True,
+        max_instructions=rng.choice((200, BUDGET)),
+    )
+
+
 def _check_seed(seed: int, directory) -> None:
     presets = sorted(PRESETS)
     preset = presets[seed % len(presets)]
@@ -90,9 +112,11 @@ def _check_seed(seed: int, directory) -> None:
     )
     # One multi-config call, smallest budget first: the predictor
     # passes shared by both configs run once, at the larger budget,
-    # and the smaller analysis reads a prefix of them.
-    sweep = [dataclasses.replace(config, max_instructions=budget)
-             for budget in (200, BUDGET)]
+    # and the smaller analysis reads a prefix of them.  The sibling
+    # shares one spec's lanes and walk with them.
+    sweep = [dataclasses.replace(config, max_instructions=200),
+             _sibling_for(seed, config),
+             dataclasses.replace(config, max_instructions=BUDGET)]
     assert ([json.dumps(result_to_dict(result)) for result in
              analyze_many(records, n_static, sweep, name=preset)]
             == [json.dumps(result_to_dict(result)) for result in
