@@ -51,6 +51,18 @@ SWEEP_CONFIGS = (
 
 JOBS = int(os.environ.get("REPRO_BENCH_JOBS", str(os.cpu_count() or 1)))
 
+#: The counters naming the analysis kernel's work in a sweep (see
+#: docs/observability.md): equal on a cold and a trace-warm sweep of
+#: the same configs, whatever the timings.
+KERNEL_WORK = (
+    "analyze.passes",
+    "analyze.assemble.calls",
+    "analyze.walk.records.tracked",
+    "analyze.walk.records.untracked",
+    "analyze.walk.sets",
+    "analyze.walk.expanded",
+)
+
 #: Segment-parallel smoke: one large stored trace, serial vs sharded
 #: replay.  ~1e6 records is the paper-scale regime the segment index
 #: was designed for; ``REPRO_PARALLEL_RECORDS`` shrinks it for quick
@@ -267,7 +279,8 @@ def smoke(output_path=None) -> dict:
 
     The cold and trace-warm sweeps run under an observing runner
     (:mod:`repro.obs`); the per-phase wall-time breakdown lands in the
-    report's ``phases.columnar`` section.  ``reference_analyze`` times
+    report's ``phases.columnar`` section, and the kernel-work counters
+    of both sweeps in ``kernel_work``.  ``reference_analyze`` times
     the reference oracle (:func:`repro.core.analyze_reference`) over
     the cold sweep's stored traces, and
     ``speedup.analyze_columnar_vs_reference`` compares it with the
@@ -283,7 +296,7 @@ def smoke(output_path=None) -> dict:
     from pathlib import Path
 
     from repro.core import analyze_reference
-    from repro.obs import aggregate_spans
+    from repro.obs import aggregate_spans, decode_labels
     from repro.runner import Job, trace_key
     from repro.workloads import SUITE
 
@@ -294,9 +307,12 @@ def smoke(output_path=None) -> dict:
         nested inside ``store.trace.put``, included) minus the decode
         nested inside ``store.trace.get``, which is reported as
         ``trace_decode``.  ``columnize`` is the capture path's
-        ``TraceColumns`` build, outside every store span.
+        ``TraceColumns`` build, outside every store span.  ``gc`` is
+        the cyclic collector's pause time; collections run inside the
+        other phases, so it is their share, not one more phase.
         """
-        spans = runs[0].metrics.profile["spans"]
+        profile = runs[0].metrics.profile
+        spans = profile["spans"]
         totals = aggregate_spans(spans)
         wall = lambda name: totals.get(name, {}).get("wall", 0.0)  # noqa: E731
 
@@ -310,6 +326,10 @@ def smoke(output_path=None) -> dict:
             )
 
         decode = nested_decode(spans)
+        gc_pause = sum(
+            value for name, value in profile["counters"].items()
+            if decode_labels(name)[0] == "gc.pause_s"
+        )
         return {
             "simulate": round(wall("simulate"), 3),
             "columnize": round(wall("trace.columnize"), 3),
@@ -320,10 +340,18 @@ def smoke(output_path=None) -> dict:
                 + wall("store.trace.get") + wall("store.trace.put")
                 - decode, 3
             ),
+            "gc": round(gc_pause, 3),
         }
+
+    def kernel_work(runs) -> dict:
+        """The kernel-work counters of a sweep's profile: what the
+        columnar kernel did, independent of timing."""
+        counters = runs[0].metrics.profile["counters"]
+        return {name: counters.get(name, 0) for name in KERNEL_WORK}
 
     timings = {}
     phases = {}
+    work = {}
 
     def timed(label, fn):
         start = time.perf_counter()
@@ -338,6 +366,7 @@ def smoke(output_path=None) -> dict:
             observe=True,
         )))
         phases["columnar"] = {"cold": phase_breakdown(cold)}
+        work["cold"] = kernel_work(cold)
         trace_warm_runner = ExperimentRunner(
             store=ResultStore(scratch / "fresh-results"),
             trace_store=TraceStore(scratch),
@@ -349,6 +378,7 @@ def smoke(output_path=None) -> dict:
             for run in trace_warm for metric in run.metrics.jobs
         )
         phases["columnar"]["trace_warm"] = phase_breakdown(trace_warm)
+        work["trace_warm"] = kernel_work(trace_warm)
 
     def reference_analyze(scratch: Path) -> float:
         """The oracle's analyze wall over the cold sweep's traces.
@@ -418,6 +448,7 @@ def smoke(output_path=None) -> dict:
         "analyze_parallel_speedup": parallel["analyze_parallel_speedup"],
         "parallel": parallel,
         "phases": phases,
+        "kernel_work": work,
         "python": platform.python_version(),
         "platform": platform.platform(),
     }
@@ -451,7 +482,18 @@ def smoke(output_path=None) -> dict:
 
 
 def check(report) -> list[str]:
-    """The smoke's acceptance gates; returns failed-gate descriptions."""
+    """The smoke's acceptance gates; returns failed-gate descriptions.
+
+    The warm <= cold ``analyze`` gate compares two single-sample
+    timings of the same kernel work: the cold sweep analyses the
+    columns it just built from the simulated records, the trace-warm
+    sweep the columns it decodes from the stored traces, and both run
+    the same passes, assemblies and walk records (``kernel_work``).
+    So when that gate fails, it is timing noise between two samples
+    of equal work, not a slower warm path.  The deterministic gate
+    beside it checks the equal work itself: the ``KERNEL_WORK``
+    counters must match between the two sweeps.
+    """
     failures = []
     if report["speedup"]["full_warm_vs_cold"] < 3.0:
         failures.append(
@@ -462,6 +504,14 @@ def check(report) -> list[str]:
         failures.append(
             f"analyze_speedup {report['analyze_speedup']}x < 3x "
             "(columnar vs reference)"
+        )
+    work = report["kernel_work"]
+    if not work["cold"]["analyze.passes"]:
+        failures.append("cold sweep recorded no analyze passes")
+    elif work["trace_warm"] != work["cold"]:
+        failures.append(
+            f"trace-warm kernel work {work['trace_warm']} differs from "
+            f"cold {work['cold']}"
         )
     columnar = report["phases"]["columnar"]
     if columnar["trace_warm"]["analyze"] > columnar["cold"]["analyze"]:

@@ -38,12 +38,15 @@ The work is organised as batched passes instead of per-record dispatch:
    (each value's influence feeds its consumers'), so it remains a
    Python loop (:class:`ResumableWalk`, shared with the segment
    merge), but one that touches only predicted arcs and reads
-   precomputed byte columns instead of driving five predictors.  Its
-   inputs are prefix-closed, so one walk per (spec, branch predictor,
-   tracked, ``gen_cap``) runs per call, to the largest budget asked of
-   it, with a snapshot at each smaller one; untracked banks read a
-   tracked walk of their spec when one reaches their budget
-   (:func:`_run_walks`);
+   precomputed byte columns instead of driving five predictors.  Tree
+   tracking carries interned influence sets: a record stores a set id,
+   an element counts against its set's row in O(1), and each snapshot
+   expands the rows counted since the last one into per-generate
+   depth and aggregate size.  The walk's inputs are prefix-closed, so
+   one walk per (spec, branch predictor, tracked, ``gen_cap``) runs
+   per call, to the largest budget asked of it, with a snapshot at
+   each smaller one; untracked banks read a tracked walk of their
+   spec when one reaches their budget (:func:`_run_walks`);
 5. **arcs** — a per-budget use-class byte column packed with each
    bank's X and Y bits turns the 4x4 ``ArcStats`` table into sixteen
    ``bytes.count`` calls.
@@ -60,7 +63,7 @@ from itertools import compress, count, islice, repeat
 
 from repro.core.arcs import ArcGroupTable
 from repro.core.events import InKind, _KIND_TABLE
-from repro.core.paths import _MASK_BITS, _EMPTY_SET
+from repro.core.paths import _MASK_BITS
 from repro.core.stats import (
     AnalysisResult,
     BranchStats,
@@ -434,30 +437,58 @@ class ResumableWalk:
 
     Order-sensitive tallies (combo_counts and the tree histograms
     export in first-seen order) are collected as plain lists in stream
-    order and folded with ``Counter.update`` in :meth:`finalize` —
-    same insertion order as the reference's per-element increments,
-    counted at C speed.  The walk visits only predicted arcs:
-    ``pred_idx`` is the compressed index list of ybk's set bits, and
-    ``nxt`` leapfrogs whole records without predicted inputs.
+    order and folded into running Counters at the end of each
+    :meth:`feed` — same insertion order as the reference's per-element
+    increments, counted at C speed, and each element counted once
+    however many snapshots follow.  The walk visits only predicted
+    arcs: ``pred_idx`` is the compressed index list of ybk's set bits,
+    and ``nxt`` leapfrogs whole records without predicted inputs.
+
+    Tree tracking works on interned influence sets.  A record stores a
+    set id (0 is the empty set); the set table holds each set's gid
+    tuple, its length and the largest distance of any element counted
+    with it, and ``pending`` how many elements were counted with it
+    since the last snapshot.  So counting an element costs the same
+    whatever its set's size.  A value whose producers' sets union to
+    one of them keeps that set's id; only a new union (or a generate's
+    singleton) adds a row.  Unions keep the reference's semantics: past
+    ``gen_cap`` gids the smallest ``gen_cap`` are kept and ``truncated``
+    counts the merge.  :meth:`finalize` expands the pending rows into
+    per-generate depth and aggregate size — a generate's depth is the
+    largest distance of a set holding it, its aggregate the sum of
+    their counts — so each snapshot expands only what was counted
+    since the previous one.
     """
 
-    __slots__ = ("track_trees", "gen_cap", "gen_counts", "counted",
-                 "masks", "sets_", "dists", "gens", "inf_list",
-                 "dist_list", "truncated")
+    __slots__ = ("track_trees", "gen_cap", "gen_counts", "combo", "masks",
+                 "truncated",
+                 # tree tracking only:
+                 "sids", "dists", "inf_hist", "dist_hist", "sets_",
+                 "set_len", "set_max", "pending", "n_gens", "gen_depth",
+                 "gen_agg", "expanded")
 
     def __init__(self, track_trees: bool, gen_cap: int):
         self.track_trees = track_trees
         self.gen_cap = gen_cap
         self.gen_counts = [0] * 6
-        self.counted = []
+        self.combo = Counter()
         self.masks = []
         self.truncated = 0
         if track_trees:
-            self.sets_ = []
+            self.sids = []
             self.dists = []
-            self.gens = []
-            self.inf_list = []
-            self.dist_list = []
+            self.inf_hist = Counter()
+            self.dist_hist = Counter()
+            # The set table.
+            self.sets_ = [()]
+            self.set_len = [0]
+            self.set_max = [0]
+            self.pending = Counter()
+            self.n_gens = 0
+            # Per generate: depth and aggregate expanded so far.
+            self.gen_depth = []
+            self.gen_agg = []
+            self.expanded = 0
 
     def feed(self, m, starts, ybk, xbk, prods, gcol, codes,
              r0: int = 0) -> None:
@@ -469,26 +500,37 @@ class ResumableWalk:
         end = starts[m]
         pred_idx = list(compress(count(a0), memoryview(ybk)[a0:end]))
         pred_idx.append(end)  # sentinel: never < any record bound
-        count_mask = self.counted.append
+        counted = []
+        count_mask = counted.append
         masks = self.masks
         store_mask = masks.append
         pi = 0
         nxt = pred_idx[0]
         gen_cap = self.gen_cap
         if self.track_trees:
-            sets_ = self.sets_
+            sids = self.sids
             dists = self.dists
-            gens = self.gens
-            store_set = sets_.append
+            store_sid = sids.append
             store_dist = dists.append
-            count_inf = self.inf_list.append
-            count_dist = self.dist_list.append
-            empty = _EMPTY_SET
+            sid_list = []
+            dist_list = []
+            count_sid = sid_list.append
+            count_dist = dist_list.append
+            sets_ = self.sets_
+            set_len = self.set_len
+            set_max = self.set_max
+            new_set = sets_.append
+            new_len = set_len.append
+            new_max = set_max.append
+            n_gens = self.n_gens
             truncated = self.truncated
             for r in range(r0, m):
                 b = starts[r + 1]
                 cur_mask = 0
-                cur_set = empty
+                # cur_set holds the gids of set cur_sid, or (cur_sid
+                # -1) of a union not yet in the table.
+                cur_sid = 0
+                cur_set = ()
                 cur_dist = -1
                 while nxt < b:
                     j = nxt
@@ -499,78 +541,93 @@ class ResumableWalk:
                         pmask = masks[p]
                         if not pmask:
                             continue
-                        gen_set = sets_[p]
+                        sid = sids[p]
                         dist = dists[p] + 1
                         count_mask(pmask)
-                        count_inf(len(gen_set))
+                        count_sid(sid)
                         count_dist(dist)
-                        for gid in gen_set:
-                            record = gens[gid]
-                            if dist > record[0]:
-                                record[0] = dist
-                            record[1] += 1
+                        if dist > set_max[sid]:
+                            set_max[sid] = dist
                         cur_mask |= pmask
-                        if gen_set:
+                        if sid:
+                            gen_set = sets_[sid]
                             if cur_set:
-                                merged = cur_set | gen_set
-                                if len(merged) > gen_cap:
-                                    merged = frozenset(
-                                        sorted(merged)[:gen_cap]
-                                    )
+                                merged = {*cur_set, *gen_set}
+                                size = len(merged)
+                                if size > gen_cap:
+                                    cur_set = sorted(merged)[:gen_cap]
+                                    cur_sid = -1
                                     truncated += 1
-                                cur_set = merged
+                                elif size == len(gen_set):
+                                    cur_set = gen_set
+                                    cur_sid = sid
+                                elif size != len(cur_set):
+                                    cur_set = merged
+                                    cur_sid = -1
                             else:
                                 cur_set = gen_set
+                                cur_sid = sid
                         if dist > cur_dist:
                             cur_dist = dist
                     else:
                         gc = gcol[j]
                         gen_counts[gc] += 1
-                        gens.append([0, 0])
-                        gen_set = frozenset((len(gens) - 1,))
                         cur_mask |= 1 << gc
                         if cur_set:
-                            merged = cur_set | gen_set
+                            merged = {*cur_set, n_gens}
                             if len(merged) > gen_cap:
-                                merged = frozenset(
-                                    sorted(merged)[:gen_cap])
+                                merged = sorted(merged)[:gen_cap]
                                 truncated += 1
                             cur_set = merged
                         else:
-                            cur_set = gen_set
+                            cur_set = (n_gens,)
+                        cur_sid = -1
+                        n_gens += 1
                         if cur_dist < 0:
                             cur_dist = 0
                 code = codes[r]
                 if code == _NO_OUTPUT or not code & 1:
                     store_mask(0)
-                    store_set(empty)
+                    store_sid(0)
                     store_dist(0)
                 elif cur_mask:
                     dist = cur_dist + 1
+                    if cur_sid < 0:
+                        if cur_set:
+                            cur_sid = len(set_len)
+                            new_set(tuple(cur_set))
+                            new_len(len(cur_set))
+                            new_max(dist)
+                        else:
+                            cur_sid = 0
+                    elif dist > set_max[cur_sid]:
+                        set_max[cur_sid] = dist
                     count_mask(cur_mask)
-                    count_inf(len(cur_set))
+                    count_sid(cur_sid)
                     count_dist(dist)
-                    for gid in cur_set:
-                        record = gens[gid]
-                        if dist > record[0]:
-                            record[0] = dist
-                        record[1] += 1
                     store_mask(cur_mask)
-                    store_set(cur_set)
+                    store_sid(cur_sid)
                     store_dist(dist)
                 else:
                     gc = node_gc.get(code >> 1)
                     if gc is None:
                         store_mask(0)
-                        store_set(empty)
+                        store_sid(0)
                         store_dist(0)
                     else:
                         gen_counts[gc] += 1
-                        gens.append([0, 0])
                         store_mask(1 << gc)
-                        store_set(frozenset((len(gens) - 1,)))
+                        store_sid(len(set_len))
                         store_dist(0)
+                        new_set((n_gens,))
+                        new_len(1)
+                        new_max(0)
+                        n_gens += 1
+            self.n_gens = n_gens
             self.truncated = truncated
+            self.pending.update(sid_list)
+            self.inf_hist.update(map(set_len.__getitem__, sid_list))
+            self.dist_hist.update(dist_list)
         else:
             for r in range(r0, m):
                 b = starts[r + 1]
@@ -601,19 +658,42 @@ class ResumableWalk:
                     else:
                         gen_counts[gc] += 1
                         store_mask(1 << gc)
+        self.combo.update(counted)
 
     def path_stats(self) -> PathStats:
         """The paths tallies of the records fed so far (a detached copy:
         later feeds leave it unchanged)."""
         stats = PathStats()
         stats.gen_counts = list(self.gen_counts)
-        stats.propagate_elements = len(self.counted)
-        stats.combo_counts.update(self.counted)
+        stats.combo_counts.update(self.combo)
+        stats.propagate_elements = sum(self.combo.values())
         class_counts = stats.class_counts
         for mask, n in stats.combo_counts.items():
             for bit in _MASK_BITS[mask]:
                 class_counts[bit] += n
         return stats
+
+    def _expand(self) -> None:
+        """Fold the sets counted since the last expansion into the
+        per-generate depth and aggregate lists."""
+        depth = self.gen_depth
+        agg = self.gen_agg
+        grow = self.n_gens - len(depth)
+        depth.extend(repeat(0, grow))
+        agg.extend(repeat(0, grow))
+        sets_ = self.sets_
+        set_max = self.set_max
+        expanded = 0
+        for sid, n in self.pending.items():
+            dist = set_max[sid]
+            gids = sets_[sid]
+            expanded += len(gids)
+            for gid in gids:
+                agg[gid] += n
+                if dist > depth[gid]:
+                    depth[gid] = dist
+        self.pending.clear()
+        self.expanded += expanded
 
     def finalize(self) -> tuple[PathStats, TreeStats | None]:
         """Paths and (when tracked) tree tallies of the records fed so
@@ -621,14 +701,19 @@ class ResumableWalk:
         stats = self.path_stats()
         if not self.track_trees:
             return stats, None
+        self._expand()
         trees = TreeStats()
         trees.truncated = self.truncated
-        trees.influence_hist.update(self.inf_list)
-        trees.distance_hist.update(self.dist_list)
+        trees.influence_hist.update(self.inf_hist)
+        trees.distance_hist.update(self.dist_hist)
         depth_hist = trees.depth_hist
+        depth_hist.update(self.gen_depth)
+        # A generate no element counted has depth 0 and aggregate 0:
+        # only counted ones add, over keys in depth_hist's order.
         agg_hist = trees.agg_hist
-        for depth, n in self.gens:
-            depth_hist[depth] += 1
+        agg_hist.update(dict.fromkeys(depth_hist, 0))
+        for depth, n in zip(compress(self.gen_depth, self.gen_agg),
+                            filter(None, self.gen_agg)):
             agg_hist[depth] += n
         return stats, trees
 
@@ -776,6 +861,9 @@ def _run_walks(columns, configs, lanes, snapshots: dict,
         if recorder.enabled:
             recorder.count("analyze.walk.records."
                            + ("tracked" if tracked else "untracked"), r0)
+            if tracked:
+                recorder.count("analyze.walk.sets", len(walk.set_len) - 1)
+                recorder.count("analyze.walk.expanded", walk.expanded)
 
 
 def _bank_key(cfg, spec, m) -> tuple:

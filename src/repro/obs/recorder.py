@@ -20,6 +20,12 @@ Two primitives:
   counts (``rec.count("sim.instructions", n)``) and last-value gauges
   (``rec.gauge("store.bytes", size)``).
 
+While an enabled recorder is installed, a ``gc.callbacks`` hook also
+counts the cyclic collector's runs and pause seconds per generation;
+they appear in the snapshot as ``gc.collections{generation="N"}`` and
+``gc.pause_s{generation="N"}``.  Installing the no-op recorder removes
+the hook, so nothing is recorded when observation is off.
+
 :meth:`Recorder.snapshot` freezes everything into a JSON-safe
 *profile* dict (the structure the exporters in
 :mod:`repro.obs.export` consume); :meth:`Recorder.merge` folds such a
@@ -41,6 +47,7 @@ threads then all report into it), not per-thread.
 from __future__ import annotations
 
 import functools
+import gc
 import threading
 import time
 from dataclasses import dataclass
@@ -202,6 +209,11 @@ class Recorder:
         #: total primitive calls made against this recorder; the
         #: overhead-guard test uses it to bound disabled-mode cost.
         self.calls = 0
+        #: collector runs and pause seconds per generation, added by
+        #: the ``gc.callbacks`` hook while this recorder is installed
+        #: (without the lock: a collection can start inside it).
+        self.gc_runs = [0, 0, 0]
+        self.gc_pause = [0.0, 0.0, 0.0]
         self._lock = threading.Lock()
         self._local = threading.local()
 
@@ -252,8 +264,17 @@ class Recorder:
     def snapshot(self) -> dict:
         """Freeze the recorded state into a JSON-safe profile dict."""
         with self._lock:
+            counters = dict(self.counters)
+            for generation, runs in enumerate(self.gc_runs):
+                if runs:
+                    labels = {"generation": str(generation)}
+                    for name, value in (
+                            ("gc.collections", runs),
+                            ("gc.pause_s", self.gc_pause[generation])):
+                        name = encode_labels(name, labels)
+                        counters[name] = counters.get(name, 0) + value
             return {
-                "counters": dict(sorted(self.counters.items())),
+                "counters": dict(sorted(counters.items())),
                 "gauges": dict(sorted(self.gauges.items())),
                 "spans": [span.to_dict() for span in self.roots],
             }
@@ -294,15 +315,42 @@ def get_recorder() -> Recorder | NullRecorder:
     return _CURRENT
 
 
+#: perf_counter() at the start of the running collection (collections
+#: never overlap: the interpreter runs one at a time).
+_gc_start = 0.0
+
+
+def _gc_callback(phase: str, info: dict) -> None:
+    """The ``gc.callbacks`` hook: one run and its pause per collection,
+    added to the current recorder.  It takes no lock, since a
+    collection may start while the recorder's lock is held."""
+    global _gc_start
+    if phase == "start":
+        _gc_start = time.perf_counter()
+        return
+    recorder = _CURRENT
+    if recorder.enabled:
+        generation = info["generation"]
+        recorder.gc_runs[generation] += 1
+        recorder.gc_pause[generation] += time.perf_counter() - _gc_start
+
+
 def set_recorder(recorder: Recorder | NullRecorder | None):
     """Install ``recorder`` (None = the no-op default); returns the
     previously installed one so callers can restore it.  The swap is
     atomic: two threads installing concurrently never read the same
-    "previous" recorder (which would lose one of them on restore)."""
+    "previous" recorder (which would lose one of them on restore).
+    The collector hook is registered while an enabled recorder is
+    installed and removed with it."""
     global _CURRENT
     with _CURRENT_LOCK:
         previous = _CURRENT
         _CURRENT = recorder if recorder is not None else NULL_RECORDER
+        hooked = _gc_callback in gc.callbacks
+        if _CURRENT.enabled and not hooked:
+            gc.callbacks.append(_gc_callback)
+        elif hooked and not _CURRENT.enabled:
+            gc.callbacks.remove(_gc_callback)
         return previous
 
 

@@ -13,7 +13,9 @@ trace-file decode entry.
 
 from __future__ import annotations
 
+import copy
 import json
+import random
 
 import pytest
 
@@ -25,7 +27,14 @@ from repro.core import (
 )
 from repro.core.export import result_to_dict
 from repro.core.kernel import TraceColumns, columnar_unsupported
-from repro.core.kernel.engine import _NODE_T, ResumableWalk, _assemble
+from repro.core.events import GenClass, InKind
+from repro.core.kernel.engine import (
+    _NODE_T,
+    _NO_OUTPUT,
+    ResumableWalk,
+    _assemble,
+)
+from repro.core.paths import PathTracker
 from repro.gen import generated_workload
 from repro.obs import Recorder, recording
 from repro.workloads import SUITE, get_workload
@@ -219,6 +228,20 @@ def test_analyze_many_identical(tmp_path):
     # Ten specs under gshare/16 fill two groups of at most 8 lanes;
     # gshare/10 holds two.
     assert counters["analyze.assemble.calls"] == 3
+    # The tracked walks intern at most one set per record and at least
+    # one per generate node, and their snapshots expand fewer gids
+    # than a per-element walk updates (each element once per gid of
+    # its set).  Each walk's largest snapshot is the config at its
+    # largest budget.
+    largest = [(reference[3], "context"), (reference[2], "context"),
+               (reference[4], lasts[0]), (reference[7], "context")]
+    preds = [result.predictors[spec] for result, spec in largest]
+    node_generates = sum(sum(pred.paths.gen_counts[3:]) for pred in preds)
+    updates = sum(size * n for pred in preds
+                  for size, n in pred.trees.influence_hist.items())
+    assert (node_generates <= counters["analyze.walk.sets"]
+            <= counters["analyze.walk.records.tracked"])
+    assert 0 < counters["analyze.walk.expanded"] < updates
 
 
 def test_walk_snapshot_is_detached():
@@ -246,6 +269,115 @@ def test_walk_snapshot_is_detached():
                                    resume_to=BUDGET)
         fresh, __ = walk_to(BUDGET // 3, track_trees)
         assert repr(snapshot) == before == repr(fresh)
+
+
+def _tallies(paths, trees) -> str:
+    """A walk snapshot as JSON, Counters in insertion order."""
+    return json.dumps([
+        paths.propagate_elements, paths.class_counts,
+        list(paths.combo_counts.items()), paths.gen_counts,
+        [list(hist.items()) for hist in (
+            trees.depth_hist, trees.agg_hist, trees.influence_hist,
+            trees.distance_hist)],
+        trees.truncated,
+    ])
+
+
+def _walk_columns(starts, ybk, xbk, prods, gcol, codes, cuts, gen_cap):
+    """Snapshots at each cut of the kernel walk and of the reference
+    PathTracker, driven over the same columns as the analyzer drives
+    it (so the tracker is the oracle for every cut)."""
+    walk = ResumableWalk(True, gen_cap)
+    tracker = PathTracker(track_trees=True, gen_cap=gen_cap)
+    ours, theirs = [], []
+    r0 = 0
+    for cut in cuts:
+        walk.feed(cut, starts, ybk, xbk, prods, gcol, codes, r0)
+        ours.append(_tallies(*walk.finalize()))
+        for r in range(r0, cut):
+            tracker.begin_node()
+            for j in range(starts[r], starts[r + 1]):
+                if ybk[j]:
+                    if xbk[j]:
+                        tracker.feed_propagate_arc(prods[j])
+                    else:
+                        tracker.feed_generate_arc(GenClass(gcol[j]))
+            code = codes[r]
+            if code == _NO_OUTPUT:
+                tracker.skip_node()
+            else:
+                tracker.end_node(bool(code & 1), InKind(code >> 1))
+        snapshot = copy.deepcopy(tracker)
+        snapshot.finalize()
+        theirs.append(_tallies(snapshot.stats, snapshot.trees))
+        r0 = cut
+    return walk, ours, theirs
+
+
+@pytest.mark.parametrize("gen_cap", [0, 2, 64])
+@pytest.mark.parametrize("spec", ["stride", "context"])
+def test_walk_cut_anywhere_matches_tracker(spec, gen_cap):
+    """A tracked walk fed in random cuts, snapshotted at each, matches
+    the reference tracker at every cut and one unsplit walk at the
+    last; a second snapshot at the same cut changes nothing."""
+    records, n_static = _trace_of("com")
+    columns = TraceColumns.from_records(records, n_static)
+    lane = _assemble(columns, (spec,), "gshare", 16, BUDGET)[spec]
+    args = (columns.src_start, lane["y"], lane["x"], columns.src_prod,
+            columns.genclass_so_far(), lane["comp"].translate(_NODE_T))
+    rng = random.Random(gen_cap)
+    cuts = sorted(rng.sample(range(1, BUDGET), 7)) + [BUDGET]
+    walk, ours, theirs = _walk_columns(*args, cuts, gen_cap)
+    assert ours == theirs
+    if spec == "stride" and gen_cap <= 2:
+        assert json.loads(ours[-1])[-1] > 0  # truncation fired
+    expanded = walk.expanded
+    assert _tallies(*walk.finalize()) == ours[-1]
+    assert walk.expanded == expanded
+    __, (unsplit,), __ = _walk_columns(*args, [BUDGET], gen_cap)
+    assert unsplit == ours[-1]
+
+
+def test_walk_set_counted_after_later_sets():
+    """A generate's singleton set stored uncounted and first counted
+    after a later generate's set: per-generate tallies follow
+    generate order, not the order sets were first counted."""
+    pp = int(InKind.PP) * 2 + 1      # propagate node, output predicted
+    ii = int(InKind.II) * 2 + 1      # generate node (immediates only)
+    # Record: its predicted input arcs, as (producer, propagate?).
+    stream = [
+        (ii, []),                     # r0: gid 0, uncounted for now
+        (ii, []),                     # r1: gid 1
+        (pp, [(1, True)]),            # r2: counts gid 1's set first
+        (pp, [(0, True), (2, True)]),  # r3: then gid 0's; a union
+        (pp, [(2, True), (2, True)]),  # r4: one producer read twice
+        (pp, [(4, True)]),            # r5
+        (pp, [(3, True), (-1, False)]),  # r6: a union and gid 2
+        (ii, []),                     # r7: gid 3, never counted
+        (_NO_OUTPUT, [(5, True)]),    # r8: counted, stores nothing
+    ]
+    starts, ybk, xbk, prods, gcol, codes = [0], [], [], [], [], []
+    for code, arcs in stream:
+        for producer, propagate in arcs:
+            ybk.append(1)
+            xbk.append(1 if propagate else 0)
+            prods.append(producer)
+            gcol.append(int(GenClass.D))
+        starts.append(len(prods))
+        codes.append(code)
+    # gen_cap 1 truncates r3's union and r6's generate arc; gen_cap 0
+    # also r4's second read of the same set.
+    for gen_cap in (0, 1, 64):
+        __, ours, theirs = _walk_columns(
+            starts, bytes(ybk), bytes(xbk), prods, gcol, codes,
+            [3, 6, len(stream)], gen_cap)
+        assert ours == theirs
+    # Uncapped, gid 0 reaches depth 6 (r6) and gid 1 depth 7 (r8's
+    # arc): the histograms list them in generate order, though gid 1's
+    # set was counted first.
+    depth_hist, agg_hist = json.loads(ours[-1])[4][:2]
+    assert depth_hist == [[6, 2], [7, 1], [0, 1]]
+    assert agg_hist == [[6, 5], [7, 12], [0, 0]]
 
 
 def test_columns_accepted_by_both_engines():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import time
 
 import pytest
@@ -162,6 +163,64 @@ class TestCurrentRecorder:
         with recording(rec):
             assert work() == 42
         assert [s.name for s in rec.roots] == ["work"]
+
+
+class TestGcHook:
+    """The collector's runs and pauses are counted while an enabled
+    recorder is installed, and nothing is hooked otherwise."""
+
+    @staticmethod
+    def _hooked() -> bool:
+        return any(getattr(cb, "__module__", "") == "repro.obs.recorder"
+                   for cb in gc.callbacks)
+
+    def test_collections_counted_per_generation(self):
+        rec = Recorder()
+        with recording(rec):
+            assert self._hooked()
+            gc.collect()
+        counters = rec.snapshot()["counters"]
+        assert counters['gc.collections{generation="2"}'] >= 1
+        assert counters['gc.pause_s{generation="2"}'] > 0.0
+        # The hook goes with the recorder: later collections are not
+        # counted.
+        assert not self._hooked()
+        before = list(rec.gc_runs)
+        gc.collect()
+        assert rec.gc_runs == before
+
+    def test_nothing_hooked_without_a_recorder(self):
+        assert not self._hooked()
+        with recording(None):
+            assert not self._hooked()
+        with recording(Recorder()):
+            with recording(None):
+                assert not self._hooked()
+            assert self._hooked()
+        assert not self._hooked()
+
+    def test_nested_recorders_count_while_installed(self):
+        outer, inner = Recorder(), Recorder()
+        with recording(outer):
+            with recording(inner):
+                gc.collect()
+            assert self._hooked()
+            inner_runs = list(inner.gc_runs)
+            gc.collect()
+        assert inner.gc_runs == inner_runs
+        assert outer.gc_runs[2] >= 1 and inner.gc_runs[2] >= 1
+
+    def test_merged_worker_collections_add(self):
+        worker = Recorder()
+        worker.gc_runs[0] = 3
+        worker.gc_pause[0] = 0.25
+        parent = Recorder()
+        parent.gc_runs[0] = 1
+        parent.gc_pause[0] = 0.5
+        parent.merge(worker.snapshot())
+        counters = parent.snapshot()["counters"]
+        assert counters['gc.collections{generation="0"}'] == 4
+        assert counters['gc.pause_s{generation="0"}'] == 0.75
 
 
 class TestObsConfig:
