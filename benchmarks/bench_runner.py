@@ -51,6 +51,11 @@ SWEEP_CONFIGS = (
 
 JOBS = int(os.environ.get("REPRO_BENCH_JOBS", str(os.cpu_count() or 1)))
 
+#: Alternating cold / trace-warm sweep pairs the smoke samples, each
+#: into fresh stores; the warm <= cold ``analyze`` gate compares their
+#: medians, since one pair of timings swings with host noise.
+ANALYZE_PAIRS = 5
+
 #: The counters naming the analysis kernel's work in a sweep (see
 #: docs/observability.md): equal on a cold and a trace-warm sweep of
 #: the same configs, whatever the timings.
@@ -277,10 +282,14 @@ def smoke(output_path=None) -> dict:
       replays the stored trace);
     * ``full_warm`` — both tiers warm (every job is a store hit).
 
-    The cold and trace-warm sweeps run under an observing runner
-    (:mod:`repro.obs`); the per-phase wall-time breakdown lands in the
-    report's ``phases.columnar`` section, and the kernel-work counters
-    of both sweeps in ``kernel_work``.  ``reference_analyze`` times
+    ``cold`` and ``trace_warm`` run as ``ANALYZE_PAIRS`` pairs, taking
+    turns at going first, under an observing runner
+    (:mod:`repro.obs`); their ``seconds`` are the medians and
+    ``samples`` counts every timing's samples.  Each pair's
+    ``analyze`` span walls land in ``analyze_samples`` (median,
+    quartiles, samples, and how many pairs the warm sweep won); the
+    first pair's per-phase breakdown in ``phases.columnar`` and
+    kernel-work counters in ``kernel_work``.  ``reference_analyze`` times
     the reference oracle (:func:`repro.core.analyze_reference`) over
     the cold sweep's stored traces, and
     ``speedup.analyze_columnar_vs_reference`` compares it with the
@@ -290,6 +299,7 @@ def smoke(output_path=None) -> dict:
     import json
     import platform
     import shutil
+    import statistics
     import sys
     import tempfile
     import time
@@ -350,35 +360,75 @@ def smoke(output_path=None) -> dict:
         return {name: counters.get(name, 0) for name in KERNEL_WORK}
 
     timings = {}
+    samples = {}
     phases = {}
     work = {}
 
     def timed(label, fn):
         start = time.perf_counter()
         out = fn()
-        timings[label] = time.perf_counter() - start
+        samples.setdefault(label, []).append(time.perf_counter() - start)
+        timings[label] = statistics.median(samples[label])
         return out
 
-    def columnar_sweeps(scratch: Path) -> None:
-        """Cold and trace-warm sweeps, into ``phases``."""
-        cold = timed("cold", lambda: _sweep(ExperimentRunner(
-            store=ResultStore(scratch), trace_store=TraceStore(scratch),
-            observe=True,
-        )))
-        phases["columnar"] = {"cold": phase_breakdown(cold)}
-        work["cold"] = kernel_work(cold)
-        trace_warm_runner = ExperimentRunner(
-            store=ResultStore(scratch / "fresh-results"),
-            trace_store=TraceStore(scratch),
-            observe=True,
-        )
-        trace_warm = timed("trace_warm", lambda: _sweep(trace_warm_runner))
-        assert all(
-            metric.status == "replayed"
-            for run in trace_warm for metric in run.metrics.jobs
-        )
-        phases["columnar"]["trace_warm"] = phase_breakdown(trace_warm)
-        work["trace_warm"] = kernel_work(trace_warm)
+    def spread(values) -> dict:
+        q1, median, q3 = statistics.quantiles(values, n=4,
+                                              method="inclusive")
+        return {"median": round(median, 3), "q1": round(q1, 3),
+                "q3": round(q3, 3),
+                "samples": [round(value, 3) for value in values]}
+
+    def columnar_sweeps(scratch: Path) -> dict:
+        """``ANALYZE_PAIRS`` cold / trace-warm sweep pairs; returns
+        their ``analyze`` samples.  The first pair fills ``phases`` and
+        ``work``.
+
+        Every cold sweep starts from empty stores and every trace-warm
+        sweep from an empty result store.  Odd pairs run the warm
+        sweep first, over the previous pair's traces, so drift over
+        the run favours neither side.
+        """
+        analyze = {"cold": [], "trace_warm": []}
+
+        def cold_sweep(root):
+            return timed("cold", lambda: _sweep(ExperimentRunner(
+                store=ResultStore(root), trace_store=TraceStore(root),
+                observe=True,
+            )))
+
+        def warm_sweep(root, tag):
+            runner = ExperimentRunner(
+                store=ResultStore(root / f"fresh-results-{tag}"),
+                trace_store=TraceStore(root), observe=True,
+            )
+            runs = timed("trace_warm", lambda: _sweep(runner))
+            assert all(
+                metric.status == "replayed"
+                for run in runs for metric in run.metrics.jobs
+            )
+            return runs
+
+        root = scratch / "pair0"
+        for pair in range(ANALYZE_PAIRS):
+            if pair % 2 == 0:
+                root = scratch / f"pair{pair}"
+                sweeps = {"cold": cold_sweep(root),
+                          "trace_warm": warm_sweep(root, pair)}
+            else:
+                sweeps = {"trace_warm": warm_sweep(root, pair)}
+                root = scratch / f"pair{pair}"
+                sweeps["cold"] = cold_sweep(root)
+            for label, runs in sweeps.items():
+                breakdown = phase_breakdown(runs)
+                analyze[label].append(breakdown["analyze"])
+                if pair == 0:
+                    phases.setdefault("columnar", {})[label] = breakdown
+                    work[label] = kernel_work(runs)
+        wins = sum(warm <= cold for cold, warm
+                   in zip(analyze["cold"], analyze["trace_warm"]))
+        return {"pairs": ANALYZE_PAIRS, "warm_wins": wins,
+                "cold": spread(analyze["cold"]),
+                "trace_warm": spread(analyze["trace_warm"])}
 
     def reference_analyze(scratch: Path) -> float:
         """The oracle's analyze wall over the cold sweep's traces.
@@ -408,10 +458,12 @@ def smoke(output_path=None) -> dict:
             ]
 
         timed("naive", naive)
-        columnar_sweeps(scratch)
-        timings["reference_analyze"] = reference_analyze(scratch)
+        analyze_samples = columnar_sweeps(scratch)
+        warm_root = scratch / "pair0"
+        samples["reference_analyze"] = [reference_analyze(warm_root)]
+        timings["reference_analyze"] = samples["reference_analyze"][0]
         full_warm = timed("full_warm", lambda: _sweep(ExperimentRunner(
-            store=ResultStore(scratch), trace_store=TraceStore(scratch),
+            store=ResultStore(warm_root), trace_store=TraceStore(warm_root),
         )))
         assert all(
             metric.status == "cache-hit"
@@ -434,6 +486,7 @@ def smoke(output_path=None) -> dict:
         "configs": len(SWEEP_CONFIGS),
         "workloads": workloads,
         "seconds": {k: round(v, 3) for k, v in timings.items()},
+        "samples": {k: len(v) for k, v in samples.items()},
         "speedup": {
             "cold_vs_naive": round(timings["naive"] / timings["cold"], 2),
             "trace_warm_vs_cold": round(
@@ -447,6 +500,7 @@ def smoke(output_path=None) -> dict:
         "analyze_speedup": analyze_speedup,
         "analyze_parallel_speedup": parallel["analyze_parallel_speedup"],
         "parallel": parallel,
+        "analyze_samples": analyze_samples,
         "phases": phases,
         "kernel_work": work,
         "python": platform.python_version(),
@@ -461,7 +515,8 @@ def smoke(output_path=None) -> dict:
           f"@ {RUNNER_BUDGET} instructions:")
     for label in ("naive", "cold", "trace_warm", "full_warm",
                   "reference_analyze"):
-        print(f"  {label:<22} {timings[label]:>7.2f}s")
+        print(f"  {label:<22} {timings[label]:>7.2f}s "
+              f"(median of {len(samples[label])})")
     for label, value in report["speedup"].items():
         print(f"  {label:<29} {value:>6.2f}x")
     for label in ("cold", "trace_warm"):
@@ -470,6 +525,10 @@ def smoke(output_path=None) -> dict:
             for name, seconds in phases["columnar"][label].items()
         )
         print(f"  {label} phases: {parts}")
+    print(f"  analyze over {analyze_samples['pairs']} pairs: cold median "
+          f"{analyze_samples['cold']['median']}s, trace-warm median "
+          f"{analyze_samples['trace_warm']['median']}s "
+          f"(warm won {analyze_samples['warm_wins']})")
     print(f"  segment-parallel replay of {parallel['records']:,} "
           f"records ({parallel['jobs']} worker(s), "
           f"{parallel['segments']} segments, "
@@ -484,15 +543,14 @@ def smoke(output_path=None) -> dict:
 def check(report) -> list[str]:
     """The smoke's acceptance gates; returns failed-gate descriptions.
 
-    The warm <= cold ``analyze`` gate compares two single-sample
-    timings of the same kernel work: the cold sweep analyses the
-    columns it just built from the simulated records, the trace-warm
-    sweep the columns it decodes from the stored traces, and both run
-    the same passes, assemblies and walk records (``kernel_work``).
-    So when that gate fails, it is timing noise between two samples
-    of equal work, not a slower warm path.  The deterministic gate
-    beside it checks the equal work itself: the ``KERNEL_WORK``
-    counters must match between the two sweeps.
+    The warm <= cold ``analyze`` gate compares the medians of
+    ``ANALYZE_PAIRS`` alternating samples (``analyze_samples``): the
+    cold sweep analyses the columns it just built from the simulated
+    records, the trace-warm sweep the columns it decodes from the
+    stored traces, and both run the same passes, assemblies and walk
+    records.  The deterministic gate beside it checks that equal work
+    itself: the ``KERNEL_WORK`` counters must match between the two
+    sweeps.
     """
     failures = []
     if report["speedup"]["full_warm_vs_cold"] < 3.0:
@@ -513,12 +571,13 @@ def check(report) -> list[str]:
             f"trace-warm kernel work {work['trace_warm']} differs from "
             f"cold {work['cold']}"
         )
-    columnar = report["phases"]["columnar"]
-    if columnar["trace_warm"]["analyze"] > columnar["cold"]["analyze"]:
+    analyze = report["analyze_samples"]
+    if analyze["trace_warm"]["median"] > analyze["cold"]["median"]:
         failures.append(
-            "warm replay analyze "
-            f"({columnar['trace_warm']['analyze']}s) exceeds cold "
-            f"analyze ({columnar['cold']['analyze']}s)"
+            "warm replay analyze median "
+            f"({analyze['trace_warm']['median']}s) exceeds cold "
+            f"analyze median ({analyze['cold']['median']}s) over "
+            f"{analyze['pairs']} pairs"
         )
     # The segment-parallel gate needs real cores to mean anything:
     # on a 1-2 core host the number is recorded but not enforced.

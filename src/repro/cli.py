@@ -201,17 +201,26 @@ def _workload_tuple(parser, value):
     return names
 
 
+def _experiment_config(parser, args) -> ExperimentConfig:
+    """The config the shared flags describe; a value the config type
+    rejects is a usage error."""
+    try:
+        return ExperimentConfig(
+            scale=args.scale,
+            max_instructions=args.max_instructions,
+            workloads=_workload_tuple(parser, args.workloads),
+        )
+    except ValueError as error:
+        parser.error(str(error))
+
+
 # ----------------------------------------------------------------------
 # repro run
 # ----------------------------------------------------------------------
 
 def cmd_run(parser, args) -> int:
     store, trace_store = _make_stores(args)
-    config = ExperimentConfig(
-        scale=args.scale,
-        max_instructions=args.max_instructions,
-        workloads=_workload_tuple(parser, args.workloads),
-    )
+    config = _experiment_config(parser, args)
     policy = _policy_from_args(
         parser, args,
         jobs=args.jobs if args.jobs is not None else _default_jobs(),
@@ -938,11 +947,7 @@ def cmd_chaos(parser, args) -> int:
     """
     if args.fleet:
         return _cmd_chaos_fleet(parser, args)
-    config = ExperimentConfig(
-        scale=args.scale,
-        max_instructions=args.max_instructions,
-        workloads=_workload_tuple(parser, args.workloads),
-    )
+    config = _experiment_config(parser, args)
 
     policy = _policy_from_args(parser, args, jobs=args.jobs)
     print(f"[chaos] baseline: fault-free run ({args.jobs} worker(s))")

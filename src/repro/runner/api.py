@@ -2,31 +2,28 @@
 
 :class:`ExperimentRunner` is the one place experiment execution
 happens; the report layer, the benchmark harness and the CLI all
-delegate here, so they share a single warm store.  Resolution order
-for every job:
+delegate here, so they share a single warm store.
 
-1. **in-process memo** — same object back, zero cost (preserves the
-   old ``_CACHE`` identity semantics);
-2. **disk store** — deserialised via
-   :func:`repro.core.export.result_from_dict`; renders byte-identical
-   exhibits;
-3. **trace replay** — a stored trace of the same *execution*
-   (:func:`repro.runner.job.trace_key`) is decoded and re-analysed
-   under the job's config, skipping simulation;
-4. **compute** — simulate, store the captured trace for the next
-   config, analyse, then write through to every layer.
+Every entry point is a sweep through one lifecycle:
+:meth:`~ExperimentRunner.run_many` runs many configs,
+:meth:`~ExperimentRunner.run` one config and
+:meth:`~ExperimentRunner.run_one` one workload.  A job is served from
+the in-process memo (same object back), else the disk store
+(:func:`repro.core.export.result_from_dict`, byte-identical exhibits).
+The misses are grouped by execution identity (workload + scale), and
+each group resolves its trace once — a stored replay
+(:func:`repro.runner.job.trace_key`) or one capture with a budget
+covering its largest config, stored for the next sweep — and
+:func:`repro.core.analyze_many` fans that pass out to every config.  A
+group of one config whose stored trace has a segment-index sidecar is
+split into segment tasks when the policy shards (docs/sharding.md).
 
-The sweep entry point :meth:`ExperimentRunner.run_many` goes further:
-jobs that miss both disk tiers are grouped by execution identity and
-each group is simulated (or replayed) exactly once, with
-:func:`repro.core.analyze_many` fanning the single pass out to one
-analyzer per config.
-
-Parallel runs ship nothing through pipes: each worker writes its
-result into the store (content-addressed by job key, atomic replace)
-and the parent reads it back.  The store *is* the transport, which is
-also why a ``--no-cache`` parallel run still uses one — a throwaway
-store in a temp directory.
+Groups run in-process, or on a :class:`TaskPool` when there are
+several groups and workers, or a segmented group.  Pool workers ship
+nothing through pipes: each writes its results into the store
+(content-addressed by job key, atomic replace) and the parent reads
+them back.  The store *is* the transport, which is also why a
+``--no-cache`` parallel run still uses a throwaway one.
 
 Environment knobs (read at :func:`default_runner` construction):
 
@@ -45,7 +42,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import islice
 
-from repro.core import analyze_machine, analyze_many, analyze_trace
+from repro.core import analyze_many, analyze_trace
 from repro.core.export import result_from_dict, result_to_dict
 from repro.core.kernel import TraceColumns, columnar_unsupported
 from repro.errors import (
@@ -92,7 +89,7 @@ from repro.runner.policy import (
     assert_excluded_from_identity,
 )
 from repro.runner.tracestore import DEFAULT_TRACE_MAX_BYTES, TraceStore
-from repro.runner.pool import Task, TaskError, TaskPool
+from repro.runner.pool import Task, TaskError, TaskPool, TaskResult
 from repro.workloads import SUITE, get_workload
 
 _log = logging.getLogger(__name__)
@@ -105,8 +102,9 @@ def _store_put_safe(store: ResultStore, key: str, payload: dict) -> bool:
     """Write through the store, degrading gracefully on I/O failure.
 
     A result that cannot be cached is still a result: the caller keeps
-    the in-memory object (serial paths) or recomputes inline (parallel
-    read-back), so a sick disk slows the run instead of sinking it.
+    the in-memory object (in-process groups) or recomputes inline
+    (pool read-back), so a sick disk slows the run instead of sinking
+    it.
     """
     try:
         store.put(key, payload)
@@ -167,10 +165,13 @@ class ExperimentRun:
 
 
 def _analyze(name: str, config: ExperimentConfig):
+    """One job simulated and analysed with no store in between: the
+    live-machine answer every runner path must reproduce byte for
+    byte (the tests' oracle)."""
     workload = get_workload(name)
     machine = workload.machine(scale=config.scale)
-    job = Job(name, config)
-    return analyze_machine(machine, name, job.analysis_config())
+    return analyze_trace(machine.trace(), len(machine.program.instructions),
+                         name=name, config=Job(name, config).analysis_config())
 
 
 def _capture(name: str, config: ExperimentConfig, budget: int | None):
@@ -223,7 +224,7 @@ def _maybe_write_segindex(trace_store: TraceStore, key: str, columns,
 
 def _resolve_trace(name: str, config: ExperimentConfig,
                    trace_store: TraceStore | None, budget: int | None,
-                   policy: ExecutionPolicy | None = None):
+                   policy: ExecutionPolicy | None):
     """Trace tier: ``(n_static, columns, status)`` — replay or capture.
 
     A stored trace that covers ``budget`` is replayed
@@ -231,7 +232,8 @@ def _resolve_trace(name: str, config: ExperimentConfig,
     skipping per-record object construction entirely; otherwise the
     workload is simulated, the capture written through the store for
     the next config, and :data:`STATUS_COMPUTED` reported with (and
-    memoized on the store) the capture's columnar layout.
+    memoized on the store) the capture's columnar layout.  Either way
+    a sharding ``policy`` gets the trace its segment-index sidecar.
     """
     key = None
     if trace_store is not None:
@@ -271,67 +273,40 @@ def _resolve_trace(name: str, config: ExperimentConfig,
     return n_static, columns, STATUS_COMPUTED
 
 
-def _analyze_two_tier(name: str, config: ExperimentConfig,
-                      trace_store: TraceStore,
-                      policy: ExecutionPolicy | None = None):
-    """Compute one job serially through the trace tier:
-    ``(result, status)``.
+def _analyze_group(name: str, configs, trace_store: TraceStore | None,
+                   policy: ExecutionPolicy | None):
+    """One execution analysed under many configs: ``(results, status)``.
 
-    Byte-identical to :func:`_analyze`: the analyzer sees the same
-    record stream whether it comes from a live machine or a stored
-    trace (``analyze_trace`` re-truncates to the config's own budget).
-    ``policy`` only decides whether a capture or replay writes the
-    segment-index sidecar; segment-parallel replay is planned by the
-    parent runner (:meth:`ExperimentRunner._prepare_segments`), never
-    here, so pool workers cannot nest pools.
+    The trace is resolved once (:func:`_resolve_trace`) with a budget
+    covering the largest config, and :func:`analyze_many` fans the one
+    pass out to one analyzer per config, each re-truncated to its own
+    budget — so every result is byte-identical to :func:`_analyze`.
     """
+    budgets = [config.max_instructions for config in configs]
+    budget = None if None in budgets else max(budgets)
     n_static, columns, status = _resolve_trace(
-        name, config, trace_store, config.max_instructions, policy=policy,
+        name, configs[0], trace_store, budget, policy,
     )
-    result = analyze_trace(columns, n_static, name=name,
-                           config=Job(name, config).analysis_config())
-    return result, status
-
-
-def _execute_job(name: str, config: ExperimentConfig, key: str,
-                 store_root: str, max_bytes: int,
-                 trace_root: str | None = None,
-                 trace_max_bytes: int = DEFAULT_TRACE_MAX_BYTES,
-                 observe: bool = False,
-                 policy: ExecutionPolicy | None = None) -> tuple:
-    """Pool worker: compute one job and write it through the store.
-
-    Returns ``(key, profile)`` — the key so the parent knows where to
-    read the result, and (when ``observe``) the worker's own recorder
-    snapshot for the parent to merge, else None.  Runs in a separate
-    process; must stay picklable/module-level.  ``policy`` rides along
-    for capture-time sidecar writes.
-    """
-    with recording(Recorder() if observe else None) as rec:
-        store = ResultStore(store_root, max_bytes=max_bytes)
-        if store.get(key) is None:
-            if trace_root is not None:
-                trace_store = TraceStore(
-                    trace_root, max_bytes=trace_max_bytes
-                )
-                result, __ = _analyze_two_tier(name, config, trace_store,
-                                               policy=policy)
-            else:
-                result = _analyze(name, config)
-            _store_put_safe(store, key, result_to_dict(result))
-    return key, (rec.snapshot() if observe else None)
+    results = analyze_many(
+        columns, n_static,
+        [Job(name, config).analysis_config() for config in configs],
+        name=name,
+    )
+    return results, status
 
 
 def _execute_sweep(name: str, configs, keys, store_root: str,
                    max_bytes: int, trace_root: str | None,
                    trace_max_bytes: int, observe: bool = False,
                    policy: ExecutionPolicy | None = None) -> tuple:
-    """Pool worker: every sweep job of one workload in a single pass.
+    """Pool worker: one group's still-missing jobs in a single pass.
 
-    Resolves the workload's trace once (replay or capture) with a
-    budget covering the largest config, then fans it out to one
-    analyzer per still-missing config via :func:`analyze_many`.
-    Returns ``(keys, profile)`` (profile as in :func:`_execute_job`).
+    Writes each result through the store and returns ``(status,
+    profile)``: the trace tier's status (:data:`STATUS_REPLAYED` or
+    :data:`STATUS_COMPUTED`; :data:`STATUS_CACHE_HIT` when every
+    result was already stored) and, when ``observe``, the worker's own
+    recorder snapshot for the parent to merge, else None.  Runs in a
+    separate process; must stay picklable/module-level.
     """
     with recording(Recorder() if observe else None) as rec:
         store = ResultStore(store_root, max_bytes=max_bytes)
@@ -339,24 +314,19 @@ def _execute_sweep(name: str, configs, keys, store_root: str,
             (config, key) for config, key in zip(configs, keys)
             if store.get(key) is None
         ]
+        status = STATUS_CACHE_HIT
         if missing:
-            budgets = [config.max_instructions for config, __ in missing]
-            budget = (None if any(b is None for b in budgets)
-                      else max(budgets))
             trace_store = (
                 TraceStore(trace_root, max_bytes=trace_max_bytes)
                 if trace_root is not None else None
             )
-            analysis_configs = [Job(name, config).analysis_config()
-                                for config, __ in missing]
-            n_static, columns, __ = _resolve_trace(
-                name, missing[0][0], trace_store, budget, policy=policy,
+            results, status = _analyze_group(
+                name, [config for config, __ in missing], trace_store,
+                policy,
             )
-            results = analyze_many(columns, n_static, analysis_configs,
-                                   name=name)
             for (__, key), result in zip(missing, results):
                 _store_put_safe(store, key, result_to_dict(result))
-    return tuple(keys), (rec.snapshot() if observe else None)
+    return status, (rec.snapshot() if observe else None)
 
 
 class _SegmentedJob:
@@ -418,6 +388,10 @@ def _note(run: ExperimentRun, metric: JobMetric) -> None:
     run.metrics.add(metric)
 
 
+def _suite_names(config: ExperimentConfig) -> tuple[str, ...]:
+    return config.workloads or tuple(w.name for w in SUITE)
+
+
 class ExperimentRunner:
     """Owns the memo, the store and the pool for experiment suites.
 
@@ -457,70 +431,18 @@ class ExperimentRunner:
         assert_excluded_from_identity()
         self.store = store
         self.trace_store = trace_store
-        self.obs = self._normalize_obs(observe)
+        self.obs = (observe if isinstance(observe, ObsConfig)
+                    else ObsConfig(enabled=bool(observe)))
         self.faults = faults
         self._memo: dict[str, object] = {}
-        #: run-scoped state (set by run()/run_many(), read by the
-        #: serial/parallel strategies; the runner is not thread-safe).
+        #: run-scoped state (set by the lifecycle, read by the group
+        #: strategies; the runner is not thread-safe).
         self._journal: RunJournal | None = None
         self._cancel = None
 
-    @staticmethod
-    def _normalize_obs(observe: bool | ObsConfig) -> ObsConfig:
-        if isinstance(observe, ObsConfig):
-            return observe
-        return ObsConfig(enabled=bool(observe))
-
     # ------------------------------------------------------------------
-    # Observation lifecycle.
+    # Journal lifecycle.
     # ------------------------------------------------------------------
-
-    def _begin_observation(self):
-        """Start observing this run if configured; returns a token.
-
-        When an *enabled* recorder is already installed (the caller is
-        running inside :func:`repro.obs.recording`), it is borrowed —
-        its snapshot is then cumulative and the caller keeps ownership.
-        Otherwise a fresh :class:`Recorder` is installed for the run
-        and the previous (no-op) recorder restored afterwards.
-        """
-        if not self.obs.enabled:
-            return None
-        current = get_recorder()
-        if current.enabled:
-            return (current, None, False)
-        rec = Recorder()
-        return (rec, set_recorder(rec), True)
-
-    def _finish_observation(self, token) -> dict | None:
-        """End observation; returns the profile snapshot (or None)."""
-        if token is None:
-            return None
-        rec, previous, owned = token
-        if owned:
-            set_recorder(previous)
-        profile = rec.snapshot()
-        if self.obs.events_path:
-            try:
-                write_jsonl(profile, self.obs.events_path)
-            except OSError:
-                pass  # observation must never sink a run
-        return profile
-
-    # ------------------------------------------------------------------
-    # Fault-injection and journal lifecycle.
-    # ------------------------------------------------------------------
-
-    def _begin_faults(self):
-        """Install this runner's fault plan for the run; returns a
-        restore token (None when the runner injects nothing)."""
-        if self.faults is None:
-            return None
-        return (set_fault_plan(self.faults),)
-
-    def _finish_faults(self, token) -> None:
-        if token is not None:
-            set_fault_plan(token[0])
 
     def _open_journal(self, resume: bool) -> RunJournal | None:
         """The run's crash-safety journal (``<cache>/journal.jsonl``).
@@ -563,85 +485,29 @@ class ExperimentRunner:
     def _cancelled(self) -> bool:
         return self._cancel is not None and self._cancel.is_set()
 
-    def _safe_put(self, key: str, result) -> None:
-        if self.store is not None:
-            _store_put_safe(self.store, key, result_to_dict(result))
-
-    def _compute(self, name: str, config: ExperimentConfig):
-        """Compute one job serially through whichever tiers exist:
-        ``(result, status)``."""
-        if self.trace_store is not None:
-            return _analyze_two_tier(name, config, self.trace_store,
-                                     policy=self.policy)
-        return _analyze(name, config), STATUS_COMPUTED
-
     # ------------------------------------------------------------------
-    # Single-job path (the report layer's run_workload).
+    # Entry points: each is a sweep through one lifecycle.
     # ------------------------------------------------------------------
 
     def run_one(self, name: str, config: ExperimentConfig):
-        """Analyse one workload in-process; exceptions propagate.
+        """Analyse one workload in-process.
 
         Repeat calls with an equal config return the identical object
         (memo), so exhibit code can rely on result identity.  When the
         runner observes, the call's profile is attached to the result
-        (``result.profile``).
+        (``result.profile``).  A failed job raises through
+        :meth:`ExperimentRun.require` (a
+        :class:`~repro.errors.RunnerError`); an unknown workload name
+        raises ``KeyError``.  Unjournaled: opening the journal without
+        ``resume`` truncates it, which would erase an interrupted
+        :meth:`run`'s checkpoint.
         """
-        token = self._begin_observation()
-        fault_token = self._begin_faults()
-        try:
-            with get_recorder().span("runner.run_one"):
-                result = self._run_one_impl(name, config)
-        finally:
-            self._finish_faults(fault_token)
-            profile = self._finish_observation(token)
-        if profile is not None:
-            result.profile = profile
+        (run,) = self._lifecycle("runner.run_one", [(config, (name,))],
+                                 None, journal=False)
+        result = run.require()[name]
+        if run.metrics.profile is not None:
+            result.profile = run.metrics.profile
         return result
-
-    def _run_one_impl(self, name: str, config: ExperimentConfig):
-        key = job_key(Job(name, config))
-        result = self._memo.get(key)
-        if result is not None:
-            get_recorder().count(
-                f"runner.resolve.{STATUS_MEMO_HIT}", 1
-            )
-            return result
-        result = self._load(key)
-        if result is not None:
-            get_recorder().count(
-                f"runner.resolve.{STATUS_CACHE_HIT}", 1
-            )
-        else:
-            result, status = self._compute_one(name, config, key)
-            get_recorder().count(f"runner.resolve.{status}", 1)
-            if self.store is not None:
-                self.store.put(key, result_to_dict(result))
-        self._memo[key] = result
-        return result
-
-    def _compute_one(self, name: str, config: ExperimentConfig,
-                     key: str):
-        """Compute one in-process job: ``(result, status)``.
-
-        Segment-parallel when the planner allows: the planned segment
-        tasks stream through their own :class:`TaskPool` and settle
-        through :meth:`_finish_segmented`, exactly as a parallel
-        :meth:`run` settles them.  Otherwise serial (:meth:`_compute`).
-        """
-        seg = self._prepare_segments(name, config, key)
-        if seg is None:
-            return self._compute(name, config)
-        pool = TaskPool(max_workers=self.policy.jobs,
-                        timeout=self.policy.timeout,
-                        retries=self.policy.retries)
-        for tkey, outcome in pool.run_stream(seg.tasks):
-            seg.absorb(int(tkey.rpartition("#seg")[2]), outcome)
-        return self._finish_segmented(config, seg)
-
-    # ------------------------------------------------------------------
-    # Suite path.
-    # ------------------------------------------------------------------
 
     def run(self, config: ExperimentConfig | None = None,
             jobs: int | None = None, resume: bool = False,
@@ -660,84 +526,11 @@ class ExperimentRunner:
         are checkpointed, the rest never start, and the returned run
         has ``metrics.interrupted`` set.
         """
-        token = self._begin_observation()
-        fault_token = self._begin_faults()
-        self._journal = self._open_journal(resume)
-        self._cancel = cancel
-        try:
-            with get_recorder().span("runner.run"):
-                run = self._run_impl(config, jobs)
-            if self._journal is not None:
-                run.journal_path = str(self._journal.path)
-        finally:
-            if self._journal is not None:
-                self._journal.close()
-            self._journal = None
-            self._cancel = None
-            self._finish_faults(fault_token)
-            profile = self._finish_observation(token)
-        run.metrics.profile = profile
-        return run
-
-    def _run_impl(self, config: ExperimentConfig | None,
-                  jobs: int | None) -> ExperimentRun:
         config = config or ExperimentConfig()
-        workers = max(1, jobs if jobs is not None else self.policy.jobs)
-        names = config.workloads or tuple(w.name for w in SUITE)
-        run = ExperimentRun()
-        run.metrics.requested_workers = workers
-        run.metrics.policy = self.policy.describe()
-        start = time.monotonic()
-
-        # Hash every job; a workload whose compile/input generation
-        # blows up fails here without sinking the suite.  Unknown names
-        # still raise — that is a caller bug, not a job fault.
-        keyed: list[tuple[str, str]] = []
-        for name in names:
-            get_workload(name)
-            try:
-                keyed.append((name, job_key(Job(name, config))))
-            except Exception as error:
-                self._record_failure(run, name, "", JobFailure(
-                    workload=name, error=f"{type(error).__name__}: {error}",
-                ))
-
-        # Serve memo/store hits; collect the rest for execution.
-        misses: list[tuple[str, str]] = []
-        for name, key in keyed:
-            hit = self._memo.get(key)
-            status = STATUS_MEMO_HIT
-            if hit is None:
-                hit = self._load(key)
-                status = STATUS_CACHE_HIT
-                self._journal_check(key, name, hit)
-            if hit is None:
-                misses.append((name, key))
-                continue
-            self._memo[key] = hit
-            run.results[name] = hit
-            _note(run, JobMetric(workload=name, key=key, status=status))
-
-        if misses and not self._cancelled():
-            if workers == 1 or len(misses) == 1:
-                self._run_serial(run, config, misses)
-            else:
-                self._run_parallel(run, config, misses, workers)
-
-        if self._cancelled():
-            run.metrics.interrupted = True
-
-        # Present results in request order regardless of completion order.
-        run.results = {
-            name: run.results[name] for name in names if name in run.results
-        }
-        run.metrics.jobs.sort(key=lambda m: names.index(m.workload))
-        run.metrics.total_wall = time.monotonic() - start
+        (run,) = self._lifecycle("runner.run",
+                                 [(config, _suite_names(config))], jobs,
+                                 resume=resume, cancel=cancel)
         return run
-
-    # ------------------------------------------------------------------
-    # Sweep path: many configs over one trace capture per workload.
-    # ------------------------------------------------------------------
 
     def run_many(self, configs, jobs: int | None = None,
                  resume: bool = False, cancel=None,
@@ -745,28 +538,42 @@ class ExperimentRunner:
         """Run a config sweep; each workload is simulated at most once.
 
         Returns one :class:`ExperimentRun` per config, aligned with
-        ``configs``.  Jobs missing from both disk tiers are grouped by
-        execution identity (workload + scale), each group resolves its
-        trace once — stored replay or a single capture with a budget
-        covering the group's largest config — and
-        :func:`repro.core.analyze_many` fans the one pass out to every
-        config.  Failures follow :meth:`run` semantics: recorded per
-        job, never raised.  When the runner observes, the sweep's one
-        shared profile is attached to every run's metrics.
-
-        ``resume`` / ``cancel`` follow :meth:`run`: each job's
-        terminal state is journaled (fsync'd) before its result is
-        published, a set ``cancel`` event drains in-flight work and
-        checkpoints, and a resumed sweep re-executes only the jobs not
-        journaled as complete.
+        ``configs``.  Failures, ``resume`` and ``cancel`` follow
+        :meth:`run`.  When the runner observes, the sweep's one shared
+        profile is attached to every run's metrics.
         """
-        token = self._begin_observation()
-        fault_token = self._begin_faults()
-        self._journal = self._open_journal(resume)
+        requests = [(config, _suite_names(config)) for config in configs]
+        return self._lifecycle("runner.sweep", requests, jobs,
+                               resume=resume, cancel=cancel)
+
+    def _lifecycle(self, span: str, requests, jobs: int | None, *,
+                   resume: bool = False, cancel=None,
+                   journal: bool = True) -> list[ExperimentRun]:
+        """Observation, faults, journal and cancel around one sweep.
+
+        ``requests`` holds one ``(config, workload names)`` pair per
+        returned run; the sweep itself runs under the ``span`` root.
+        Each job's terminal state is journaled (fsync'd) before its
+        result is published, a set ``cancel`` event drains in-flight
+        work and checkpoints, and a resumed run re-executes only the
+        jobs not journaled as complete.
+        """
+        # Observe into a fresh recorder, or borrow the enabled one the
+        # caller installed (its snapshot is then cumulative).
+        rec = owned = None
+        if self.obs.enabled:
+            rec = get_recorder()
+            if not rec.enabled:
+                rec = owned = Recorder()
+                previous = set_recorder(owned)
+        # The fault plan (the chaos-testing channel) lives for the run.
+        plan = (set_fault_plan(self.faults)
+                if self.faults is not None else None)
+        self._journal = self._open_journal(resume) if journal else None
         self._cancel = cancel
         try:
-            with get_recorder().span("runner.sweep"):
-                runs = self._run_many_impl(configs, jobs)
+            with get_recorder().span(span):
+                runs = self._sweep(requests, jobs)
             if self._journal is not None:
                 for run in runs:
                     run.journal_path = str(self._journal.path)
@@ -775,28 +582,69 @@ class ExperimentRunner:
                 self._journal.close()
             self._journal = None
             self._cancel = None
-            self._finish_faults(fault_token)
-            profile = self._finish_observation(token)
-        if profile is not None:
-            for run in runs:
-                run.metrics.profile = profile
+            if self.faults is not None:
+                set_fault_plan(plan)
+            if owned is not None:
+                set_recorder(previous)
+        profile = rec.snapshot() if rec is not None else None
+        if profile is not None and self.obs.events_path:
+            try:
+                write_jsonl(profile, self.obs.events_path)
+            except OSError:
+                pass  # observation must never sink a run
+        for run in runs:
+            run.metrics.profile = profile
         return runs
 
-    def _run_many_impl(self, configs, jobs: int | None,
-                       ) -> list[ExperimentRun]:
-        configs = list(configs)
-        workers = max(1, jobs if jobs is not None else self.policy.jobs)
-        runs = [ExperimentRun() for __ in configs]
-        name_lists = []
-        start = time.monotonic()
+    # ------------------------------------------------------------------
+    # The sweep: plan, execute, publish.
+    # ------------------------------------------------------------------
 
-        # Serve memo/store hits; group the rest by execution identity.
+    def _sweep(self, requests, jobs: int | None) -> list[ExperimentRun]:
+        workers = max(1, jobs if jobs is not None else self.policy.jobs)
+        start = time.monotonic()
+        runs, groups = self._plan(requests, workers)
+        if groups and not self._cancelled():
+            segmented = self._plan_segments(groups)
+            if segmented or (workers > 1 and len(groups) > 1):
+                self._sweep_pool(groups, segmented, workers)
+            else:
+                for (name, __), entries in groups.items():
+                    if self._cancelled():
+                        break
+                    for run, __, __k in entries:
+                        run.metrics.peak_workers = max(
+                            run.metrics.peak_workers, 1)
+                    self._run_inline(name, entries)
+
+        total = time.monotonic() - start
+        interrupted = self._cancelled()
+        for run, (__, names) in zip(runs, requests):
+            run.results = {
+                name: run.results[name]
+                for name in names if name in run.results
+            }
+            run.metrics.jobs.sort(key=lambda m: names.index(m.workload))
+            run.metrics.total_wall = total
+            run.metrics.interrupted = interrupted
+        return runs
+
+    def _plan(self, requests, workers: int):
+        """Hash every job, serve memo/store hits, and group the misses
+        by execution identity: ``(runs, {(name, scale): entries})``
+        with one ``(run, config, key)`` entry per missing job.
+
+        A workload whose compile/input generation blows up fails here
+        without sinking the suite.  Unknown names still raise — that
+        is a caller bug, not a job fault.
+        """
+        runs = []
         groups: dict[tuple, list] = {}
-        for run, config in zip(runs, configs):
+        for config, names in requests:
+            run = ExperimentRun()
             run.metrics.requested_workers = workers
             run.metrics.policy = self.policy.describe()
-            names = config.workloads or tuple(w.name for w in SUITE)
-            name_lists.append(names)
+            runs.append(run)
             for name in names:
                 get_workload(name)
                 try:
@@ -809,8 +657,10 @@ class ExperimentRunner:
                     continue
                 hit = self._memo.get(key)
                 status = STATUS_MEMO_HIT
-                if hit is None:
-                    hit = self._load(key)
+                if hit is None and self.store is not None:
+                    payload = self.store.get(key)
+                    if payload is not None:
+                        hit = result_from_dict(payload)
                     status = STATUS_CACHE_HIT
                     self._journal_check(key, name, hit)
                 if hit is None:
@@ -821,221 +671,31 @@ class ExperimentRunner:
                 self._memo[key] = hit
                 run.results[name] = hit
                 _note(run, JobMetric(workload=name, key=key, status=status))
+        return runs, groups
 
-        if groups and not self._cancelled():
-            if workers == 1 or len(groups) == 1:
-                self._sweep_serial(groups)
-            else:
-                self._sweep_parallel(groups, workers)
+    def _plan_segments(self, groups) -> dict:
+        """The groups to run as segment tasks: ``{group: job}``.
 
-        total = time.monotonic() - start
-        interrupted = self._cancelled()
-        for run, names in zip(runs, name_lists):
-            run.results = {
-                name: run.results[name]
-                for name in names if name in run.results
-            }
-            run.metrics.jobs.sort(key=lambda m: names.index(m.workload))
-            run.metrics.total_wall = total
-            run.metrics.interrupted = interrupted
-        return runs
-
-    def _sweep_serial(self, groups) -> None:
-        for (name, __scale), entries in groups.items():
-            if self._cancelled():
-                return
-            for run, __, __k in entries:
-                run.metrics.peak_workers = max(run.metrics.peak_workers, 1)
-            group_start = time.monotonic()
-            budgets = [config.max_instructions for __, config, __k in entries]
-            budget = (None if any(b is None for b in budgets)
-                      else max(budgets))
-            try:
-                analysis_configs = [Job(name, config).analysis_config()
-                                    for __, config, __k in entries]
-                n_static, columns, status = _resolve_trace(
-                    name, entries[0][1], self.trace_store, budget,
-                )
-                results = analyze_many(columns, n_static,
-                                       analysis_configs, name=name)
-            except Exception as error:
-                wall = time.monotonic() - group_start
-                for run, __, key in entries:
-                    self._record_failure(run, name, key, JobFailure(
-                        workload=name,
-                        error=f"{type(error).__name__}: {error}",
-                        wall_time=wall,
-                    ))
-                continue
-            # The group's one pass served every entry; split its cost.
-            wall = (time.monotonic() - group_start) / len(entries)
-            for (run, __, key), result in zip(entries, results):
-                self._safe_put(key, result)
-                self._journal_record(key, name, STATUS_DONE)
-                self._memo[key] = result
-                run.results[name] = result
-                _note(run, JobMetric(
-                    workload=name, key=key, status=status,
-                    wall_time=wall, instructions=result.nodes, attempts=1,
-                ))
-
-    def _sweep_parallel(self, groups, workers: int) -> None:
-        scratch = None
-        store = self.store
-        if store is None:
-            scratch = tempfile.TemporaryDirectory(prefix="repro-runner-")
-            store = ResultStore(scratch.name)
-        trace_root, trace_max = self._trace_store_args()
-        try:
-            pool = TaskPool(max_workers=workers,
-                            timeout=self.policy.timeout,
-                            retries=self.policy.retries)
-            observing = get_recorder().enabled
-            tasks = [
-                Task(key=f"{name}@{scale}", fn=_execute_sweep,
-                     args=(name,
-                           tuple(config for __, config, __k in entries),
-                           tuple(key for __, __c, key in entries),
-                           str(store.root), store.max_bytes,
-                           trace_root, trace_max, observing, self.policy))
-                for (name, scale), entries in groups.items()
-            ]
-            pool_run = pool.run(tasks, cancel=self._cancel)
-            self._merge_worker_profiles(pool_run.outcomes)
-            for (name, scale), entries in groups.items():
-                for run, __, __k in entries:
-                    run.metrics.peak_workers = max(
-                        run.metrics.peak_workers, pool_run.peak_workers
-                    )
-                outcome = pool_run.outcomes.get(f"{name}@{scale}")
-                if outcome is None and pool_run.cancelled:
-                    continue  # never launched: not a failure, just unrun
-                if isinstance(outcome, TaskError):
-                    for run, __, key in entries:
-                        failure = JobFailure(
-                            workload=name, error=outcome.error,
-                            attempts=outcome.attempts,
-                            wall_time=outcome.wall_time,
-                            timed_out=outcome.timed_out,
-                            kind=outcome.kind,
-                        )
-                        self._journal_record(key, name, JOURNAL_FAILED)
-                        self._record_failure(run, name, key, failure)
-                    continue
-                wall = ((outcome.wall_time if outcome else 0.0)
-                        / len(entries))
-                attempts = outcome.attempts if outcome else 1
-                for run, config, key in entries:
-                    payload = store.get(key)
-                    if payload is None:
-                        # The worker reported success but its stored
-                        # result is unreadable (torn write, eviction
-                        # race, corruption): recompute in-process
-                        # rather than failing a job that already ran.
-                        result = self._recover_inline(run, name, config,
-                                                      key, attempts)
-                        if result is None:
-                            continue
-                    else:
-                        result = result_from_dict(payload)
-                    self._journal_record(key, name, STATUS_DONE)
-                    self._memo[key] = result
-                    run.results[name] = result
-                    _note(run, JobMetric(
-                        workload=name, key=key, status=STATUS_COMPUTED,
-                        wall_time=wall, instructions=result.nodes,
-                        attempts=attempts,
-                    ))
-        finally:
-            if scratch is not None:
-                scratch.cleanup()
-
-    def _recover_inline(self, run, name: str, config, key: str,
-                        attempts: int):
-        """Recompute a job in-process after its stored result vanished.
-
-        Returns the result, or None after recording the failure.
+        Only a group of one config qualifies: a multi-config group's
+        one shared pass beats sharding it.
         """
-        get_recorder().count("runner.recovered", 1)
-        _log.warning("runner: %s completed in a worker but its stored "
-                     "result is unreadable; recomputing in-process", name)
-        try:
-            result, __ = self._compute(name, config)
-        except Exception as error:
-            self._journal_record(key, name, JOURNAL_FAILED)
-            self._record_failure(run, name, key, JobFailure(
-                workload=name,
-                error=f"{type(error).__name__}: {error}",
-                attempts=attempts,
-            ))
-            return None
-        self._safe_put(key, result)
-        return result
-
-    # ------------------------------------------------------------------
-    # Execution strategies.
-    # ------------------------------------------------------------------
-
-    def _trace_store_args(self) -> tuple[str | None, int]:
-        """(root, max_bytes) of the trace tier, for pool workers."""
-        if self.trace_store is None:
-            return None, 0
-        return str(self.trace_store.root), self.trace_store.max_bytes
-
-    @staticmethod
-    def _merge_worker_profiles(outcomes) -> None:
-        """Fold observing workers' snapshots into the parent recorder.
-
-        Workers return ``(payload, profile)``; a worker that ran
-        unobserved (or failed), or a segment task (whose value is a
-        payload dict), contributes nothing.
-        """
-        recorder = get_recorder()
-        if not recorder.enabled:
-            return
-        for outcome in outcomes.values():
-            if isinstance(outcome, TaskError):
-                continue
-            value = outcome.value
-            if (isinstance(value, tuple) and len(value) == 2
-                    and value[1] is not None):
-                recorder.merge(value[1])
-
-    def _run_serial(self, run: ExperimentRun, config, misses) -> None:
-        run.metrics.peak_workers = max(run.metrics.peak_workers, 1)
-        for name, key in misses:
-            if self._cancelled():
-                return
-            job_start = time.monotonic()
-            try:
-                result, status = self._compute_one(name, config, key)
-            except Exception as error:
-                self._journal_record(key, name, JOURNAL_FAILED)
-                self._record_failure(run, name, key, JobFailure(
-                    workload=name,
-                    error=f"{type(error).__name__}: {error}",
-                    wall_time=time.monotonic() - job_start,
-                ))
-                continue
-            self._safe_put(key, result)
-            self._journal_record(key, name, STATUS_DONE)
-            self._memo[key] = result
-            run.results[name] = result
-            _note(run, JobMetric(
-                workload=name, key=key, status=status,
-                wall_time=time.monotonic() - job_start,
-                instructions=result.nodes, attempts=1,
-            ))
+        segmented = {}
+        for group, entries in groups.items():
+            if len(entries) == 1:
+                __, config, key = entries[0]
+                seg = self._prepare_segments(group[0], config, key)
+                if seg is not None:
+                    segmented[group] = seg
+        return segmented
 
     def _prepare_segments(self, name: str, config, key: str):
-        """Plan one miss as segment pool tasks, or None for a whole job.
+        """Plan one job as segment pool tasks, or None for a whole job.
 
-        The one segment planner, for :meth:`run_one` and :meth:`run`
-        alike.  The segmented plan applies only when the policy shards,
-        the kernel can run the config, and the stored trace covers the
+        The segmented plan applies only when the policy shards, the
+        kernel can run the config, and the stored trace covers the
         budget with a usable sidecar index; everything else (including
         a cold capture, which has no trace to split yet) stays a
-        whole-job task.  A plan the sidecar cannot serve counts
+        whole-group task.  A plan the sidecar cannot serve counts
         ``analyze.shard.fallback``.
         """
         policy = self.policy
@@ -1074,56 +734,33 @@ class ExperimentRunner:
         self.trace_store._touch(self.trace_store.path_for(tkey))
         return _SegmentedJob(name, key, tasks, merge)
 
-    def _finish_segmented(self, config, seg: "_SegmentedJob"):
-        """A settled segmented job's ``(result, status)``.
-
-        The merged result when every segment landed; otherwise (a
-        segment task failed every pool retry, or the merge raised) the
-        whole job is recomputed serially in the parent — byte-identical
-        by the parity suite's guarantee.  Recompute errors propagate.
-        """
-        if seg.result is not None:
-            get_recorder().count("analyze.shard.runs", 1)
-            return seg.result, STATUS_REPLAYED
-        get_recorder().count("analyze.shard.fallback", 1)
-        _log.warning("runner: segmented %s failed (%s); retrying the "
-                     "whole job serially", seg.name, seg.failed)
-        return self._compute(seg.name, config)
-
-    def _settle_segmented(self, run: ExperimentRun, config,
-                          seg: "_SegmentedJob",
-                          pool_cancelled: bool) -> None:
-        """Publish a segmented job's merged (or serially recomputed)
-        result into ``run``."""
-        name, key = seg.name, seg.key
-        merged = seg.result is not None
-        if not merged and seg.failed is None and pool_cancelled:
-            return  # segments never all ran: not a failure, just unrun
-        job_start = time.monotonic()
-        attempts = seg.attempts if merged else seg.attempts + 1
+    def _run_inline(self, name: str, entries, attempts: int = 1) -> None:
+        """Analyse one group in-process and publish every entry."""
+        start = time.monotonic()
         try:
-            result, status = self._finish_segmented(config, seg)
+            results, status = _analyze_group(
+                name, [config for __, config, __k in entries],
+                self.trace_store, self.policy,
+            )
         except Exception as error:
-            self._journal_record(key, name, JOURNAL_FAILED)
-            self._record_failure(run, name, key, JobFailure(
-                workload=name,
-                error=f"{type(error).__name__}: {error}",
-                wall_time=time.monotonic() - job_start,
-                attempts=attempts,
-            ))
+            wall = time.monotonic() - start
+            for run, __, key in entries:
+                self._record_failure(run, name, key, JobFailure(
+                    workload=name,
+                    error=f"{type(error).__name__}: {error}",
+                    wall_time=wall, attempts=attempts,
+                ))
             return
-        self._safe_put(key, result)
-        self._journal_record(key, name, STATUS_DONE)
-        self._memo[key] = result
-        run.results[name] = result
-        _note(run, JobMetric(
-            workload=name, key=key, status=status,
-            wall_time=seg.wall if merged else time.monotonic() - job_start,
-            instructions=result.nodes, attempts=attempts,
-        ))
+        # The group's one pass served every entry; split its cost.
+        wall = (time.monotonic() - start) / len(entries)
+        for (run, __, key), result in zip(entries, results):
+            self._publish(run, name, key, result, status, wall=wall,
+                          attempts=attempts)
 
-    def _run_parallel(self, run: ExperimentRun, config, misses,
-                      workers: int) -> None:
+    def _sweep_pool(self, groups, segmented, workers: int) -> None:
+        """Run the groups on one pool: segmented groups as per-segment
+        tasks, the rest as one :func:`_execute_sweep` task each, so
+        segments schedule alongside whole groups and fill idle slots."""
         # A disk store is the result channel; without one, use a
         # throwaway store that only lives for this run.
         scratch = None
@@ -1131,32 +768,30 @@ class ExperimentRunner:
         if store is None:
             scratch = tempfile.TemporaryDirectory(prefix="repro-runner-")
             store = ResultStore(scratch.name)
+        trace_root, trace_max = None, 0
+        if self.trace_store is not None:
+            trace_root = str(self.trace_store.root)
+            trace_max = self.trace_store.max_bytes
+        observing = get_recorder().enabled
+        tasks = []
+        for (name, scale), entries in groups.items():
+            seg = segmented.get((name, scale))
+            if seg is not None:
+                tasks.extend(seg.tasks)
+                continue
+            tasks.append(Task(
+                key=f"{name}@{scale}", fn=_execute_sweep,
+                args=(name,
+                      tuple(config for __, config, __k in entries),
+                      tuple(key for __, __c, key in entries),
+                      str(store.root), store.max_bytes,
+                      trace_root, trace_max, observing, self.policy),
+            ))
+        by_key = {seg.key: seg for seg in segmented.values()}
         try:
             pool = TaskPool(max_workers=workers,
                             timeout=self.policy.timeout,
                             retries=self.policy.retries)
-            trace_root, trace_max = self._trace_store_args()
-            observing = get_recorder().enabled
-            # Jobs whose stored trace carries a usable segment index
-            # fan out as per-segment tasks; the rest run whole.  Both
-            # kinds share the one pool, so segments schedule alongside
-            # whole jobs and fill its idle slots.
-            tasks = []
-            whole: list[tuple[str, str]] = []
-            seg_jobs: dict[str, _SegmentedJob] = {}
-            for name, key in misses:
-                seg = self._prepare_segments(name, config, key)
-                if seg is not None:
-                    seg_jobs[key] = seg
-                    tasks.extend(seg.tasks)
-                    continue
-                whole.append((name, key))
-                tasks.append(Task(
-                    key=key, fn=_execute_job,
-                    args=(name, config, key, str(store.root),
-                          store.max_bytes, trace_root, trace_max,
-                          observing, self.policy),
-                ))
             outcomes: dict = {}
             stats: dict = {}
             # Stream so each segmented job's sequential merge overlaps
@@ -1165,67 +800,101 @@ class ExperimentRunner:
                     tasks, cancel=self._cancel, stats=stats):
                 outcomes[tkey] = outcome
                 jkey, sep, idx = tkey.partition("#seg")
-                if sep and jkey in seg_jobs:
-                    seg_jobs[jkey].absorb(int(idx), outcome)
-            pool_cancelled = stats.get("cancelled", False)
-            self._merge_worker_profiles(outcomes)
-            run.metrics.peak_workers = max(
-                run.metrics.peak_workers, stats.get("peak", 0)
-            )
-            for seg in seg_jobs.values():
-                self._settle_segmented(run, config, seg, pool_cancelled)
-            for name, key in whole:
-                outcome = outcomes.get(key)
-                if outcome is None and pool_cancelled:
-                    continue  # never launched: not a failure, just unrun
-                if isinstance(outcome, TaskError):
-                    failure = JobFailure(
-                        workload=name, error=outcome.error,
-                        attempts=outcome.attempts,
-                        wall_time=outcome.wall_time,
-                        timed_out=outcome.timed_out,
-                        kind=outcome.kind,
+                if sep:
+                    by_key[jkey].absorb(int(idx), outcome)
+                elif observing and isinstance(outcome, TaskResult):
+                    # Fold the group worker's own profile into ours.
+                    get_recorder().merge(outcome.value[1])
+            cancelled = stats.get("cancelled", False)
+            for (name, scale), entries in groups.items():
+                for run, __, __k in entries:
+                    run.metrics.peak_workers = max(
+                        run.metrics.peak_workers, stats.get("peak", 0)
                     )
-                    self._journal_record(key, name, JOURNAL_FAILED)
-                    self._record_failure(run, name, key, failure)
+                seg = segmented.get((name, scale))
+                if seg is not None:
+                    self._settle_segmented(entries[0], seg, cancelled)
                     continue
-                payload = store.get(key)
-                if payload is None:
-                    result = self._recover_inline(
-                        run, name, config, key,
-                        outcome.attempts if outcome else 1,
-                    )
-                    if result is None:
-                        continue
-                else:
-                    result = result_from_dict(payload)
-                self._journal_record(key, name, STATUS_DONE)
-                self._memo[key] = result
-                run.results[name] = result
-                _note(run, JobMetric(
-                    workload=name, key=key, status=STATUS_COMPUTED,
-                    wall_time=outcome.wall_time if outcome else 0.0,
-                    instructions=result.nodes,
-                    attempts=outcome.attempts if outcome else 1,
-                ))
+                outcome = outcomes.get(f"{name}@{scale}")
+                if outcome is None:
+                    continue  # never launched (cancelled): unrun
+                self._settle_group(name, entries, outcome, store)
         finally:
             if scratch is not None:
                 scratch.cleanup()
+
+    def _settle_group(self, name: str, entries, outcome, store) -> None:
+        """Publish a pool group's results, read back from ``store``."""
+        if isinstance(outcome, TaskError):
+            for run, __, key in entries:
+                self._record_failure(run, name, key, JobFailure(
+                    workload=name, error=outcome.error,
+                    attempts=outcome.attempts,
+                    wall_time=outcome.wall_time,
+                    timed_out=outcome.timed_out,
+                    kind=outcome.kind,
+                ))
+            return
+        status = outcome.value[0]
+        wall = outcome.wall_time / len(entries)
+        for entry in entries:
+            run, __, key = entry
+            payload = store.get(key)
+            if payload is not None:
+                self._publish(run, name, key, result_from_dict(payload),
+                              status, wall=wall, attempts=outcome.attempts,
+                              stored=True)
+                continue
+            # The worker reported success but its stored result is
+            # unreadable (torn write, eviction race, corruption):
+            # recompute in-process rather than failing a job that ran.
+            get_recorder().count("runner.recovered", 1)
+            _log.warning("runner: %s completed in a worker but its "
+                         "stored result is unreadable; recomputing "
+                         "in-process", name)
+            self._run_inline(name, [entry], attempts=outcome.attempts)
+
+    def _settle_segmented(self, entry, seg: _SegmentedJob,
+                          cancelled: bool) -> None:
+        """Publish a segmented job's merged result, or recompute the
+        whole job in-process when a segment failed every pool retry or
+        the merge raised — byte-identical by the parity suite's
+        guarantee."""
+        run, __, key = entry
+        if seg.result is not None:
+            get_recorder().count("analyze.shard.runs", 1)
+            self._publish(run, seg.name, key, seg.result, STATUS_REPLAYED,
+                          wall=seg.wall, attempts=seg.attempts)
+            return
+        if seg.failed is None and cancelled:
+            return  # segments never all ran: not a failure, just unrun
+        get_recorder().count("analyze.shard.fallback", 1)
+        _log.warning("runner: segmented %s failed (%s); retrying the "
+                     "whole job serially", seg.name, seg.failed)
+        self._run_inline(seg.name, [entry], attempts=seg.attempts + 1)
+
+    def _publish(self, run: ExperimentRun, name: str, key: str, result,
+                 status: str, *, wall: float, attempts: int,
+                 stored: bool = False) -> None:
+        """The one publish step: write through the store (unless a
+        pool worker ``stored`` it already), journal, memo, note."""
+        if not stored and self.store is not None:
+            _store_put_safe(self.store, key, result_to_dict(result))
+        self._journal_record(key, name, STATUS_DONE)
+        self._memo[key] = result
+        run.results[name] = result
+        _note(run, JobMetric(
+            workload=name, key=key, status=status, wall_time=wall,
+            instructions=result.nodes, attempts=attempts,
+        ))
 
     # ------------------------------------------------------------------
     # Helpers.
     # ------------------------------------------------------------------
 
-    def _load(self, key: str):
-        if self.store is None:
-            return None
-        payload = self.store.get(key)
-        if payload is None:
-            return None
-        return result_from_dict(payload)
-
     def _record_failure(self, run: ExperimentRun, name: str, key: str,
                         failure: JobFailure) -> None:
+        self._journal_record(key, name, JOURNAL_FAILED)
         run.failures[name] = failure
         _note(run, JobMetric(
             workload=name, key=key, status=STATUS_FAILED,

@@ -52,7 +52,10 @@ class ExperimentConfig:
         workloads: workload names to run (None = the full suite).
         predictors: predictor kinds to analyse side by side.
         trees_for: predictors with per-generate tree tracking.
-        gen_cap: generator-id cap for tree tracking.
+        gen_cap: generator-id cap for tree tracking; an int >= 1
+            (``ValueError`` otherwise: a cap of 0 truncates every
+            multi-generator union, and a negative one drops the
+            largest ids instead of capping).
     """
 
     scale: int = 1
@@ -61,6 +64,12 @@ class ExperimentConfig:
     predictors: tuple[str, ...] = PREDICTOR_KINDS
     trees_for: tuple[str, ...] = ("context",)
     gen_cap: int = 64
+
+    def __post_init__(self):
+        cap = self.gen_cap
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+            raise ValueError(f"gen_cap must be an integer >= 1, "
+                             f"got {cap!r}")
 
 
 @dataclass(frozen=True)

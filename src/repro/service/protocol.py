@@ -158,7 +158,10 @@ def config_from_dict(payload) -> ExperimentConfig:
         except ValueError as error:
             raise ProtocolError(
                 f"config field 'predictors': {error}") from None
-    return ExperimentConfig(**kwargs)
+    try:
+        return ExperimentConfig(**kwargs)
+    except ValueError as error:
+        raise ProtocolError(f"invalid config: {error}") from None
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

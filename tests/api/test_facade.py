@@ -26,6 +26,16 @@ class TestFacadeSurface:
         assert api.ExperimentConfig is ExperimentConfig
         assert api.AnalysisConfig is AnalysisConfig
 
+    @pytest.mark.parametrize("cap", [0, -3, True, 1.5, "64"])
+    def test_experiment_config_rejects_bad_gen_cap(self, cap):
+        with pytest.raises(ValueError, match="gen_cap must be an integer"):
+            api.ExperimentConfig(gen_cap=cap)
+
+    def test_gen_cap_check_leaves_analysis_config_alone(self):
+        # The kernel's walk tests drive a cap of 0 directly.
+        assert api.ExperimentConfig(gen_cap=1).gen_cap == 1
+        assert api.AnalysisConfig(gen_cap=0).gen_cap == 0
+
 
 class TestFacadeExecution:
     def test_run_workload_memo_identity(self):

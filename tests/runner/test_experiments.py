@@ -24,11 +24,13 @@ HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 SMALL = ExperimentConfig(max_instructions=3_000, workloads=("com", "go"))
 
+_analyze_group = runner_api._analyze_group
 
-def _crashing_analyze(name, config):
+
+def _crashing_analyze_group(name, configs, trace_store, policy):
     if name == "go":
         raise RuntimeError("injected analysis fault")
-    return _analyze(name, config)
+    return _analyze_group(name, configs, trace_store, policy)
 
 
 @pytest.fixture
@@ -130,7 +132,8 @@ class TestParallelRunner:
     @pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
     def test_injected_child_fault_spares_siblings(self, monkeypatch,
                                                   tmp_path):
-        monkeypatch.setattr(runner_api, "_analyze", _crashing_analyze)
+        monkeypatch.setattr(runner_api, "_analyze_group",
+                            _crashing_analyze_group)
         runner = ExperimentRunner(
             store=ResultStore(tmp_path),
             policy=ExecutionPolicy(jobs=2, retries=0),
@@ -168,6 +171,23 @@ class TestRunnerCli:
         out = capsys.readouterr().out
         assert "com" in out and "go" in out and "computed" in out
         assert (cache / "metrics.json").is_file()
+
+    def test_cli_reports_a_rejected_config_as_usage_error(
+            self, tmp_path, capsys, monkeypatch):
+        # No flag sets gen_cap, so hand the CLI a config type carrying
+        # a bad one: the check must surface as a usage error (exit 2),
+        # not a traceback.
+        import functools
+
+        from repro import cli
+
+        monkeypatch.setattr(cli, "ExperimentConfig", functools.partial(
+            ExperimentConfig, gen_cap=0))
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["run", "--workloads", "com", "--max-instructions",
+                      "1000", "--cache-dir", str(tmp_path / "cache")])
+        assert excinfo.value.code == 2
+        assert "gen_cap must be an integer >= 1" in capsys.readouterr().err
 
     def test_cli_second_run_is_all_hits(self, tmp_path, capsys):
         cache = tmp_path / "cache"

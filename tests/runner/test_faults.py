@@ -261,3 +261,20 @@ class TestEnospcDegradation:
         counters = rec.snapshot()["counters"]
         assert counters["journal.enospc"] == 1
         assert counters["store.result.enospc"] >= 1
+
+    def test_run_one_survives_a_persistently_full_disk(self, tmp_path):
+        # run_one publishes through the same degrading store write as
+        # run: a full disk costs the cached copy, never the result.
+        plan = FaultPlan(seed=0, specs={
+            "store.enospc": FaultSpec(rate=1.0),
+        })
+        runner = ExperimentRunner(store=ResultStore(tmp_path),
+                                  faults=plan)
+        config = ExperimentConfig(workloads=("com",),
+                                  max_instructions=1_000)
+        with recording(Recorder()) as rec:
+            result = runner.run_one("com", config)
+        assert result is runner.run_one("com", config)
+        counters = rec.snapshot()["counters"]
+        assert counters["store.result.enospc"] >= 1
+        assert counters["store.result.write_errors"] >= 1

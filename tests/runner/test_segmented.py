@@ -77,6 +77,22 @@ class TestSidecarLifecycle:
                          policy=SEG_POLICY).run_one("com", CONFIG)
         assert traces.has_segindex(KEY)
 
+    def test_serial_sweep_writes_sidecar(self, tmp_path):
+        store, traces = _stores(tmp_path)
+        ExperimentRunner(store=store, trace_store=traces,
+                         policy=SEG_POLICY).run_many([CONFIG])
+        assert traces.has_segindex(KEY)
+
+    def test_serial_sweep_backfills_sidecar(self, tmp_path):
+        store, traces = _stores(tmp_path)
+        ExperimentRunner(store=store,
+                         trace_store=traces).run_many([CONFIG])
+        assert not traces.has_segindex(KEY)
+        ExperimentRunner(store=ResultStore(tmp_path / "fresh"),
+                         trace_store=traces,
+                         policy=SEG_POLICY).run_many([CONFIG])
+        assert traces.has_segindex(KEY)
+
     def test_put_invalidates_sidecar(self, tmp_path):
         store, traces = _stores(tmp_path)
         ExperimentRunner(store=store, trace_store=traces,

@@ -177,6 +177,26 @@ class TestRunMany:
         assert set(runs[0].results) == {"com"}
         assert runs[1].require()  # unaffected config still succeeds
 
+    @pytest.mark.parametrize("entry", ["run", "run_many"])
+    def test_parallel_replays_report_replayed(self, tmp_path, entry):
+        # Warm traces, fresh result store, two groups on two workers:
+        # the pool workers replay, and the parent must say so.
+        config = ExperimentConfig(max_instructions=1_200,
+                                  workloads=("com", "go"))
+        ExperimentRunner(store=ResultStore(tmp_path / "cold"),
+                         trace_store=TraceStore(tmp_path)).run(config)
+        warm = ExperimentRunner(store=ResultStore(tmp_path / "warm"),
+                                trace_store=TraceStore(tmp_path),
+                                policy=ExecutionPolicy(jobs=2))
+        if entry == "run":
+            run = warm.run(config)
+        else:
+            [run] = warm.run_many([config])
+        assert [(m.workload, m.status) for m in run.metrics.jobs] == [
+            ("com", "replayed"), ("go", "replayed")]
+        for name, result in run.require().items():
+            assert _dump(result) == _dump(_analyze(name, config))
+
     @pytest.mark.slow
     def test_parallel_sweep_matches_serial(self, tmp_path):
         serial = ExperimentRunner(

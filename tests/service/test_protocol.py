@@ -69,6 +69,14 @@ class TestConfigRejection:
         with pytest.raises(ProtocolError, match="integer"):
             config_from_dict({"scale": 1.5})
 
+    @pytest.mark.parametrize("cap", [0, -3, True])
+    def test_gen_cap_below_one_is_an_error(self, cap):
+        with pytest.raises(ProtocolError, match="gen_cap|integer"):
+            config_from_dict({"gen_cap": cap})
+
+    def test_gen_cap_of_one_is_accepted(self):
+        assert config_from_dict({"gen_cap": 1}).gen_cap == 1
+
     @pytest.mark.parametrize("field", [
         "policy", "jobs", "timeout", "retries",
         "segments", "segment_records",

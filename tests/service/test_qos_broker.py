@@ -29,7 +29,8 @@ FAIR_POLICY = qos_policy_from_dict({
 
 
 def cfg(gen_cap: int) -> ExperimentConfig:
-    """Distinct job identities without distinct workloads."""
+    """Distinct job identities without distinct workloads (a
+    ``gen_cap`` is an int >= 1, so tags start at 1)."""
     return dataclasses.replace(CONFIG, gen_cap=gen_cap)
 
 
@@ -100,7 +101,7 @@ class TestFairness:
             await asyncio.to_thread(runner.started.wait, 5)
             background = [
                 asyncio.create_task(submit(broker, "mallory", cfg(i)))
-                for i in range(6)
+                for i in range(1, 7)
             ]
             await asyncio.sleep(0.2)    # let them reach the queue
             interactive = [
@@ -146,7 +147,7 @@ class TestFairness:
                 asyncio.create_task(
                     broker.submit("com", cfg(i), tenant="alice")
                 )
-                for i in range(5)
+                for i in range(1, 6)
             ]
             await asyncio.sleep(0.2)
             runner.gate.set()

@@ -93,6 +93,7 @@ class TestEndpointContract:
         ({"predictors": []}, "no predictors"),
         ({"predictors": ["last", "last"]}, "'last' is repeated"),
         ({"engine": "reference"}, "unknown config field 'engine'"),
+        ({"gen_cap": 0}, "gen_cap must be an integer >= 1"),
     ])
     def test_invalid_config_is_400(self, server, config, named):
         with pytest.raises(RequestFailed) as excinfo:
