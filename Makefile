@@ -42,14 +42,18 @@ kernel-parity:
 	$(PYTHON) benchmarks/bench_kernel.py
 
 ## Segment-parallel parity gate: adversarial boundary tests, the
-## runner's segmented/chaos/reindex suite and policy semantics.  The
-## segmented differential tier (the parity suite and the fuzz run every
-## case through tests.conftest.analyze_segmented, the stored-file path:
+## runner's segmented/chaos/reindex suite, policy semantics, and the
+## trace-format properties (a segment worker's decode is a record-range
+## read of the stored column blocks, tracefile.decode_columns, which
+## must equal the matching slice of the whole decode).  The segmented
+## differential tier (the parity suite and the fuzz run every case
+## through tests.conftest.analyze_segmented, the stored-file path:
 ## save_trace, build_index, prepare_file_segments, _segment_task,
 ## SegmentMerge) runs in `make kernel-parity`.  See docs/sharding.md.
 shard-parity:
 	$(PYTHON) -m pytest -x -q tests/core/test_shard.py \
-		tests/runner/test_segmented.py tests/runner/test_policy.py
+		tests/runner/test_segmented.py tests/runner/test_policy.py \
+		tests/properties/test_tracefile_properties.py
 
 ## Service load smoke: zipf-skewed concurrent clients against a
 ## fresh server; writes BENCH_service.json at the repo root and

@@ -56,6 +56,15 @@ JOBS = int(os.environ.get("REPRO_BENCH_JOBS", str(os.cpu_count() or 1)))
 #: medians, since one pair of timings swings with host noise.
 ANALYZE_PAIRS = 5
 
+#: How far the warm ``analyze`` median may exceed the cold one, as a
+#: fraction of the cold median.  Both sides run equal kernel work, so
+#: a zero tolerance fails correct trees on host noise; this is the
+#: spread (interquartile range) of the per-pair warm/cold ratio over 35
+#: pairs in 7 smokes of the tree before column-block trace files, on a
+#: 2-vCPU shared host (quartiles 0.863 and 1.058).  A second layout of
+#: the decoded trace inside the warm ``analyze`` span costs about +48%.
+ANALYZE_TOLERANCE = 0.19
+
 #: The counters naming the analysis kernel's work in a sweep (see
 #: docs/observability.md): equal on a cold and a trace-warm sweep of
 #: the same configs, whatever the timings.
@@ -316,8 +325,9 @@ def smoke(output_path=None) -> dict:
         ``store`` sums the four store span kinds (``trace.encode``,
         nested inside ``store.trace.put``, included) minus the decode
         nested inside ``store.trace.get``, which is reported as
-        ``trace_decode``.  ``columnize`` is the capture path's
-        ``TraceColumns`` build, outside every store span.  ``gc`` is
+        ``trace_decode``.  ``simulate`` includes the capture's column
+        layout: the live trace streams into ``TraceColumns`` inside
+        that span, so there is no separate columnize phase.  ``gc`` is
         the cyclic collector's pause time; collections run inside the
         other phases, so it is their share, not one more phase.
         """
@@ -342,7 +352,6 @@ def smoke(output_path=None) -> dict:
         )
         return {
             "simulate": round(wall("simulate"), 3),
-            "columnize": round(wall("trace.columnize"), 3),
             "trace_decode": round(decode, 3),
             "analyze": round(wall("analyze"), 3),
             "store": round(
@@ -433,14 +442,15 @@ def smoke(output_path=None) -> dict:
     def reference_analyze(scratch: Path) -> float:
         """The oracle's analyze wall over the cold sweep's traces.
 
-        Records are decoded outside the timer, as the sweep's
-        ``analyze`` span excludes decode.
+        Records are decoded and rebuilt from the stored columns outside
+        the timer, as the sweep's ``analyze`` span excludes decode.
         """
         trace_store = TraceStore(scratch)
         total = 0.0
         for workload in SUITE:
-            header, records = trace_store.get(trace_key(workload.name),
+            header, columns = trace_store.get(trace_key(workload.name),
                                               RUNNER_BUDGET)
+            records = columns.to_records()
             configs = [Job(workload.name, config).analysis_config()
                        for config in SWEEP_CONFIGS]
             start = time.perf_counter()
@@ -544,13 +554,13 @@ def check(report) -> list[str]:
     """The smoke's acceptance gates; returns failed-gate descriptions.
 
     The warm <= cold ``analyze`` gate compares the medians of
-    ``ANALYZE_PAIRS`` alternating samples (``analyze_samples``): the
-    cold sweep analyses the columns it just built from the simulated
-    records, the trace-warm sweep the columns it decodes from the
-    stored traces, and both run the same passes, assemblies and walk
-    records.  The deterministic gate beside it checks that equal work
-    itself: the ``KERNEL_WORK`` counters must match between the two
-    sweeps.
+    ``ANALYZE_PAIRS`` alternating samples (``analyze_samples``), within
+    ``ANALYZE_TOLERANCE`` of the cold median: the cold sweep analyses
+    the columns it built while simulating, the trace-warm sweep the
+    columns it decodes from the stored traces, and both run the same
+    passes, assemblies and walk records.  The deterministic gate beside
+    it checks that equal work itself: the ``KERNEL_WORK`` counters must
+    match between the two sweeps.
     """
     failures = []
     if report["speedup"]["full_warm_vs_cold"] < 3.0:
@@ -572,12 +582,13 @@ def check(report) -> list[str]:
             f"cold {work['cold']}"
         )
     analyze = report["analyze_samples"]
-    if analyze["trace_warm"]["median"] > analyze["cold"]["median"]:
+    bound = analyze["cold"]["median"] * (1 + ANALYZE_TOLERANCE)
+    if analyze["trace_warm"]["median"] > bound:
         failures.append(
             "warm replay analyze median "
             f"({analyze['trace_warm']['median']}s) exceeds cold "
-            f"analyze median ({analyze['cold']['median']}s) over "
-            f"{analyze['pairs']} pairs"
+            f"analyze median ({analyze['cold']['median']}s) by more "
+            f"than {ANALYZE_TOLERANCE:.0%} over {analyze['pairs']} pairs"
         )
     # The segment-parallel gate needs real cores to mean anything:
     # on a 1-2 core host the number is recorded but not enforced.

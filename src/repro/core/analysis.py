@@ -30,6 +30,7 @@ from repro.core.kernel import (
     TraceColumns,
     analyze_columns,
     analyze_columns_many,
+    as_columns,
     columnar_unsupported,
 )
 from repro.core.paths import PathTracker
@@ -395,14 +396,6 @@ class Analyzer:
         return result
 
 
-def _as_columns(trace, n_static: int, limit) -> TraceColumns:
-    """View ``trace`` as columns, building them if records came in."""
-    if isinstance(trace, TraceColumns):
-        return trace
-    with get_recorder().span("analyze.kernel.layout"):
-        return TraceColumns.from_records(trace, n_static, limit=limit)
-
-
 def _falls_back(configs) -> bool:
     """Whether ``configs`` need the reference loop.
 
@@ -448,7 +441,7 @@ def analyze_trace(
             trace, n_static, [config], name, profile_counts, static_counts
         )[0]
     with get_recorder().span("analyze"):
-        columns = _as_columns(trace, n_static, config.max_instructions)
+        columns = as_columns(trace, n_static, config.max_instructions)
         return analyze_columns(
             columns, config, name, profile_counts, static_counts
         )
@@ -484,7 +477,7 @@ def analyze_many(
     budgets = [config.max_instructions for config in configs]
     limit = None if None in budgets else max(budgets)
     with get_recorder().span("analyze"):
-        columns = _as_columns(trace, n_static, limit)
+        columns = as_columns(trace, n_static, limit)
         return analyze_columns_many(
             columns, configs, name, profile_counts, static_counts
         )

@@ -37,7 +37,7 @@ def columnar_unsupported(config) -> str | None:
     return None
 
 
-from repro.core.kernel.columns import TraceColumns  # noqa: E402
+from repro.core.kernel.columns import TraceColumns, as_columns  # noqa: E402
 from repro.core.kernel.engine import (  # noqa: E402
     analyze_columns,
     analyze_columns_many,
@@ -47,5 +47,6 @@ __all__ = [
     "TraceColumns",
     "analyze_columns",
     "analyze_columns_many",
+    "as_columns",
     "columnar_unsupported",
 ]

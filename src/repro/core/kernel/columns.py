@@ -6,12 +6,19 @@ entry per dynamic instruction in the record columns (``pc``,
 ``op_index``, ``out`` ...) and one entry per consumed operand in the
 arc columns (``src_value``, ``src_prod`` ...), joined by the
 ``src_start`` offset column (record ``r`` owns arcs
-``src_start[r] : src_start[r+1]``).  Everything the analysis engine
-needs per element is precomputed **once per trace** at build time —
-predictor input keys, arc group keys, D-node identities, the
-branch/output/passthrough record subsets — so a multi-config sweep
-pays the layout cost once and every analyzer runs as batched passes
-over the columns (:mod:`repro.core.kernel.engine`).
+``src_start[r] : src_start[r+1]``).
+
+A trace takes this form once, right after the machine: the cold path
+streams the live trace into :meth:`TraceColumns.from_records`, and a
+stored trace (:mod:`repro.cpu.tracefile`) keeps only the primary
+columns — the constructor's keyword arguments — and rebuilds the
+object through the same constructor.  Either way everything else the
+analysis engine needs per element — arc offsets, predictor input
+keys, arc group keys, D-node identities, the branch/output/passthrough
+record subsets — is derived **once per trace** by one method
+(``_derive``), so a multi-config sweep pays the layout cost once and
+every analyzer runs as batched passes over the columns
+(:mod:`repro.core.kernel.engine`).
 
 Budget truncation never re-decodes: every column is prefix-closed, so
 an analyzer with ``max_instructions = m`` reads ``pc[:m]`` and arcs
@@ -28,9 +35,8 @@ big-integer bitwise arithmetic and count them with ``bytes.translate``
 
 from __future__ import annotations
 
-import struct
 from collections import Counter
-from itertools import islice
+from itertools import accumulate, compress, islice
 
 from repro.core.kernel.state import (
     new_branch_state,
@@ -41,25 +47,7 @@ from repro.core.kernel.state import (
 from repro.cpu.trace import DynInst, Source
 from repro.errors import ReproError
 from repro.isa.opcodes import Category
-
-# v2 record layout (mirrors repro.cpu.tracefile; kept in sync by
-# tests/core/test_kernel_parity.py round-trips).
-_REC_HEAD = struct.Struct("<IIBBbqI")
-_SRC_FMT = "BqIIQ"
-_SRC_GROUPS = [struct.Struct("<" + _SRC_FMT * n) for n in range(8)]
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
-
-_HAS_OUT = 0x01
-_OUT_FLOAT = 0x02
-_HAS_TAKEN = 0x04
-_TAKEN = 0x08
-_HAS_TARGET = 0x10
-_NSRC_SHIFT = 5
-
-_SRC_MEM = 0x01
-_SRC_PRODUCED = 0x02
-_SRC_FLOAT = 0x04
+from repro.obs import get_recorder
 
 #: ``taken`` column encoding (``None`` is distinct from ``False``: a
 #: direction predictor can never be *correct* about an unknown
@@ -67,6 +55,10 @@ _SRC_FLOAT = 0x04
 TAKEN_FALSE = 0
 TAKEN_TRUE = 1
 TAKEN_NONE = 2
+
+#: D-node identity base of initial register values (memory data items
+#: are their address, < 2**32); :meth:`repro.cpu.trace.Source.d_key`.
+_REG_D = 0x2_0000_0000
 
 #: Categories whose output passes an input's predictability through.
 _PASS_CATS = (Category.LOAD, Category.STORE, Category.JUMP_REG)
@@ -118,7 +110,7 @@ class TraceColumns:
         "src_value",     # list[int|float]
         "src_prod",      # list[int], -1 = D node
         "src_ppc",       # list[int], 0 for D arcs
-        "src_mem",       # bytearray (for DynInst reconstruction)
+        "src_mem",       # bytearray 0/1
         "src_loc",       # list[int]
         "in_key",        # list[int]: (pc << 2) | slot
         "group_key",     # list[int]: ArcGroupTable key
@@ -135,64 +127,54 @@ class TraceColumns:
         "_pred_cache",      # (tier, spec, ...) -> (covered, hits)
     )
 
-    def __init__(self):
-        self.ops = []
-        self.pc = []
-        self.op_index = bytearray()
-        self.out = []
-        self.passthrough = []
-        self.taken = bytearray()
-        self.nsrc = bytearray()
-        self.src_start = [0]
-        self.src_value = []
-        self.src_prod = []
-        self.src_ppc = []
-        self.src_mem = bytearray()
-        self.src_loc = []
-        self.in_key = []
-        self.group_key = []
-        self.d_prefix = [0]
-        self.d_ids = []
+    def __init__(self, n_static: int, ops, *, pc, op_index, out,
+                 passthrough, taken, nsrc, src_value, src_prod, src_ppc,
+                 src_mem, src_loc):
+        """Columns from the primary columns (the keyword arguments, the
+        ones a stored trace keeps), with every derived column computed
+        once by :meth:`_derive`."""
+        self.n_static = max(n_static, 1)
+        self.ops = ops
+        self.n_records = len(pc)
+        self.pc = pc
+        self.op_index = op_index
+        self.out = out
+        self.passthrough = passthrough
+        self.taken = taken
+        self.nsrc = nsrc
+        self.src_value = src_value
+        self.src_prod = src_prod
+        self.src_ppc = src_ppc
+        self.src_mem = src_mem
+        self.src_loc = src_loc
         self._counts_cache = {}
         self._genclass_cache = None
         self._pred_cache = {}
-
-    # ------------------------------------------------------------------
-    # Builders.
-    # ------------------------------------------------------------------
+        self._derive()
 
     @classmethod
     def from_records(cls, records, n_static: int,
                      limit: int | None = None) -> "TraceColumns":
-        """Build columns from an iterable of :class:`DynInst`."""
-        self = cls()
-        self.n_static = n = max(n_static, 1)
+        """Build columns from an iterable of :class:`DynInst` (a live
+        machine's trace streams straight in; ``uid`` is the stream
+        index and ``target`` is not kept)."""
         if limit is not None:
             records = islice(records, limit)
         op_table: dict[tuple, int] = {}
-        ops = self.ops
-        pcs = self.pc
-        op_col = self.op_index
-        outs = self.out
-        pts = self.passthrough
-        takens = self.taken
-        nsrcs = self.nsrc
-        starts = self.src_start
-        values = self.src_value
-        prods = self.src_prod
-        ppcs = self.src_ppc
-        mems = self.src_mem
-        locs = self.src_loc
-        in_keys = self.in_key
-        group_keys = self.group_key
-        d_prefix = self.d_prefix
-        d_ids = self.d_ids
-        d_count = 0
-        arc_total = 0
-        uid = 0
+        ops = []
+        pcs = []
+        op_col = bytearray()
+        outs = []
+        pts = []
+        takens = bytearray()
+        nsrcs = bytearray()
+        values = []
+        prods = []
+        ppcs = []
+        mems = bytearray()
+        locs = []
         for dyn in records:
-            pc = dyn.pc
-            pcs.append(pc)
+            pcs.append(dyn.pc)
             entry = (dyn.op, dyn.category, dyn.has_imm)
             op_index = op_table.get(entry)
             if op_index is None:
@@ -213,157 +195,53 @@ class TraceColumns:
             )
             srcs = dyn.srcs
             nsrcs.append(len(srcs))
-            key_base = pc << 2
-            for slot, src in enumerate(srcs):
-                values.append(src.value)
-                producer = src.producer
+            for value, producer, producer_pc, is_mem, loc in srcs:
+                values.append(value)
                 if producer is None:
-                    d_id = src.d_key()
-                    d_ids.append(d_id)
-                    d_count += 1
                     prods.append(-1)
                     ppcs.append(0)
-                    group_keys.append(-(d_id * n + pc) - 1)
                 else:
                     prods.append(producer)
-                    ppcs.append(src.producer_pc)
-                    group_keys.append(
-                        (producer * n + src.producer_pc) * n + pc
-                    )
-                mems.append(1 if src.is_mem else 0)
-                locs.append(src.loc)
-                in_keys.append(key_base | slot)
-            arc_total += len(srcs)
-            starts.append(arc_total)
-            d_prefix.append(d_count)
-            uid += 1
-        self.n_records = uid
-        self._finish()
-        return self
-
-    @classmethod
-    def from_v2(cls, buf, header: dict, path="<trace>") -> "TraceColumns":
-        """Build columns straight from a v2 trace body (no DynInst)."""
-        return cls.from_v2_range(
-            buf, header, 0, header["n_records"], 0, path)
-
-    @classmethod
-    def from_v2_range(cls, buf, header: dict, r0: int, r1: int,
-                      byte_off: int, path="<trace>") -> "TraceColumns":
-        """Build columns for records ``[r0, r1)`` of a v2 trace body.
-
-        ``byte_off`` is the body offset of record ``r0`` (the layout is
-        fixed-width: ``23*r + 25*arcs_before_r``, so a segment index
-        only needs the arc count at each boundary).  The resulting
-        columns are *local* — record/arc indices start at zero — but
-        producer uids and ``group_key`` stay global because the v2
-        format stores producers as absolute uids.  This is what lets a
-        segment worker decode only its own byte range
-        (:mod:`repro.core.shard`).
-        """
-        self = cls()
-        self.n_static = n = max(header["n_static"], 1)
-        self.ops = [
-            (entry[0], Category(entry[1]), bool(entry[2]))
-            for entry in header["ops"]
-        ]
-        n_records = r1 - r0
-        rec_head = _REC_HEAD.unpack_from
-        src_groups = _SRC_GROUPS
-        pack_i64 = _I64.pack
-        unpack_f64 = _F64.unpack
-        pcs = self.pc
-        op_col = self.op_index
-        outs = self.out
-        pts = self.passthrough
-        takens = self.taken
-        nsrcs = self.nsrc
-        starts = self.src_start
-        values = self.src_value
-        prods = self.src_prod
-        ppcs = self.src_ppc
-        mems = self.src_mem
-        locs = self.src_loc
-        in_keys = self.in_key
-        group_keys = self.group_key
-        d_prefix = self.d_prefix
-        d_ids = self.d_ids
-        d_count = 0
-        arc_total = 0
-        pos = byte_off
-        try:
-            for _ in range(n_records):
-                __, pc, flags, op_index, passthrough, out_bits, __t = \
-                    rec_head(buf, pos)
-                pos += 23
-                pcs.append(pc)
-                op_col.append(op_index)
-                if flags & _HAS_OUT:
-                    if flags & _OUT_FLOAT:
-                        (out,) = unpack_f64(pack_i64(out_bits))
-                        outs.append(out)
-                    else:
-                        outs.append(out_bits)
-                else:
-                    outs.append(None)
-                pts.append(passthrough)
-                takens.append(
-                    (TAKEN_TRUE if flags & _TAKEN else TAKEN_FALSE)
-                    if flags & _HAS_TAKEN else TAKEN_NONE
-                )
-                n_srcs = flags >> _NSRC_SHIFT
-                nsrcs.append(n_srcs)
-                if n_srcs:
-                    fields = src_groups[n_srcs].unpack_from(buf, pos)
-                    pos += 25 * n_srcs
-                    key_base = pc << 2
-                    slot = 0
-                    for base in range(0, 5 * n_srcs, 5):
-                        src_flags = fields[base]
-                        value = fields[base + 1]
-                        if src_flags & _SRC_FLOAT:
-                            (value,) = unpack_f64(pack_i64(value))
-                        values.append(value)
-                        loc = fields[base + 4]
-                        locs.append(loc)
-                        if src_flags & _SRC_PRODUCED:
-                            producer = fields[base + 2]
-                            producer_pc = fields[base + 3]
-                            prods.append(producer)
-                            ppcs.append(producer_pc)
-                            group_keys.append(
-                                (producer * n + producer_pc) * n + pc
-                            )
-                            mems.append(1 if src_flags & _SRC_MEM else 0)
-                        else:
-                            if src_flags & _SRC_MEM:
-                                d_id = loc
-                                mems.append(1)
-                            else:
-                                d_id = 0x2_0000_0000 + loc
-                                mems.append(0)
-                            d_ids.append(d_id)
-                            d_count += 1
-                            prods.append(-1)
-                            ppcs.append(0)
-                            group_keys.append(-(d_id * n + pc) - 1)
-                        in_keys.append(key_base | slot)
-                        slot += 1
-                    arc_total += n_srcs
-                starts.append(arc_total)
-                d_prefix.append(d_count)
-        except (struct.error, IndexError, TypeError) as error:
-            raise ReproError(f"truncated trace file: {path}") from error
-        self.n_records = n_records
-        self._finish()
-        return self
+                    ppcs.append(producer_pc)
+                mems.append(1 if is_mem else 0)
+                locs.append(loc)
+        return cls(n_static, ops, pc=pcs, op_index=op_col, out=outs,
+                   passthrough=pts, taken=takens, nsrc=nsrcs,
+                   src_value=values, src_prod=prods, src_ppc=ppcs,
+                   src_mem=mems, src_loc=locs)
 
     # ------------------------------------------------------------------
     # Derived columns and subsets.
     # ------------------------------------------------------------------
 
-    def _finish(self) -> None:
-        """Compute flag columns and record subsets from the primaries."""
+    def _derive(self) -> None:
+        """Compute every derived column and record subset from the
+        primaries: the one derivation both builders share."""
+        n = self.n_static
+        pcs = self.pc
+        nsrcs = self.nsrc
+        self.src_start = starts = list(accumulate(nsrcs, initial=0))
+        self.in_key = in_keys = []
+        self.group_key = group_keys = []
+        self.d_ids = d_ids = []
+        self.d_prefix = d_prefix = [0]
+        d_count = 0  # appended as is: runs of one count share an int
+        arcs = zip(self.src_prod, self.src_ppc, self.src_mem, self.src_loc)
+        for pc, k in zip(pcs, nsrcs):
+            key_base = pc << 2
+            for slot, (producer, producer_pc, is_mem, loc) in zip(range(k),
+                                                                  arcs):
+                in_keys.append(key_base | slot)
+                if producer < 0:
+                    # The D node's identity, as Source.d_key computes it.
+                    d_id = loc if is_mem else _REG_D + loc
+                    d_ids.append(d_id)
+                    d_count += 1
+                    group_keys.append(-(d_id * n + pc) - 1)
+                else:
+                    group_keys.append((producer * n + producer_pc) * n + pc)
+            d_prefix.append(d_count)
+
         m = self.n_records
         ops = self.ops
         # Per-op lookup tables -> per-record flags via bytes.translate.
@@ -380,7 +258,7 @@ class TraceColumns:
         op_col = bytes(self.op_index)
         self.is_branch = is_branch = bytearray(op_col.translate(br_table))
         self.has_imm = bytearray(op_col.translate(imm_table))
-        self.has_src = bytearray(bytes(self.nsrc).translate(_NONZERO))
+        self.has_src = bytearray(bytes(nsrcs).translate(_NONZERO))
         pass_cat = op_col.translate(pass_table)
         out_none = bytes(
             0 if value is not None else 1 for value in self.out
@@ -408,9 +286,7 @@ class TraceColumns:
             ov_sel = b""
             pt_sel = b""
         rng = range(m)
-        from itertools import compress
         self.br_idx = list(compress(rng, is_branch))
-        pcs = self.pc
         takens = self.taken
         self.br_pc = [pcs[i] for i in self.br_idx]
         self.br_taken = bytearray(takens[i] for i in self.br_idx)
@@ -419,7 +295,6 @@ class TraceColumns:
         self.ov_pc = [pcs[i] for i in self.ov_idx]
         self.ov_val = [outs[i] for i in self.ov_idx]
         self.pt_idx = list(compress(rng, pt_sel))
-        starts = self.src_start
         pts = self.passthrough
         self.pt_arc = [starts[i] + pts[i] for i in self.pt_idx]
 
@@ -574,3 +449,12 @@ class TraceColumns:
                 target=None,
             ))
         return records
+
+
+def as_columns(trace, n_static: int, limit=None) -> TraceColumns:
+    """View ``trace`` as columns, building them once if records came in
+    (under ``analyze.kernel.layout``)."""
+    if isinstance(trace, TraceColumns):
+        return trace
+    with get_recorder().span("analyze.kernel.layout"):
+        return TraceColumns.from_records(trace, n_static, limit=limit)

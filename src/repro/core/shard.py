@@ -1,11 +1,11 @@
 """Segment-parallel analysis of a single trace.
 
 The columnar engine (:mod:`repro.core.kernel.engine`) analyzes one
-trace on one core.  This module splits a *stored* v2 trace into
+trace on one core.  This module splits a *stored* trace into
 contiguous **segments** at the checkpoints of its sidecar index:
 :func:`prepare_file_segments` plans one :func:`_segment_task` per
 segment, the runner schedules them on its :class:`TaskPool` (each
-worker decodes only its own byte range), and :class:`SegmentMerge`
+worker decodes only its own record range), and :class:`SegmentMerge`
 folds the payloads, in segment order, into an
 :class:`~repro.core.stats.AnalysisResult` **byte-identical** to the
 serial engine's (enforced by tests/core/test_shard.py, the extended
@@ -21,12 +21,13 @@ scratch.  A :class:`SegmentIndex` checkpoint at record ``r`` carries:
   written by :mod:`repro.core.kernel.state` — folding deltas
   ``0..i-1`` reconstructs each table exactly, and the segment resumes
   the very slices the serial engine runs from a fresh state;
-* the **arc index** at ``r`` (which also yields the v2 byte offset:
-  the record layout is fixed-width, ``23*r + 25*arcs``);
+* the **arc index** at ``r``, which with ``r`` locates the segment in
+  every fixed-width column block of the stored trace
+  (:func:`repro.cpu.tracefile.decode_columns`);
 * cumulative **per-PC execution counts** before ``r``, so the
   count-so-far write-once classification resumes mid-stream.
 
-Producer state needs no snapshot: the v2 format stores producers as
+Producer state needs no snapshot: the trace format stores producers as
 absolute uids, so a segment's arc group keys are correct as decoded,
 and the one cross-segment read — arc predictability ``X``, the
 producer's output byte — is returned as a patch list the merge applies
@@ -52,7 +53,6 @@ import pickle
 from bisect import bisect_left
 from collections import Counter
 
-from repro.core.kernel.columns import TraceColumns
 from repro.core.kernel.engine import (
     _NODE_T,
     ResumableWalk,
@@ -76,14 +76,9 @@ from repro.core.kernel.state import (
     value_state_for,
 )
 from repro.core.stats import AnalysisResult
+from repro.cpu.tracefile import decode_columns, read_trace_raw
 from repro.errors import ReproError
 from repro.obs import get_recorder
-
-#: v2 fixed record layout: head bytes + bytes per source (see
-#: repro.cpu.tracefile).  Byte offset of record r with a arcs before
-#: it is exactly _REC_BYTES*r + _SRC_BYTES*a.
-_REC_BYTES = 23
-_SRC_BYTES = 25
 
 SEGIDX_VERSION = 1
 SEGIDX_MAGIC = b"RPRSIDX1"
@@ -522,15 +517,14 @@ class SegmentMerge:
 
 
 # ======================================================================
-# Stored-trace planning: TaskPool workers decode their own byte range,
+# Stored-trace planning: TaskPool workers decode their own record range,
 # the parent merges (and walks) as payloads stream back.
 # ======================================================================
 
 def _segment_task(body, header, index, seg, config, profile_counts):
     """Worker entry: decode one record range and analyse it."""
     r0, r1, arc0, t0 = seg
-    byte_off = _REC_BYTES * r0 + _SRC_BYTES * arc0
-    cols = TraceColumns.from_v2_range(body, header, r0, r1, byte_off)
+    cols = decode_columns(body, header, r0, r1, arc0)
     states = index.states_at(t0, config.predictors,
                              config.branch_predictor,
                              config.gshare_bits)
@@ -541,7 +535,7 @@ def _segment_task(body, header, index, seg, config, profile_counts):
 
 def prepare_file_segments(path, config, index, segments, name="trace",
                           profile_counts=None, static_counts=None):
-    """Plan a stored v2 trace for segment-parallel execution.
+    """Plan a stored trace for segment-parallel execution.
 
     Returns ``(task_args, merge)``: one positional-args tuple per
     segment for :func:`_segment_task` (schedule them on any
@@ -551,8 +545,6 @@ def prepare_file_segments(path, config, index, segments, name="trace",
     be segmented (stale/unsupported index, budget below the first
     checkpoint).
     """
-    from repro.cpu.tracefile import read_trace_raw
-
     header, body = read_trace_raw(path)
     n_records = header["n_records"]
     if index.n_records != n_records:

@@ -39,6 +39,7 @@ import os
 import tempfile
 import threading
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -174,22 +175,30 @@ def _analyze(name: str, config: ExperimentConfig):
                          name=name, config=Job(name, config).analysis_config())
 
 
-def _capture(name: str, config: ExperimentConfig, budget: int | None):
-    """Simulate and record: ``(n_static, records, complete)``.
+def _capped(stream, budget: int | None):
+    """``stream``'s first ``budget`` records; the generator is closed
+    (flushing its ``sim.*`` counters) as soon as they are taken, before
+    the consumer finishes with them."""
+    with closing(stream):
+        yield from islice(stream, budget)
 
-    ``budget`` bounds how much of the execution is captured (None =
-    run to halt); ``complete`` reports whether the machine halted
-    within it.
+
+def _capture(name: str, config: ExperimentConfig, budget: int | None):
+    """Simulate and record: ``(n_static, columns, complete)``.
+
+    The live trace streams straight into
+    :class:`~repro.core.kernel.TraceColumns` inside the ``simulate``
+    span, so no per-record list is ever held.  ``budget`` bounds how
+    much of the execution is captured (None = run to halt);
+    ``complete`` reports whether the machine halted within it.
     """
     workload = get_workload(name)
     machine = workload.machine(scale=config.scale)
+    n_static = len(machine.program.instructions)
     with get_recorder().span("simulate"):
-        stream = machine.trace()
-        if budget is not None:
-            stream = islice(stream, budget)
-        records = list(stream)
-        del stream  # close the generator: flush its sim.* counters
-    return len(machine.program.instructions), records, machine.halted
+        columns = TraceColumns.from_records(
+            _capped(machine.trace(), budget), n_static)
+    return n_static, columns, machine.halted
 
 
 def _maybe_write_segindex(trace_store: TraceStore, key: str, columns,
@@ -228,48 +237,36 @@ def _resolve_trace(name: str, config: ExperimentConfig,
     """Trace tier: ``(n_static, columns, status)`` — replay or capture.
 
     A stored trace that covers ``budget`` is replayed
-    (:data:`STATUS_REPLAYED`) as :class:`~repro.core.kernel.TraceColumns`,
-    skipping per-record object construction entirely; otherwise the
-    workload is simulated, the capture written through the store for
-    the next config, and :data:`STATUS_COMPUTED` reported with (and
-    memoized on the store) the capture's columnar layout.  Either way
-    a sharding ``policy`` gets the trace its segment-index sidecar.
+    (:data:`STATUS_REPLAYED`) as :class:`~repro.core.kernel.TraceColumns`;
+    otherwise the workload is simulated straight into columns
+    (:func:`_capture`), which are written through the store for the
+    next config (the store memoizes them) and reported
+    :data:`STATUS_COMPUTED`.  Either way a sharding ``policy`` gets the
+    trace its segment-index sidecar.
     """
     key = None
     if trace_store is not None:
         key = trace_key(name, config.scale)
-        stored = trace_store.get(key, budget, columns=True)
+        stored = trace_store.get(key, budget)
         if stored is not None:
             header, columns = stored
             # Backfill the sidecar on first sharded-policy replay so
             # the *next* replay can go segment-parallel.
             _maybe_write_segindex(trace_store, key, columns, policy)
             return header["n_static"], columns, STATUS_REPLAYED
-    n_static, records, complete = _capture(name, config, budget)
-    stored_ok = False
+    n_static, columns, complete = _capture(name, config, budget)
     if trace_store is not None:
         try:
-            trace_store.put(key, records, n_static, complete=complete,
+            trace_store.put(key, columns, n_static, complete=complete,
                             workload=name)
-            stored_ok = True
         except OSError as error:
             # A trace that cannot be stored only costs the *next*
             # config a re-simulation; never fail the current job.
             get_recorder().count("store.trace.write_errors", 1)
             _log.warning("trace store write failed (%s); continuing "
                          "without the stored trace", error)
-    recorder = get_recorder()
-    with recorder.span("trace.columnize"):
-        columns = TraceColumns.from_records(records, n_static)
-    recorder.count("trace.columnize.records", columns.n_records)
-    if stored_ok:
-        trace_store.memoize_columns(
-            key,
-            {"n_static": n_static, "n_records": columns.n_records,
-             "complete": complete},
-            columns,
-        )
-        _maybe_write_segindex(trace_store, key, columns, policy)
+        else:
+            _maybe_write_segindex(trace_store, key, columns, policy)
     return n_static, columns, STATUS_COMPUTED
 
 

@@ -178,18 +178,14 @@ def _check_result(path: Path) -> str | None:
 
 
 def _check_trace(path: Path) -> str | None:
-    from repro.cpu.tracefile import read_trace
+    from repro.cpu.tracefile import read_trace_columns
 
     try:
-        header, records = read_trace(path)
+        read_trace_columns(path)
     except OSError as error:
         return f"unreadable: {error}"
     except Exception as error:
         return f"corrupt trace: {error}"
-    declared = header.get("n_records")
-    if declared is not None and declared != len(records):
-        return (f"record count mismatch: header says {declared}, "
-                f"decoded {len(records)}")
     return None
 
 

@@ -8,7 +8,9 @@ One stored trace therefore serves every analysis configuration of its
 workload: the runner simulates once, then replays.
 
 Traces live under ``<root>/traces/<key[:2]>/<key>.trace.gz`` in the
-binary v2 format of :mod:`repro.cpu.tracefile`.  The file's own header
+column-block v3 format of :mod:`repro.cpu.tracefile`, and
+:meth:`TraceStore.get` hands them back as
+:class:`~repro.core.kernel.TraceColumns`.  The file's own header
 records how much execution it covers (``n_records``, ``complete``);
 :meth:`TraceStore.get` only reports a hit when the stored trace can
 serve the requested instruction budget — a truncated capture never
@@ -29,8 +31,9 @@ import os
 import tempfile
 from pathlib import Path
 
+from repro.core.kernel import as_columns
 from repro.cpu.tracefile import (
-    read_trace,
+    header_for,
     read_trace_columns,
     save_trace,
     trace_header,
@@ -216,46 +219,40 @@ class TraceStore(LRUFileStore):
             self._remove(path)
             return None
 
-    def get(self, key: str, need: int | None = None,
-            columns: bool = False):
-        """``(header, records)`` when the stored trace serves ``need``.
+    def get(self, key: str, need: int | None = None):
+        """``(header, columns)`` when the stored trace serves ``need``.
 
         ``need`` is the analysis instruction budget; None demands a
         complete trace.  A stored trace that is complete serves any
         budget, an incomplete one only budgets within its length.
         Corruption of any kind removes the file and reads as a miss.
 
-        ``columns=True`` decodes straight into
-        :class:`~repro.core.kernel.TraceColumns` for the columnar
-        kernel, skipping per-record ``DynInst`` construction entirely.
+        The trace comes back as :class:`~repro.core.kernel.TraceColumns`,
+        from the in-memory memo when this store wrote or read it last.
         """
         with get_recorder().span("store.trace.get"):
             path = self.path_for(key)
-            if columns:
-                memo = self._columns_memo.get(key)
-                if memo is not None and self._serves(memo[0], need):
-                    try:
-                        # The memo is content-addressed so the copy is
-                        # always valid, but a read still goes through
-                        # fault injection: a store whose disk reads are
-                        # failing should degrade, not hide behind RAM.
-                        fault_io("trace.read")
-                    except InjectedFault as error:
-                        self._read_error(error)
-                        self._miss()
-                        return None
-                    self._columns_memo.pop(key)
-                    self._memoize(key, memo)
-                    self._hit()
-                    get_recorder().count("store.trace.columns_memo", 1)
-                    self._touch(path)
-                    return memo
+            memo = self._columns_memo.get(key)
+            if memo is not None and self._serves(memo[0], need):
+                try:
+                    # The memo is content-addressed so the copy is
+                    # always valid, but a read still goes through
+                    # fault injection: a store whose disk reads are
+                    # failing should degrade, not hide behind RAM.
+                    fault_io("trace.read")
+                except InjectedFault as error:
+                    self._read_error(error)
+                    self._miss()
+                    return None
+                self._columns_memo.pop(key)
+                self._memoize(key, memo)
+                self._hit()
+                get_recorder().count("store.trace.columns_memo", 1)
+                self._touch(path)
+                return memo
             try:
                 fault_io("trace.read")
-                if columns:
-                    header, records = read_trace_columns(path)
-                else:
-                    header, records = read_trace(path)
+                header, columns = read_trace_columns(path)
             except FileNotFoundError:
                 self._miss()
                 return None
@@ -274,23 +271,13 @@ class TraceStore(LRUFileStore):
                 return None
             self._hit()
             self._touch(path)
-            if columns:
-                self._memoize(key, (header, records))
-            return header, records
+            self._memoize(key, (header, columns))
+            return header, columns
 
     def _memoize(self, key: str, entry) -> None:
         self._columns_memo[key] = entry
         while len(self._columns_memo) > self.columns_memo_entries:
             self._columns_memo.pop(next(iter(self._columns_memo)))
-
-    def memoize_columns(self, key: str, header: dict, columns) -> None:
-        """Seed the columns memo with a freshly built object.
-
-        Called by the runner right after a cold capture is persisted,
-        so sibling configs replay the very object whose bank caches the
-        first analysis already warmed.
-        """
-        self._memoize(key, (header, columns))
 
     def clear(self) -> int:
         self._columns_memo.clear()
@@ -304,16 +291,19 @@ class TraceStore(LRUFileStore):
             return False
         return header.get("n_records", 0) >= need
 
-    def put(self, key: str, records, n_static: int,
+    def put(self, key: str, trace, n_static: int,
             complete: bool | None = None,
             workload: str | None = None) -> Path:
-        """Atomically store ``records`` under ``key``; returns the path.
+        """Atomically store ``trace`` under ``key``; returns the path.
 
-        Overwrites an existing trace — the caller only re-captures when
-        the stored one could not serve, so the replacement is strictly
-        longer.  ``workload`` annotates the header for ``cache info``'s
-        fixed-vs-generated occupancy breakdown; it is not part of the
-        content address.
+        ``trace`` is a :class:`~repro.core.kernel.TraceColumns` or an
+        iterable of :class:`~repro.cpu.trace.DynInst`, columnized once.
+        The columns written are memoized, so the next :meth:`get`
+        hands back this very object.  Overwrites an existing trace —
+        the caller only re-captures when the stored one could not
+        serve, so the replacement is strictly longer.  ``workload``
+        annotates the header for ``cache info``'s fixed-vs-generated
+        occupancy breakdown; it is not part of the content address.
         """
         with get_recorder().span("store.trace.put"):
             fault_io("trace.write")
@@ -325,11 +315,11 @@ class TraceStore(LRUFileStore):
                 self.path_for_segidx(key).unlink()
             except OSError:
                 pass
+            columns = as_columns(trace, n_static)
             path = self.path_for(key)
             path.parent.mkdir(parents=True, exist_ok=True)
             try:
-                self._publish(path, key, records, n_static, complete,
-                              workload)
+                self._publish(path, key, columns, complete, workload)
             except OSError as error:
                 if not is_enospc(error):
                     raise
@@ -338,17 +328,20 @@ class TraceStore(LRUFileStore):
                     "store: trace write hit ENOSPC; evicting and "
                     "retrying once")
                 self.evict_for_space()
-                self._publish(path, key, records, n_static, complete,
-                              workload)
+                self._publish(path, key, columns, complete, workload)
             if maybe_fault("trace.corrupt"):
-                # Injected bit rot: truncate the published file so the
-                # next read must take the corruption-recovery path.
+                # Injected bit rot: truncate the published file, and
+                # keep its columns out of the memo, so the next read
+                # must take the corruption-recovery path.
                 self._rot(path)
+            else:
+                self._memoize(key, (header_for(columns, complete,
+                                               workload), columns))
             get_recorder().count("store.trace.puts", 1)
             self.evict()
             return path
 
-    def _publish(self, path: Path, key: str, records, n_static: int,
+    def _publish(self, path: Path, key: str, columns,
                  complete: bool | None, workload: str | None) -> None:
         fault_enospc("store.enospc")
         fd, tmp_name = tempfile.mkstemp(
@@ -356,7 +349,7 @@ class TraceStore(LRUFileStore):
         )
         os.close(fd)
         try:
-            save_trace(records, tmp_name, n_static, complete=complete,
+            save_trace(columns, tmp_name, complete=complete,
                        workload=workload)
             os.replace(tmp_name, path)
         except BaseException:

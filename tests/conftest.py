@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.asm import assemble
+from repro.core.kernel import TraceColumns
 from repro.core.shard import (
     _segment_task,
     build_index,
@@ -68,19 +69,20 @@ def analyze_segmented(records, n_static: int, config, directory,
     """Analyse ``records`` through the runner's segment-parallel path.
 
     The production pipeline with the pool replaced by an in-order
-    loop: ``save_trace`` writes the config's budget of records as a v2
-    file under ``directory``, ``build_index`` checkpoints them at
+    loop: ``save_trace`` writes the config's budget of records as a
+    trace file under ``directory``, ``build_index`` checkpoints them at
     ``bounds`` (default: ``segments`` near-equal spans) for the
     config's own predictor family, ``prepare_file_segments`` plans the
-    tasks, each ``_segment_task`` decodes its byte range with
-    ``TraceColumns.from_v2_range``, and ``SegmentMerge`` folds the
+    tasks, each ``_segment_task`` decodes its record range with
+    ``decode_columns`` (block slices), and ``SegmentMerge`` folds the
     payloads.  A budget too small for two segments raises the
     planner's ``ShardError``.
     """
     budget = config.max_instructions
     records = records if budget is None else records[:budget]
     path = Path(directory) / "segmented.trace.gz"
-    save_trace(records, path, n_static, complete=True, workload=name)
+    save_trace(TraceColumns.from_records(records, n_static), path,
+               complete=True, workload=name)
     __, columns = read_trace_columns(path)
     if bounds is None:
         bounds = plan_bounds(columns.n_records, segments)

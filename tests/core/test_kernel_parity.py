@@ -7,7 +7,7 @@ reference per-instruction loop (:func:`analyze_reference`, the oracle)
 produces — same counts, same
 Counter insertion order, same float bits.  These tests pin that
 contract over the fixed workload suite, a ``gen:`` sample grid, config
-variants that exercise every classification path, and the v2
+variants that exercise every classification path, and the
 trace-file decode entry.
 """
 
@@ -393,12 +393,13 @@ def test_columns_accepted_by_both_engines():
     assert _dump(from_columns) == _dump(from_records) == _dump(reference)
 
 
-def test_v2_file_decode_identical(tmp_path):
+def test_file_decode_identical(tmp_path):
     from repro.cpu.tracefile import read_trace_columns, save_trace
 
     records, n_static = _trace_of("app")  # float workload: IEEE paths
     path = tmp_path / "app.trace.gz"
-    save_trace(records, path, n_static, complete=True, workload="app")
+    save_trace(TraceColumns.from_records(records, n_static), path,
+               complete=True, workload="app")
     __, columns = read_trace_columns(path)
     config = AnalysisConfig(max_instructions=BUDGET)
     from_file = analyze_trace(columns, n_static, name="app",

@@ -4,8 +4,8 @@ The merge contract is byte-identity with the serial columnar kernel no
 matter where a cut lands: inside a loop body, between a producer and
 its consumer arc, after every single record, or past the end of the
 trace.  These tests place checkpoints at exactly those spots and run
-them through the production path (a stored v2 file, its index, the
-file planner, per-segment ``from_v2_range`` decodes and the ordered
+them through the production path (a stored trace file, its index, the
+file planner, per-segment ``decode_columns`` range reads and the ordered
 merge; see ``tests.conftest.analyze_segmented``), comparing serialized
 results; the file-path planner's rejection cases (stale index,
 unsupported config, budget below the first checkpoint or too small to
@@ -152,10 +152,9 @@ class TestFilePlannerRejections:
     def stored(self, tmp_path, com):
         from repro.cpu.tracefile import save_trace
 
-        records, n_static, columns = com
+        __, __, columns = com
         path = tmp_path / "com.trace.gz"
-        save_trace(records, path, n_static, complete=True,
-                   workload="com")
+        save_trace(columns, path, complete=True, workload="com")
         n = columns.n_records
         index = build_index(columns, plan_bounds(n, max(4, n // 300)))
         return path, index, columns

@@ -6,10 +6,11 @@ import pytest
 
 from repro.asm import assemble
 from repro.core import AnalysisConfig, analyze_machine
+from repro.core.kernel import TraceColumns
 from repro.cpu import Machine
 from repro.cpu.tracefile import (
     analyze_trace_file,
-    load_trace,
+    read_trace_columns,
     save_trace,
     trace_header,
 )
@@ -37,10 +38,15 @@ def trace_path(tmp_path):
     program = assemble(SOURCE)
     machine = Machine(program)
     path = tmp_path / "run.trace"
-    count = save_trace(machine.trace(), path,
-                       n_static=len(program.instructions))
+    columns = TraceColumns.from_records(machine.trace(),
+                                        len(program.instructions))
+    count = save_trace(columns, path)
     assert count == machine.uid
     return path
+
+
+def _records(path):
+    return read_trace_columns(path)[1].to_records()
 
 
 class TestRoundTrip:
@@ -51,7 +57,7 @@ class TestRoundTrip:
     def test_records_identical(self, trace_path):
         machine = Machine(assemble(SOURCE))
         original = list(machine.trace())
-        loaded = list(load_trace(trace_path))
+        loaded = _records(trace_path)
         assert len(loaded) == len(original)
         for fresh, stored in zip(original, loaded):
             assert fresh.uid == stored.uid
@@ -63,7 +69,7 @@ class TestRoundTrip:
             assert fresh.taken == stored.taken
 
     def test_floats_exact(self, trace_path):
-        loaded = list(load_trace(trace_path))
+        loaded = _records(trace_path)
         fp_values = [
             dyn.out for dyn in loaded if isinstance(dyn.out, float)
         ]
@@ -86,9 +92,9 @@ class TestRoundTrip:
         program = assemble(SOURCE)
         machine = Machine(program)
         path = tmp_path / "run.trace.gz"
-        save_trace(islice(machine.trace(), 50), path,
-                   n_static=len(program.instructions))
-        assert len(list(load_trace(path))) == 50
+        save_trace(TraceColumns.from_records(
+            islice(machine.trace(), 50), len(program.instructions)), path)
+        assert read_trace_columns(path)[1].n_records == 50
 
     def test_bad_format_rejected(self, tmp_path):
         path = tmp_path / "junk.trace"
@@ -96,4 +102,4 @@ class TestRoundTrip:
         with pytest.raises(ReproError, match="not a repro-trace"):
             trace_header(path)
         with pytest.raises(ReproError):
-            list(load_trace(path))
+            read_trace_columns(path)

@@ -126,13 +126,12 @@ class TestProfileReconciliation:
         assert not cold.failures
         counters = cold.metrics.profile["counters"]
         names = _span_names(cold.metrics.profile)
-        # A capture builds columns from the records it just simulated;
-        # nothing is decoded.
-        assert "trace.columnize" in names
+        # A capture streams the simulated records into columns inside
+        # the simulate span; nothing is decoded or laid out apart.
+        assert "simulate" in names
+        assert "trace.columnize" not in names
         assert "trace.decode" not in names
-        assert counters["trace.columnize.records"] == \
-            BUDGET * len(WORKLOADS)
-        assert not any(name.startswith("trace.decode")
+        assert not any(name.startswith(("trace.decode", "trace.columnize"))
                        for name in counters)
         replay = _runner(tmp_path, observe=True).run(
             ExperimentConfig(workloads=WORKLOADS,
@@ -141,7 +140,7 @@ class TestProfileReconciliation:
         counters = replay.metrics.profile["counters"]
         names = _span_names(replay.metrics.profile)
         assert "trace.decode" in names
-        assert "trace.columnize" not in names
+        assert "simulate" not in names
         assert counters["trace.decode.records"] == BUDGET * len(WORKLOADS)
         assert not any(name.startswith("trace.columnize")
                        for name in counters)

@@ -77,7 +77,7 @@ def test_warm_replay_feeds_columns(tmp_path):
     cold = runner.run(CONFIG)
     assert not cold.failures
     key = trace_key("com", CONFIG.scale)
-    stored = trace_store.get(key, CONFIG.max_instructions, columns=True)
+    stored = trace_store.get(key, CONFIG.max_instructions)
     assert stored is not None
     __, columns = stored
     assert isinstance(columns, TraceColumns)
@@ -115,8 +115,7 @@ def test_track_reuse_falls_back_on_replayed_columns(tmp_path):
     assert columnar_unsupported(config) is not None
     trace_store = TraceStore(tmp_path)
     ExperimentRunner(store=None, trace_store=trace_store).run(CONFIG)
-    header, columns = trace_store.get(trace_key("com", 1), 3_000,
-                                      columns=True)
+    header, columns = trace_store.get(trace_key("com", 1), 3_000)
     assert isinstance(columns, TraceColumns)
     n_static = header["n_static"]
     with recording(Recorder()) as rec:

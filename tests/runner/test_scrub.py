@@ -96,8 +96,8 @@ class TestQuarantine:
         scrub_store(tmp_path)
         # The good entries never moved and still read back.
         assert results.get(KEY_A) == {"name": "com", "nodes": 4}
-        header, records = traces.get(KEY_A, None)
-        assert len(records) == 5
+        header, columns = traces.get(KEY_A, None)
+        assert columns.n_records == 5
         # A second pass over the scrubbed store finds nothing.
         rerun = scrub_store(tmp_path)
         assert rerun.clean

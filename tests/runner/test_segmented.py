@@ -98,8 +98,8 @@ class TestSidecarLifecycle:
         ExperimentRunner(store=store, trace_store=traces,
                          policy=SEG_POLICY).run_one("com", CONFIG)
         assert traces.has_segindex(KEY)
-        header, records = traces.get(KEY, need=CONFIG.max_instructions)
-        traces.put(KEY, records[:100], header["n_static"],
+        header, columns = traces.get(KEY, need=CONFIG.max_instructions)
+        traces.put(KEY, columns.to_records()[:100], header["n_static"],
                    complete=False, workload="com")
         assert not traces.has_segindex(KEY)
 
@@ -241,8 +241,8 @@ class TestReindex:
         done = [key for key in keys if traces.has_segindex(key)]
         assert done == [calls[0]]
         # The finished key is re-captured, which drops its sidecar.
-        header, records = traces.get(done[0], need=4_000)
-        traces.put(done[0], records, header["n_static"],
+        header, columns = traces.get(done[0], need=4_000)
+        traces.put(done[0], columns, header["n_static"],
                    complete=header["complete"],
                    workload=header["workload"])
         assert not traces.has_segindex(done[0])

@@ -58,8 +58,8 @@ class TestAnalyzeMany:
     @pytest.fixture(scope="class")
     def trace(self):
         config = ExperimentConfig(max_instructions=4_000)
-        n_static, records, __ = _capture("com", config, 4_000)
-        return n_static, records
+        n_static, columns, __ = _capture("com", config, 4_000)
+        return n_static, columns.to_records()
 
     def test_matches_independent_runs(self, trace):
         n_static, records = trace

@@ -1,7 +1,9 @@
 """Trace store: replay adequacy, corruption recovery, LRU bounding."""
 
 import gzip
+import json
 import os
+import struct
 
 from repro.cpu.trace import DynInst, Source
 from repro.isa.opcodes import Category
@@ -29,10 +31,20 @@ class TestStoreBasics:
         store = TraceStore(tmp_path)
         assert store.get(KEY_A, 2) is None
         store.put(KEY_A, _records(5), n_static=8, complete=True)
-        header, records = store.get(KEY_A, 2)
-        assert records == _records(5)
+        header, columns = store.get(KEY_A, 2)
+        assert columns.to_records() == _records(5)
         assert header["n_static"] == 8
         assert store.hits == 1 and store.misses == 1
+
+    def test_put_memoizes_and_a_fresh_store_decodes(self, tmp_path):
+        store = TraceStore(tmp_path)
+        store.put(KEY_A, _records(5), n_static=8, complete=True)
+        __, memo = store.get(KEY_A, 2)
+        assert store.get(KEY_A, 2)[1] is memo
+        header, decoded = TraceStore(tmp_path).get(KEY_A, 2)
+        assert decoded is not memo
+        assert decoded.to_records() == _records(5)
+        assert header["n_records"] == 5 and header["n_arcs"] == 5
 
     def test_header_reports_counts_and_completeness(self, tmp_path):
         store = TraceStore(tmp_path)
@@ -76,17 +88,61 @@ class TestAdequacy:
         store = TraceStore(tmp_path)
         store.put(KEY_A, _records(3), n_static=8, complete=False)
         store.put(KEY_A, _records(7), n_static=8, complete=True)
-        header, records = store.get(KEY_A, None)
-        assert len(records) == 7
+        header, columns = store.get(KEY_A, None)
+        assert columns.n_records == 7
         assert len(store.entries()) == 1
 
 
+def _rewrite_body(path, edit):
+    """Re-frame a stored trace with ``edit`` applied to its body."""
+    raw = gzip.decompress(path.read_bytes())
+    (length,) = struct.unpack_from("<I", raw, 8)
+    head = raw[:12 + length]
+    path.write_bytes(gzip.compress(head + edit(raw[12 + length:])))
+
+
 class TestCorruption:
+    """Corrupt files are read through a fresh store: the one that wrote
+    a trace serves it from its columns memo without reading the file."""
+
     def test_truncated_file_is_a_miss_and_removed(self, tmp_path):
-        store = TraceStore(tmp_path)
-        path = store.put(KEY_A, _records(50), n_static=8, complete=True)
+        path = TraceStore(tmp_path).put(KEY_A, _records(50), n_static=8,
+                                        complete=True)
         path.write_bytes(path.read_bytes()[:40])
+        assert TraceStore(tmp_path).get(KEY_A, 1) is None
+        assert not path.exists()
+
+    def test_body_one_byte_short_is_a_miss_and_removed(self, tmp_path):
+        path = TraceStore(tmp_path).put(KEY_A, _records(50), n_static=8,
+                                        complete=True)
+        _rewrite_body(path, lambda body: body[:-1])
+        assert TraceStore(tmp_path).get(KEY_A, 1) is None
+        assert not path.exists()
+
+    def test_body_one_byte_long_is_a_miss_and_removed(self, tmp_path):
+        path = TraceStore(tmp_path).put(KEY_A, _records(50), n_static=8,
+                                        complete=True)
+        _rewrite_body(path, lambda body: body + b"\x00")
+        assert TraceStore(tmp_path).get(KEY_A, 1) is None
+        assert not path.exists()
+
+    def test_v2_file_is_corrupt_and_a_miss(self, tmp_path):
+        """The retired record-packed v2 format is not read back: a v2
+        file under a key is dropped as corrupt and counts a miss."""
+        store = TraceStore(tmp_path)
+        path = store.path_for(KEY_A)
+        path.parent.mkdir(parents=True)
+        header = json.dumps({
+            "format": "repro-trace-v2", "n_static": 8, "n_records": 1,
+            "complete": True, "counts": [0, 0, 0, 1, 0, 0, 0, 0],
+            "ops": [["addi", int(Category.ALU), 1]],
+        }).encode()
+        record = struct.pack("<IIBBbqI", 0, 3, 0x01, 0, -1, 1, 0)
+        path.write_bytes(gzip.compress(
+            b"RPRT2BIN" + struct.pack("<I", len(header)) + header
+            + record))
         assert store.get(KEY_A, 1) is None
+        assert store.hits == 0 and store.misses == 1
         assert not path.exists()
 
     def test_garbage_file_is_a_miss_and_removed(self, tmp_path):
@@ -114,8 +170,7 @@ class TestCorruption:
             (json.dumps(header) + "\n" + json.dumps(record) + "\n")
             .encode()))
         assert store.get(KEY_A, 1) is None
-        assert store.get(KEY_A, 1, columns=True) is None
-        assert store.hits == 0 and store.misses == 2
+        assert store.hits == 0 and store.misses == 1
         assert not path.exists()
 
     def test_short_but_valid_trace_is_not_removed(self, tmp_path):

@@ -3,16 +3,20 @@
 Same style as ``test_broker.py`` — the broker runs on a real event
 loop with an injected ``batch_runner`` (and here an injected quota
 clock), so scheduling and quota behaviour is deterministic and no
-instruction is ever simulated.
+instruction is simulated, except in :class:`TestCaptureBilling`, which
+runs one real cold batch to see where its capture is billed.
 """
 
 import asyncio
 import dataclasses
 import threading
+import time
 
 import pytest
 
-from repro.runner import ExperimentConfig
+from repro.core.kernel import TraceColumns
+from repro.obs import Recorder, recording
+from repro.runner import ExperimentConfig, ResultStore, TraceStore
 from repro.service import AnalysisBroker, BrokerConfig, Overloaded
 from repro.service.qos import QuotaExceeded, qos_policy_from_dict
 
@@ -345,3 +349,27 @@ class TestAttribution:
         assert qos["policy"]["tenants"]["alice"]["rate"] == 8.0
         assert qos["quotas"]["alice"]["tokens"] == 7.0
         assert qos["tenants"]["alice"]["requests"] == 1
+
+
+class TestCaptureBilling:
+    def test_cold_capture_is_billed_to_simulate(self, tmp_path,
+                                                monkeypatch):
+        """A cold batch lays its trace out as columns while it
+        simulates, so that work is billed to ``simulate``, never to the
+        ``store`` phase that ``trace.*`` spans fall under."""
+        delay = 0.2
+        layout = TraceColumns.from_records.__func__
+
+        def slow_layout(cls, *args, **kwargs):
+            time.sleep(delay)
+            return layout(cls, *args, **kwargs)
+
+        monkeypatch.setattr(TraceColumns, "from_records",
+                            classmethod(slow_layout))
+        broker = AnalysisBroker(store=ResultStore(tmp_path),
+                                trace_store=TraceStore(tmp_path))
+        with recording(Recorder()):
+            outcomes, phases = broker._timed_batch([("com", CONFIG)])
+        assert isinstance(outcomes[0], dict)
+        assert phases["simulate"] >= delay
+        assert phases.get("store", 0.0) < delay
