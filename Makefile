@@ -30,11 +30,12 @@ perfbench-check:
 
 ## Columnar-kernel parity gate: the predictor slices against the
 ## oracle's predictors, the differential test suites (fast fuzz tier
-## and the segmented cases included), the runner's kernel/fallback
-## selection suite, and the full parity matrix, which writes
-## reports/kernel_parity.json and fails on any byte-level divergence
-## between the columnar kernel and the reference oracle,
-## analyze_reference (see docs/kernel.md).
+## and the segmented cases included), the runner suite (five banks,
+## reuse on stored columns, no second layout on replay), and the full
+## parity matrix (eight-bank and reuse cases included), which writes
+## reports/kernel_parity.json, prints each case's speedup and fails on
+## any byte-level divergence between the columnar kernel and the
+## reference oracle, analyze_reference (see docs/kernel.md).
 kernel-parity:
 	$(PYTHON) -m pytest -x -q tests/core/test_kernel_state.py \
 		tests/core/test_kernel_parity.py \

@@ -33,7 +33,6 @@ from repro.core import (
     AnalysisConfig,
     analyze_reference,
     analyze_trace,
-    columnar_unsupported,
 )
 from repro.core.export import result_to_dict
 from repro.gen import generated_workload
@@ -42,7 +41,8 @@ from repro.workloads import SUITE, get_workload
 BUDGET = int(os.environ.get("REPRO_PARITY_BUDGET", "4000"))
 
 #: Variants mirroring tests/core/test_kernel_parity.py: every
-#: classification path the kernel implements.
+#: classification path the kernel implements, the most banks a config
+#: may hold, and instruction-reuse tracking.
 VARIANTS = {
     "default": AnalysisConfig(max_instructions=BUDGET),
     "hybrid": AnalysisConfig(
@@ -63,6 +63,17 @@ VARIANTS = {
     "tracking-off": AnalysisConfig(
         track_sequences=False, track_branches=False, track_unpred=False,
         track_paths=False, max_instructions=BUDGET,
+    ),
+    "eight-banks": AnalysisConfig(
+        predictors=("last", "stride", "context", "hybrid",
+                    "last(bits=8)", "stride(bits=7)",
+                    "context(l1=7,l2=9,order=3)", "hybrid(bits=7,l2=9)"),
+        trees_for=("context", "stride(bits=7)"),
+        max_instructions=BUDGET,
+    ),
+    "reuse": AnalysisConfig(
+        predictors=("stride", "last", "context"), track_reuse=True,
+        reuse_ways=2, max_instructions=BUDGET,
     ),
 }
 
@@ -86,7 +97,6 @@ def _timed_analysis(records, n_static, name, config, reference=False):
         (result,) = analyze_reference(records, n_static, [config],
                                       name=name)
     else:
-        assert columnar_unsupported(config) is None, config
         result = analyze_trace(records, n_static, name=name,
                                config=config)
     wall = time.perf_counter() - start
@@ -156,8 +166,9 @@ def main(output_path=None) -> int:
           f"reference {summary['reference_s']}s vs columnar "
           f"{summary['columnar_s']}s ({summary['speedup']}x)")
     for case in report["cases"]:
-        if not case["match"]:
-            print(f"PARITY FAILED: {case['workload']} / {case['variant']}")
+        verdict = "match" if case["match"] else "PARITY FAILED"
+        print(f"  {case['workload']} / {case['variant']}: {verdict}, "
+              f"{case['speedup']}x")
     print(f"[written to {output_path}]", file=sys.stderr)
     return 1 if summary["mismatches"] else 0
 

@@ -25,7 +25,7 @@ from repro.core.analysis import (
 )
 from repro.core.dpg import behavior_counts, build_dpg, classify_uses
 from repro.core.export import to_dot, to_records
-from repro.core.kernel import TraceColumns, columnar_unsupported
+from repro.core.kernel import TraceColumns
 from repro.core.events import (
     ARC_LABELS,
     Behavior,
@@ -56,7 +56,6 @@ __all__ = [
     "AnalysisResult",
     "Analyzer",
     "TraceColumns",
-    "columnar_unsupported",
     "ArcStats",
     "Behavior",
     "BranchStats",

@@ -19,20 +19,13 @@ The prediction protocol follows Section 3 of the paper:
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from itertools import islice
 
 from repro.core.arcs import ArcGroupTable
 from repro.core.branches import BranchTracker
 from repro.core.events import GenClass, InKind, in_kind
-from repro.core.kernel import (
-    TraceColumns,
-    analyze_columns,
-    analyze_columns_many,
-    as_columns,
-    columnar_unsupported,
-)
+from repro.core.kernel import TraceColumns, analyze_columns_many, as_columns
 from repro.core.paths import PathTracker
 from repro.core.sequences import SequenceTracker
 from repro.core.stats import AnalysisResult, NodeStats, PredictorResult
@@ -43,8 +36,6 @@ from repro.isa.opcodes import Category
 from repro.obs import get_recorder
 from repro.predictors import PredictorBank, make_branch_predictor
 from repro.predictors.base import PREDICTOR_KINDS
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(slots=True)
@@ -304,10 +295,12 @@ class Analyzer:
                 self._unpred_trackers[k].on_node(fully_un)
             if self._critical is not None and has_out and not out_p:
                 self._critical[k].record(pc, terminated=has_p)
-            if self._reuse is not None and k == 0:
+            if (self._reuse is not None and k == 0
+                    and category is Category.ALU and dyn.out is not None):
                 reuse_predicted = ((inter_y & bit) != 0 or n_srcs == 0) \
                     and (not has_out or out_p)
-                self._reuse.on_node(dyn, reuse_predicted)
+                self._reuse.on_node(
+                    pc, tuple(src.value for src in srcs), reuse_predicted)
             if path_trackers is not None:
                 tracker = path_trackers[k]
                 tracker.begin_node()
@@ -396,24 +389,6 @@ class Analyzer:
         return result
 
 
-def _falls_back(configs) -> bool:
-    """Whether ``configs`` need the reference loop.
-
-    True when any config is outside the kernel's scope
-    (:func:`~repro.core.kernel.columnar_unsupported`); the fallback is
-    counted under ``analyze.fallback`` and its reason logged.
-    """
-    reason = next(filter(None, map(columnar_unsupported, configs)), None)
-    if reason is None:
-        return False
-    recorder = get_recorder()
-    if recorder.enabled:
-        recorder.count("analyze.fallback", 1)
-    log.info("columnar kernel falling back to the reference loop: %s",
-             reason)
-    return True
-
-
 def analyze_trace(
     trace,
     n_static: int,
@@ -423,28 +398,16 @@ def analyze_trace(
     static_counts=None,
 ) -> AnalysisResult:
     """Analyse an iterable of :class:`DynInst` records (or a
-    pre-decoded :class:`~repro.core.kernel.TraceColumns`).
+    pre-decoded :class:`~repro.core.kernel.TraceColumns`) under one
+    config: the one-config call of :func:`analyze_many`.
 
     The whole pass runs under an ``"analyze"`` span.  When ``trace``
     is a live machine generator the span necessarily includes the
     interleaved simulation time; the runner's two-tier path feeds
     decoded columns here, so there the span is pure analysis.
-
-    The columnar kernel runs the config unless it is out of the
-    kernel's scope, in which case :func:`analyze_reference` does;
-    results are byte-identical either way — see
-    :mod:`repro.core.kernel`.
     """
-    config = config or AnalysisConfig()
-    if _falls_back((config,)):
-        return analyze_reference(
-            trace, n_static, [config], name, profile_counts, static_counts
-        )[0]
-    with get_recorder().span("analyze"):
-        columns = as_columns(trace, n_static, config.max_instructions)
-        return analyze_columns(
-            columns, config, name, profile_counts, static_counts
-        )
+    return analyze_many(trace, n_static, [config], name, profile_counts,
+                        static_counts)[0]
 
 
 def analyze_many(
@@ -461,19 +424,15 @@ def analyze_many(
     an independent :func:`analyze_trace` run with that config would
     produce, including per-config ``max_instructions`` truncation.
 
-    The trace is decoded once into columns and predictor passes are
-    cached per spec, so configs sharing predictor specs pay for each
-    bank pass once.  If *any* config is out of the kernel's scope the
-    whole call runs :func:`analyze_reference` instead, keeping the
-    single-pass accounting uniform.
+    The columnar kernel runs every config: records are laid out as
+    columns once (columns pass straight through) and predictor passes
+    are cached per spec, so configs sharing predictor specs pay for
+    each bank pass once.  Results are byte-identical to
+    :func:`analyze_reference` — see :mod:`repro.core.kernel`.
     """
     configs = [config or AnalysisConfig() for config in configs]
     if not configs:
         return []
-    if _falls_back(configs):
-        return analyze_reference(
-            trace, n_static, configs, name, profile_counts, static_counts
-        )
     budgets = [config.max_instructions for config in configs]
     limit = None if None in budgets else max(budgets)
     with get_recorder().span("analyze"):
@@ -495,11 +454,10 @@ def analyze_reference(
     trace record by record in a single pass.
 
     This is the readable model (docs/model.md) and the differential
-    oracle the columnar kernel is tested against; production reaches
-    it only for configs the kernel cannot run.  Columns are turned
-    back into records.  A config whose ``max_instructions`` budget is
-    exhausted stops being fed mid-pass while larger-budget siblings
-    keep consuming.
+    oracle the columnar kernel is tested against; production never
+    calls it.  Columns are turned back into records.  A config whose
+    ``max_instructions`` budget is exhausted stops being fed mid-pass
+    while larger-budget siblings keep consuming.
     """
     configs = [config or AnalysisConfig() for config in configs]
     if isinstance(trace, TraceColumns):

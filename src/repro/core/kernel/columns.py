@@ -408,10 +408,9 @@ class TraceColumns:
     def to_records(self) -> list:
         """Rebuild the :class:`DynInst` list (uid = stream index).
 
-        Used when a caller holding columns needs the reference loop
-        (a config the kernel does not support, or the differential
-        oracle).  ``target`` is not stored in the columns — the
-        analysis never reads it — so reconstructed records carry None.
+        Only the reference loop (the differential oracle) calls it.
+        ``target`` is not stored in the columns — the analysis never
+        reads it — so reconstructed records carry None.
         """
         records = []
         append = records.append

@@ -1,7 +1,7 @@
 """The columnar analysis engine.
 
 Produces, for one :class:`~repro.core.kernel.columns.TraceColumns`
-object and one :class:`~repro.core.analysis.AnalysisConfig`, an
+object and any :class:`~repro.core.analysis.AnalysisConfig`, an
 :class:`~repro.core.stats.AnalysisResult` whose ``result_to_dict``
 export is byte-identical to the reference analyzer's — the differential
 suite in tests/core/test_kernel_parity.py enforces this for every
@@ -49,7 +49,10 @@ The work is organised as batched passes instead of per-record dispatch:
    spec when one reaches their budget (:func:`_run_walks`);
 5. **arcs** — a per-budget use-class byte column packed with each
    bank's X and Y bits turns the 4x4 ``ArcStats`` table into sixteen
-   ``bytes.count`` calls.
+   ``bytes.count`` calls;
+6. **reuse** — a ``track_reuse`` config feeds its eligible records,
+   with the first bank's fully-predicted selector, through the one
+   :class:`~repro.core.reuse.ReuseTracker` rule (:func:`_reuse_stats`).
 
 Everything is stdlib-only; see docs/kernel.md for the full layout.
 """
@@ -64,6 +67,7 @@ from itertools import compress, count, islice, repeat
 from repro.core.arcs import ArcGroupTable
 from repro.core.events import InKind, _KIND_TABLE
 from repro.core.paths import _MASK_BITS
+from repro.core.reuse import ReuseStats, ReuseTracker
 from repro.core.stats import (
     AnalysisResult,
     BranchStats,
@@ -74,6 +78,7 @@ from repro.core.stats import (
     TreeStats,
 )
 from repro.core.unpred import CriticalPoints
+from repro.isa.opcodes import Category
 from repro.obs import get_recorder
 
 # ----------------------------------------------------------------------
@@ -755,14 +760,6 @@ def fold_arcs(counts, use_v: int, xk: int, yk: int, n_arcs: int) -> None:
 # The engine proper.
 # ----------------------------------------------------------------------
 
-def analyze_columns(columns, config, name="trace", profile_counts=None,
-                    static_counts=None) -> AnalysisResult:
-    """Analyse one budget-sliced view of ``columns`` under ``config``:
-    the one-config call of :func:`analyze_columns_many`."""
-    return analyze_columns_many(columns, [config], name, profile_counts,
-                                static_counts)[0]
-
-
 def _budget(columns, config) -> int:
     """Records ``config`` analyses of ``columns``."""
     n_records = columns.n_records
@@ -945,6 +942,31 @@ def _use_class(columns, m, static_counts) -> int:
     return use_v
 
 
+def _reuse_stats(columns, cfg, lanes, m) -> ReuseStats:
+    """The instruction-reuse measurement of the first ``m`` records.
+
+    Eligible records (ALU with an output) feed the one
+    :class:`~repro.core.reuse.ReuseTracker` rule in stream order, keyed
+    by their input values; "fully predicted" is the first bank's
+    sequence selector (every input and the output predicted).
+    """
+    lane = lanes[(cfg.branch_predictor, cfg.gshare_bits)][cfg.predictors[0]]
+    fully = lane["comp"][:m].translate(_SEQ_T)
+    alu = bytes(cat is Category.ALU for __, cat, __i in columns.ops)
+    alu_sel = bytes(columns.op_index[:m]).translate(alu.ljust(256, b"\0"))
+    tracker = ReuseTracker(ways=cfg.reuse_ways)
+    on_node = tracker.on_node
+    pcs = columns.pc
+    outs = columns.out
+    values = columns.src_value
+    starts = columns.src_start
+    for r in compress(range(m), alu_sel):
+        if outs[r] is not None:
+            on_node(pcs[r], tuple(values[starts[r]:starts[r + 1]]),
+                    fully[r])
+    return tracker.stats
+
+
 def analyze_columns_many(columns, configs, name="trace",
                          profile_counts=None,
                          static_counts=None) -> list[AnalysisResult]:
@@ -956,11 +978,10 @@ def analyze_columns_many(columns, configs, name="trace",
     budget the call needs (:func:`_warm_largest`); then each walk
     (:func:`_run_walks`) and each bank's tallies (:func:`_run_banks`)
     run once, to the largest budget that reads them, with a snapshot
-    at each smaller one — the multi-config analogue of the reference
-    path's ``analyze_many`` single decode.  Lanes, walk snapshots and
-    bank results are cached on the columns object.  The caller is
-    responsible for engine resolution (every config must be
-    columnar-supported) and for the enclosing ``"analyze"`` span.
+    at each smaller one; a ``track_reuse`` config adds its reuse tally
+    (:func:`_reuse_stats`).  Lanes, walk snapshots and bank results are
+    cached on the columns object.  The caller is responsible for the
+    enclosing ``"analyze"`` span.
 
     External per-PC counts (``profile_counts`` / ``static_counts``)
     change the generate classes and use classes without entering any
@@ -1004,5 +1025,8 @@ def analyze_columns_many(columns, configs, name="trace",
         )
         for pred in preds:
             result.predictors[pred.kind] = pred
+        if cfg.track_reuse:
+            with recorder.span("analyze.kernel.classify"):
+                result.reuse = _reuse_stats(columns, cfg, lanes, m)
         results.append(result)
     return results

@@ -4,25 +4,26 @@ Section 6 of the paper suggests that "the large number of p,p->p and
 p,i->p nodes and <p,p> arcs naturally suggest speculation and/or
 reuse/memoization of regions with predictable nodes and arcs".  This
 module provides the measurement behind that suggestion: a *reuse
-buffer* — per static instruction, the last few (input values → output)
-tuples — through which the dynamic stream is filtered.  An instruction
+buffer* — per static instruction, the last few input-value tuples (a
+real buffer also holds each tuple's output; a hit only needs the
+inputs) — through which the dynamic stream is filtered.  An instruction
 instance is **reusable** when an earlier instance of the same static
 instruction computed the same inputs, so its result could be looked up
 instead of executed.
 
-Only ALU-category instructions participate (a load's output is not a
-function of its register inputs; real reuse buffers need memory
-invalidation machinery the paper does not discuss).  The tracker also
-counts the overlap with full predictability, quantifying how much of
-the reuse opportunity the paper's predictable regions already cover.
+Only ALU-category instructions with an output participate (a load's
+output is not a function of its register inputs; real reuse buffers
+need memory invalidation machinery the paper does not discuss).  The
+columnar kernel feeds the tracker those instances from its columns,
+and the reference loop from its records.  The tracker also counts the
+overlap with full predictability, quantifying how much of the reuse
+opportunity the paper's predictable regions already cover.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-
-from repro.isa.opcodes import Category
+from dataclasses import dataclass
 
 
 @dataclass(slots=True)
@@ -58,31 +59,31 @@ class ReuseTracker:
         self.stats = ReuseStats()
         self._buffers: dict[int, OrderedDict] = {}
 
-    def on_node(self, dyn, fully_predicted: bool) -> bool:
-        """Feed one dynamic instruction; returns True on a reuse hit.
+    def on_node(self, pc: int, inputs: tuple,
+                fully_predicted: bool) -> bool:
+        """Feed one eligible instance (an ALU instruction with an
+        output); returns True on a reuse hit.
 
         Args:
-            dyn: the trace record.
+            pc: the static instruction.
+            inputs: its input values, in operand order.
             fully_predicted: whether the reference predictor predicted
                 all of this instance's inputs and its output.
         """
-        if dyn.category is not Category.ALU or dyn.out is None:
-            return False
         stats = self.stats
         stats.eligible += 1
-        key = tuple(src.value for src in dyn.srcs)
-        buffer = self._buffers.get(dyn.pc)
+        buffer = self._buffers.get(pc)
         if buffer is None:
             buffer = OrderedDict()
-            self._buffers[dyn.pc] = buffer
-        hit = key in buffer
+            self._buffers[pc] = buffer
+        hit = inputs in buffer
         if hit:
-            buffer.move_to_end(key)
+            buffer.move_to_end(inputs)
             stats.hits += 1
             if fully_predicted:
                 stats.hits_predicted += 1
         else:
-            buffer[key] = dyn.out
+            buffer[inputs] = None
             if len(buffer) > self.ways:
                 buffer.popitem(last=False)
             if fully_predicted:

@@ -542,9 +542,13 @@ def prepare_file_segments(path, config, index, segments, name="trace",
     :class:`~repro.runner.pool.TaskPool` — the runner mixes them with
     whole-job tasks) and the :class:`SegmentMerge` to feed payloads in
     segment order.  Raises :class:`ShardError` when the trace cannot
-    be segmented (stale/unsupported index, budget below the first
-    checkpoint).
+    be segmented (a ``track_reuse`` config, stale/unsupported index,
+    budget below the first checkpoint).  Segments never carry
+    ``track_reuse``: the runner's configs cannot ask for it, so the
+    segment payloads hold no reuse tally.
     """
+    if config.track_reuse:
+        raise ShardError("track_reuse configs are not segmented")
     header, body = read_trace_raw(path)
     n_records = header["n_records"]
     if index.n_records != n_records:

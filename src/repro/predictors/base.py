@@ -130,16 +130,26 @@ def parse_predictor_spec(spec: str) -> tuple[str, dict[str, int]]:
     return kind, kwargs
 
 
+#: Most predictor banks one analysis runs: every per-record bank mask
+#: (the reference loop's output flags, a segment's bit assembly) is
+#: one byte, one bit per bank.
+MAX_BANKS = 8
+
+
 def validate_predictor_specs(specs) -> None:
-    """Check a predictor-bank list: non-empty, every spec parses, none
-    repeated.
+    """Check a predictor-bank list: non-empty, at most
+    :data:`MAX_BANKS` specs, every spec parses, none repeated.
 
     Raises :class:`ValueError` naming the offending spec (the parser's
-    own message for a bad one).  Shared by campaign variants and the
+    own message for a bad one).  Shared by
+    :class:`~repro.runner.ExperimentConfig`, campaign variants and the
     service's request validation.
     """
     if not specs:
         raise ValueError("no predictors given")
+    if len(specs) > MAX_BANKS:
+        raise ValueError(f"{len(specs)} predictor banks exceed the "
+                         f"maximum of {MAX_BANKS}")
     seen = set()
     for spec in specs:
         parse_predictor_spec(spec)

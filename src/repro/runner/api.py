@@ -45,7 +45,7 @@ from itertools import islice
 
 from repro.core import analyze_many, analyze_trace
 from repro.core.export import result_from_dict, result_to_dict
-from repro.core.kernel import TraceColumns, columnar_unsupported
+from repro.core.kernel import TraceColumns
 from repro.errors import (
     JournalConflict,
     RunnerError,
@@ -688,19 +688,16 @@ class ExperimentRunner:
     def _prepare_segments(self, name: str, config, key: str):
         """Plan one job as segment pool tasks, or None for a whole job.
 
-        The segmented plan applies only when the policy shards, the
-        kernel can run the config, and the stored trace covers the
-        budget with a usable sidecar index; everything else (including
-        a cold capture, which has no trace to split yet) stays a
-        whole-group task.  A plan the sidecar cannot serve counts
-        ``analyze.shard.fallback``.
+        The segmented plan applies only when the policy shards and the
+        stored trace covers the budget with a usable sidecar index;
+        everything else (including a cold capture, which has no trace
+        to split yet) stays a whole-group task.  A plan the sidecar
+        cannot serve counts ``analyze.shard.fallback``.
         """
         policy = self.policy
         if policy.segments <= 1 or self.trace_store is None:
             return None
         analysis_config = Job(name, config).analysis_config()
-        if columnar_unsupported(analysis_config) is not None:
-            return None
         tkey = trace_key(name, config.scale)
         header = self.trace_store.header(tkey)
         if header is None or not self.trace_store._serves(

@@ -27,7 +27,7 @@ import hashlib
 from dataclasses import dataclass
 
 from repro.core import AnalysisConfig
-from repro.predictors.base import PREDICTOR_KINDS
+from repro.predictors.base import PREDICTOR_KINDS, validate_predictor_specs
 from repro.workloads import get_workload
 
 #: Bump when the analyzer's semantics change in a way that should
@@ -50,7 +50,9 @@ class ExperimentConfig:
         scale: workload problem-size multiplier.
         max_instructions: dynamic-instruction budget per workload.
         workloads: workload names to run (None = the full suite).
-        predictors: predictor kinds to analyse side by side.
+        predictors: predictor kinds to analyse side by side; 1 to
+            :data:`~repro.predictors.base.MAX_BANKS` distinct specs
+            (``ValueError`` otherwise).
         trees_for: predictors with per-generate tree tracking.
         gen_cap: generator-id cap for tree tracking; an int >= 1
             (``ValueError`` otherwise: a cap of 0 truncates every
@@ -70,6 +72,7 @@ class ExperimentConfig:
         if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
             raise ValueError(f"gen_cap must be an integer >= 1, "
                              f"got {cap!r}")
+        validate_predictor_specs(self.predictors)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.predictors import validate_predictor_specs
 from repro.runner import ExperimentConfig
 from repro.runner.policy import POLICY_FIELDS
 from repro.service.qos.tenant import Tenant, TenantError
@@ -119,8 +118,9 @@ def config_from_dict(payload) -> ExperimentConfig:
 
     Missing keys inherit the config defaults; unknown keys are an
     error (a typoed knob silently doing nothing is worse than a 400),
-    and so is a ``predictors`` list that is empty, repeats a spec or
-    holds one the predictor parser rejects.
+    and so is any config :class:`ExperimentConfig` rejects — e.g. a
+    ``predictors`` list that is empty, longer than eight banks,
+    repeats a spec or holds one the predictor parser rejects.
     """
     if payload is None:
         return ExperimentConfig()
@@ -152,12 +152,6 @@ def config_from_dict(payload) -> ExperimentConfig:
             )
         else:
             kwargs[name] = value
-    if "predictors" in kwargs:
-        try:
-            validate_predictor_specs(kwargs["predictors"])
-        except ValueError as error:
-            raise ProtocolError(
-                f"config field 'predictors': {error}") from None
     try:
         return ExperimentConfig(**kwargs)
     except ValueError as error:

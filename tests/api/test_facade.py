@@ -31,6 +31,14 @@ class TestFacadeSurface:
         with pytest.raises(ValueError, match="gen_cap must be an integer"):
             api.ExperimentConfig(gen_cap=cap)
 
+    def test_experiment_config_bounds_the_banks(self):
+        eight = tuple(f"last(bits={bits})" for bits in range(4, 12))
+        assert len(api.ExperimentConfig(predictors=eight).predictors) == 8
+        with pytest.raises(ValueError, match="9 predictor banks exceed"):
+            api.ExperimentConfig(predictors=(*eight, "stride"))
+        with pytest.raises(ValueError, match="is repeated"):
+            api.ExperimentConfig(predictors=("last", "last"))
+
     def test_gen_cap_check_leaves_analysis_config_alone(self):
         # The kernel's walk tests drive a cap of 0 directly.
         assert api.ExperimentConfig(gen_cap=1).gen_cap == 1

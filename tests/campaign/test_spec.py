@@ -101,6 +101,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             self._spec(variants=[variant]).validate()
 
+    def test_too_many_banks(self):
+        variant = {"name": "wide", "predictors": [
+            f"last(bits={bits})" for bits in range(4, 13)]}
+        with pytest.raises(ValueError,
+                           match="variant 'wide': 9 predictor banks"):
+            self._spec(variants=[variant]).validate()
+
     def test_empty_variant(self):
         with pytest.raises(ValueError, match="no predictors"):
             PredictorVariant("v", ()).validate()

@@ -1,7 +1,7 @@
 """Differential pinning of the columnar kernel to the reference loop.
 
 The columnar kernel's correctness contract is byte-identity: for every
-supported configuration, ``result_to_dict`` of the kernel's
+configuration, ``result_to_dict`` of the kernel's
 :class:`AnalysisResult` must serialise to exactly the JSON the
 reference per-instruction loop (:func:`analyze_reference`, the oracle)
 produces — same counts, same
@@ -26,7 +26,7 @@ from repro.core import (
     analyze_trace,
 )
 from repro.core.export import result_to_dict
-from repro.core.kernel import TraceColumns, columnar_unsupported
+from repro.core.kernel import TraceColumns
 from repro.core.events import GenClass, InKind
 from repro.core.kernel.engine import (
     _NODE_T,
@@ -45,7 +45,8 @@ BUDGET = 4_000
 
 #: Config variants covering every kernel code path: default bank,
 #: parameterized specs, hybrid + branch-predictor variants, tracking
-#: toggles, tree tracking per bank, tiny budgets.
+#: toggles, tree tracking per bank, tiny budgets, the most banks a
+#: config may hold, and instruction-reuse tracking.
 VARIANTS = {
     "default": AnalysisConfig(max_instructions=BUDGET),
     "hybrid": AnalysisConfig(
@@ -68,6 +69,17 @@ VARIANTS = {
         track_paths=False, max_instructions=BUDGET,
     ),
     "tiny": AnalysisConfig(max_instructions=7),
+    "eight-banks": AnalysisConfig(
+        predictors=("last", "stride", "context", "hybrid",
+                    "last(bits=8)", "stride(bits=7)",
+                    "context(l1=7,l2=9,order=3)", "hybrid(bits=7,l2=9)"),
+        trees_for=("context", "stride(bits=7)"),
+        max_instructions=BUDGET,
+    ),
+    "reuse": AnalysisConfig(
+        predictors=("stride", "last", "context"), track_reuse=True,
+        reuse_ways=2, max_instructions=BUDGET,
+    ),
 }
 
 
@@ -90,13 +102,13 @@ def _reference(records, n_static, config, name="trace",
 
 def _assert_engines_agree(records, n_static, config, directory,
                           name="trace", profile_counts=None):
-    # A supported config, so analyze_trace runs the kernel.
-    assert columnar_unsupported(config) is None
     reference = _reference(records, n_static, config, name=name,
                            profile_counts=profile_counts)
     columnar = analyze_trace(records, n_static, name=name, config=config,
                              profile_counts=profile_counts)
     assert _dump(columnar) == _dump(reference)
+    if config.track_reuse:
+        return  # never segmented (docs/sharding.md)
     # The segment-parallel kernel shares the byte-identity contract:
     # splitting the columnar pass must be invisible in the output
     # (docs/sharding.md).  Every budget here spans at least 3 records,
@@ -406,25 +418,3 @@ def test_file_decode_identical(tmp_path):
                               config=config)
     reference = _reference(records, n_static, config, name="app")
     assert _dump(from_file) == _dump(reference)
-
-
-# ----------------------------------------------------------------------
-# Path selection: the config picks the kernel or the reference loop.
-# ----------------------------------------------------------------------
-
-def test_unsupported_configs_detected():
-    assert columnar_unsupported(AnalysisConfig()) is None
-    assert columnar_unsupported(AnalysisConfig(track_reuse=True))
-    five = ("last", "stride", "context", "hybrid", "last(bits=8)")
-    assert columnar_unsupported(AnalysisConfig(predictors=five))
-
-
-def test_auto_falls_back_and_counts():
-    records, n_static = _trace_of("com")
-    config = AnalysisConfig(track_reuse=True, max_instructions=2_000)
-    with recording(Recorder()) as rec:
-        auto = analyze_trace(records, n_static, config=config)
-        assert rec.snapshot()["counters"].get("analyze.fallback") == 1
-    reference = _reference(records, n_static, config)
-    assert _dump(auto) == _dump(reference)
-

@@ -175,6 +175,14 @@ class TestFilePlannerRejections:
         with pytest.raises(ShardError):
             prepare_file_segments(path, config, index, 4)
 
+    def test_track_reuse_config_raises(self, stored):
+        # Segment payloads carry no reuse tally: a track_reuse config
+        # is refused, never merged into a result without ``reuse``.
+        path, index, __ = stored
+        config = AnalysisConfig(track_reuse=True)
+        with pytest.raises(ShardError, match="track_reuse"):
+            prepare_file_segments(path, config, index, 4)
+
     def test_budget_below_first_checkpoint_raises(self, stored):
         path, index, __ = stored
         config = AnalysisConfig(max_instructions=2)

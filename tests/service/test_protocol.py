@@ -12,6 +12,9 @@ from repro.service import (
 )
 from repro.workloads import SUITE
 
+#: One bank more than a config may hold.
+NINE_BANKS = [f"last(bits={bits})" for bits in range(4, 13)]
+
 
 class TestConfigRoundTrip:
     def test_default_config_round_trips(self):
@@ -100,6 +103,7 @@ class TestConfigRejection:
         (["last", "context(l1=99)"], "context\\(l1=99\\)"),
         ([], "no predictors"),
         (["last", "stride", "last"], "'last' is repeated"),
+        (NINE_BANKS, "9 predictor banks exceed the maximum of 8"),
     ])
     def test_invalid_predictor_lists_are_rejected(self, predictors, match):
         """Bad banks are a 400 at the trust boundary, not a worker-side

@@ -94,6 +94,8 @@ class TestEndpointContract:
         ({"predictors": ["last", "last"]}, "'last' is repeated"),
         ({"engine": "reference"}, "unknown config field 'engine'"),
         ({"gen_cap": 0}, "gen_cap must be an integer >= 1"),
+        ({"predictors": [f"last(bits={bits})" for bits in range(4, 13)]},
+         "9 predictor banks exceed the maximum of 8"),
     ])
     def test_invalid_config_is_400(self, server, config, named):
         with pytest.raises(RequestFailed) as excinfo:
