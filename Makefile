@@ -64,7 +64,8 @@ service-smoke:
 	$(PYTHON) benchmarks/bench_service.py --smoke
 
 ## Multi-tenant QoS smoke: the deterministic fairness/quota/
-## attribution suites, then the bench soak's qos phase — an abusive
+## attribution suites and the span walker they fold (tests/obs/
+## test_layers.py), then the bench soak's qos phase — an abusive
 ## tenant at >=5x quota must not degrade compliant p99 by more than
 ## 25%, shed zero compliant requests, or change any result byte vs
 ## the serial reference; attribution must cover >=90% of wall time.
@@ -72,7 +73,7 @@ service-smoke:
 ## reports/qos_attribution.json (see docs/qos.md).
 qos-smoke:
 	$(PYTHON) -m pytest -x -q tests/service/test_qos.py \
-		tests/service/test_qos_broker.py
+		tests/service/test_qos_broker.py tests/obs/test_layers.py
 	$(PYTHON) benchmarks/bench_service.py --smoke
 
 ## Campaign smoke: the 2x2 generated-workload campaign end-to-end,

@@ -297,7 +297,7 @@ def smoke(output_path=None) -> dict:
     ``samples`` counts every timing's samples.  Each pair's
     ``analyze`` span walls land in ``analyze_samples`` (median,
     quartiles, samples, and how many pairs the warm sweep won); the
-    first pair's per-phase breakdown in ``phases.columnar`` and
+    first pair's per-layer breakdown in ``phases.columnar`` and
     kernel-work counters in ``kernel_work``.  ``reference_analyze`` times
     the reference oracle (:func:`repro.core.analyze_reference`) over
     the cold sweep's stored traces, and
@@ -315,52 +315,28 @@ def smoke(output_path=None) -> dict:
     from pathlib import Path
 
     from repro.core import analyze_reference
-    from repro.obs import aggregate_spans, decode_labels
+    from repro.obs import decode_labels, layer_seconds
     from repro.runner import Job, trace_key
     from repro.workloads import SUITE
 
     def phase_breakdown(runs) -> dict:
-        """Per-phase wall seconds from a sweep's recorded profile.
-
-        ``store`` sums the four store span kinds (``trace.encode``,
-        nested inside ``store.trace.put``, included) minus the decode
-        nested inside ``store.trace.get``, which is reported as
-        ``trace_decode``.  ``simulate`` includes the capture's column
-        layout: the live trace streams into ``TraceColumns`` inside
-        that span, so there is no separate columnize phase.  ``gc`` is
-        the cyclic collector's pause time; collections run inside the
-        other phases, so it is their share, not one more phase.
+        """Per-layer wall seconds of a sweep's recorded profile: the
+        :func:`repro.obs.layer_seconds` rows, so ``kernel.analyze`` is
+        the ``analyze`` spans' wall and ``store`` excludes the trace
+        encode and decode nested in it.  ``cpu.sim`` includes the
+        capture's column layout: the live trace streams into
+        ``TraceColumns`` inside the ``simulate`` span.  ``gc`` is the
+        cyclic collector's pause time; collections run inside the
+        other layers, so it is their share, not one more row.
         """
         profile = runs[0].metrics.profile
-        spans = profile["spans"]
-        totals = aggregate_spans(spans)
-        wall = lambda name: totals.get(name, {}).get("wall", 0.0)  # noqa: E731
-
-        def nested_decode(nodes, in_get=False) -> float:
-            return sum(
-                (node.get("wall", 0.0)
-                 if in_get and node["name"] == "trace.decode" else 0.0)
-                + nested_decode(node.get("children", ()),
-                                in_get or node["name"] == "store.trace.get")
-                for node in nodes
-            )
-
-        decode = nested_decode(spans)
-        gc_pause = sum(
+        phases = {layer: round(seconds, 3) for layer, seconds
+                  in layer_seconds(profile["spans"]).items()}
+        phases["gc"] = round(sum(
             value for name, value in profile["counters"].items()
             if decode_labels(name)[0] == "gc.pause_s"
-        )
-        return {
-            "simulate": round(wall("simulate"), 3),
-            "trace_decode": round(decode, 3),
-            "analyze": round(wall("analyze"), 3),
-            "store": round(
-                wall("store.result.get") + wall("store.result.put")
-                + wall("store.trace.get") + wall("store.trace.put")
-                - decode, 3
-            ),
-            "gc": round(gc_pause, 3),
-        }
+        ), 3)
+        return phases
 
     def kernel_work(runs) -> dict:
         """The kernel-work counters of a sweep's profile: what the
@@ -429,7 +405,7 @@ def smoke(output_path=None) -> dict:
                 sweeps["cold"] = cold_sweep(root)
             for label, runs in sweeps.items():
                 breakdown = phase_breakdown(runs)
-                analyze[label].append(breakdown["analyze"])
+                analyze[label].append(breakdown["kernel.analyze"])
                 if pair == 0:
                     phases.setdefault("columnar", {})[label] = breakdown
                     work[label] = kernel_work(runs)
@@ -486,7 +462,7 @@ def smoke(output_path=None) -> dict:
 
     analyze_speedup = round(
         timings["reference_analyze"]
-        / max(phases["columnar"]["cold"]["analyze"], 1e-9), 2
+        / max(phases["columnar"]["cold"]["kernel.analyze"], 1e-9), 2
     )
 
     workloads = len(full_warm[0].results)

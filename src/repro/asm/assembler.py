@@ -26,6 +26,7 @@ from repro.isa.instruction import Instruction
 from repro.isa.layout import DATA_BASE
 from repro.isa.opcodes import OPCODES, Format
 from repro.isa.registers import REG_RA, is_fp_reg
+from repro.obs import get_recorder
 
 _SHIFT_OPS = {"sll", "srl", "sra"}
 _SIGNED_IMM_OPS = {"addi", "addiu", "slti"}
@@ -407,4 +408,5 @@ def assemble(source: str, entry_label: str = "__start") -> Program:
     Raises:
         AsmError: on any syntax, range, or resolution error.
     """
-    return _Assembler(source, entry_label).run()
+    with get_recorder().span("asm.assemble"):
+        return _Assembler(source, entry_label).run()

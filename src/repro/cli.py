@@ -1067,12 +1067,9 @@ def cmd_serve(parser, args) -> int:
             parser.error(f"invalid QoS policy {args.qos}: {error}")
     broker_config = BrokerConfig(
         workers=args.workers,
-        jobs=policy.jobs,
         max_queue=args.max_queue,
         max_wait=args.max_wait,
         batch_window=args.batch_window,
-        timeout=policy.timeout,
-        retries=policy.retries,
         policy=policy,
         qos=qos,
     )

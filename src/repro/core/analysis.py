@@ -35,7 +35,7 @@ from repro.cpu.trace import DynInst
 from repro.isa.opcodes import Category
 from repro.obs import get_recorder
 from repro.predictors import PredictorBank, make_branch_predictor
-from repro.predictors.base import PREDICTOR_KINDS
+from repro.predictors.base import MAX_BANKS, PREDICTOR_KINDS
 
 
 @dataclass(slots=True)
@@ -43,7 +43,8 @@ class AnalysisConfig:
     """Knobs for one analysis run.
 
     Attributes:
-        predictors: value-predictor kinds to run side by side.
+        predictors: value-predictor kinds to run side by side, at most
+            :data:`~repro.predictors.base.MAX_BANKS` (``ValueError``).
         track_paths: enable generator-class path analysis (Fig. 9).
         trees_for: predictor kinds that additionally track per-generate
             trees, influence counts and distances (Figs. 10/11) — the
@@ -85,6 +86,11 @@ class AnalysisConfig:
     track_reuse: bool = False
     reuse_ways: int = 4
     max_instructions: int | None = None
+
+    def __post_init__(self):
+        if len(self.predictors) > MAX_BANKS:
+            raise ValueError(f"{len(self.predictors)} predictor banks "
+                             f"exceed the maximum of {MAX_BANKS}")
 
 
 class Analyzer:

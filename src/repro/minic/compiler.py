@@ -7,6 +7,7 @@ from repro.errors import InternalCompilerError, MinicError
 from repro.minic.codegen import generate
 from repro.minic.parser import parse
 from repro.minic.sema import analyze
+from repro.obs import get_recorder
 
 
 def compile_source(source: str) -> str:
@@ -21,7 +22,8 @@ def compile_source(source: str) -> str:
     ``__cause__``) so callers only ever see :class:`MinicError`.
     """
     try:
-        return generate(analyze(parse(source)))
+        with get_recorder().span("minic.compile"):
+            return generate(analyze(parse(source)))
     except (MinicError, RecursionError, MemoryError, KeyboardInterrupt):
         raise
     except Exception as exc:

@@ -11,9 +11,9 @@ The instrumentation layer every other subsystem reports into:
   ``python -m repro stats`` and the ``--profile`` CLI flag.
 
 Instrumented layers (see docs/observability.md for the span/counter
-catalogue): the simulator (``sim.*``), trace codec (``trace.*``),
-analyzer (``analyze.*``), stores (``store.*``), pool (``pool.*``) and
-runner resolution tiers (``runner.*``).
+catalogue): compiler (``minic.*``, ``asm.*``), simulator, trace
+codec, analyzer, stores, pool and runner; :mod:`repro.obs.layers`
+maps span names to layers once, for every profile and attribution.
 
 Enable observation through the facade::
 
@@ -43,6 +43,7 @@ from repro.obs.export import (
     to_prometheus,
     write_jsonl,
 )
+from repro.obs.layers import LAYERS, layer_seconds
 from repro.obs.recorder import (
     NULL_RECORDER,
     NullRecorder,
@@ -56,6 +57,7 @@ from repro.obs.recorder import (
 )
 
 __all__ = [
+    "LAYERS",
     "NULL_RECORDER",
     "NullRecorder",
     "ObsConfig",
@@ -67,6 +69,7 @@ __all__ = [
     "from_jsonl",
     "get_recorder",
     "iter_events",
+    "layer_seconds",
     "parse_prometheus",
     "recording",
     "render_profile",

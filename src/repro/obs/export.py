@@ -17,11 +17,10 @@ Three output forms:
   dots sanitised to underscores and ``# HELP``/``# TYPE`` lines per
   family, span time aggregated per span name into
   ``repro_span_wall_seconds`` / ``repro_span_cpu_seconds`` /
-  ``repro_span_calls`` with an escaped ``{span="..."}`` label
-  (``legacy=True`` reproduces the pre-service output: no HELP lines,
-  profile-order counters, unescaped labels);
+  ``repro_span_calls`` with an escaped ``{span="..."}`` label;
 * **human text** (:func:`render_profile`) — the span tree with
-  sibling spans of the same name aggregated, plus the counter table;
+  sibling spans of the same name aggregated, the layer table
+  (:func:`repro.obs.layers.layer_seconds`), then the counter table;
   what ``python -m repro stats`` and ``--profile`` print.
 """
 
@@ -30,6 +29,8 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
+
+from repro.obs.layers import layer_seconds
 
 #: Event-stream schema version (the ``meta`` line of a JSONL export).
 EVENTS_VERSION = 1
@@ -227,18 +228,13 @@ def aggregate_spans(spans, totals: dict | None = None) -> dict:
     return totals
 
 
-def to_prometheus(profile: dict, legacy: bool = False) -> str:
+def to_prometheus(profile: dict) -> str:
     """Render the profile in Prometheus exposition format.
 
-    The default output is scrapeable text format 0.0.4: every metric
-    family gets one ``# HELP`` and one ``# TYPE`` line, names are
-    sanitised (dots → underscores), families are sorted, and label
-    values are escaped.  ``legacy=True`` keeps the pre-service output
-    (no HELP lines, counters in profile order, raw labels) for anything
-    that parsed the old dump line-by-line.
+    Scrapeable text format 0.0.4: every metric family gets one
+    ``# HELP`` and one ``# TYPE`` line, names are sanitised (dots →
+    underscores), families are sorted, and label values are escaped.
     """
-    if legacy:
-        return _to_prometheus_legacy(profile)
     lines: list[str] = []
 
     def family(metric: str, kind: str, help_text: str) -> None:
@@ -315,39 +311,6 @@ def parse_prometheus(text: str):
     return samples
 
 
-def _to_prometheus_legacy(profile: dict) -> str:
-    """The pre-service dump (kept verbatim for line-oriented parsers)."""
-    lines: list[str] = []
-    for name, value in profile.get("counters", {}).items():
-        metric = _prom_name(name) + "_total"
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {value}")
-    for name, value in profile.get("gauges", {}).items():
-        metric = _prom_name(name)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {value}")
-    totals = aggregate_spans(profile.get("spans", ()))
-    if totals:
-        lines.append("# TYPE repro_span_wall_seconds gauge")
-        for name, bucket in sorted(totals.items()):
-            lines.append(
-                f'repro_span_wall_seconds{{span="{name}"}} '
-                f"{bucket['wall']:.6f}"
-            )
-        lines.append("# TYPE repro_span_cpu_seconds gauge")
-        for name, bucket in sorted(totals.items()):
-            lines.append(
-                f'repro_span_cpu_seconds{{span="{name}"}} '
-                f"{bucket['cpu']:.6f}"
-            )
-        lines.append("# TYPE repro_span_calls gauge")
-        for name, bucket in sorted(totals.items()):
-            lines.append(
-                f'repro_span_calls{{span="{name}"}} {bucket["calls"]}'
-            )
-    return "\n".join(lines) + "\n"
-
-
 # ----------------------------------------------------------------------
 # Human rendering.
 # ----------------------------------------------------------------------
@@ -370,7 +333,8 @@ def _merge_siblings(spans) -> list[dict]:
 
 
 def render_profile(profile: dict, max_counters: int | None = None) -> str:
-    """Human-readable profile: span tree plus the counter table."""
+    """Human-readable profile: span tree, layer table (shares of the
+    roots' wall), then the counter and gauge tables."""
     lines: list[str] = []
     merged = _merge_siblings(profile.get("spans", ()))
     if merged:
@@ -387,6 +351,13 @@ def render_profile(profile: dict, max_counters: int | None = None) -> str:
                 emit(bucket["children"], depth + 1)
 
         emit(merged, 0)
+        wall = sum(span.get("wall", 0.0) for span in profile["spans"])
+        lines.append("")
+        lines.append(f"{'layer':<42} {'wall':>17} {'share':>10}")
+        lines.append("-" * 71)
+        for layer, seconds in layer_seconds(profile["spans"]).items():
+            share = f"{100.0 * seconds / wall:.1f}%" if wall > 0 else "-"
+            lines.append(f"{layer:<42} {seconds:>16.3f}s {share:>10}")
     counters = profile.get("counters", {})
     if counters:
         if lines:

@@ -42,7 +42,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.core.export import result_to_dict
-from repro.obs import get_recorder
+from repro.obs import get_recorder, layer_seconds
 from repro.runner import (
     ExecutionPolicy,
     ExperimentConfig,
@@ -53,7 +53,7 @@ from repro.runner import (
     job_key,
 )
 from repro.service.errors import BrokerClosed, JobError, Overloaded
-from repro.service.qos.attribution import TenantAccounting, phases_from_span
+from repro.service.qos.attribution import TenantAccounting, phases_from_layers
 from repro.service.qos.policy import QosPolicy
 from repro.service.qos.quota import QuotaExceeded, TenantQuotas
 from repro.service.qos.scheduler import DeficitScheduler
@@ -85,8 +85,7 @@ class BrokerConfig:
 
     Attributes:
         workers: concurrent batches (executor threads); each batch may
-            itself fan out over ``jobs`` runner processes.
-        jobs: worker-process count each batch's runner uses.
+            itself fan out over ``policy.jobs`` runner processes.
         max_queue: admission bound — queued (not yet dispatched) jobs
             beyond this are shed with :exc:`Overloaded`.
         max_wait: admission bound — estimated seconds until a new job
@@ -95,16 +94,12 @@ class BrokerConfig:
             queued job for stragglers to join the batch.
         memo_entries: broker-level LRU of decoded result payloads (the
             warmest tier, above the disk store).
-        timeout: per-job wall-clock limit handed to the runner.
-        retries: extra attempts for failed jobs (parallel runs).
         policy: the server-side :class:`ExecutionPolicy` each batch
-            runner executes under.  This is operator configuration
+            runner executes under (worker processes, per-job timeout,
+            retries, segments).  This is operator configuration
             (``repro serve --policy ...``); clients cannot set or
             override it — :mod:`repro.service.protocol` rejects policy
-            keys in request bodies at the trust boundary.  When None,
-            a policy is synthesized from the legacy ``jobs``/
-            ``timeout``/``retries`` knobs; when given, it wins over
-            them entirely.
+            keys in request bodies at the trust boundary.
         qos: the multi-tenant :class:`~repro.service.qos.QosPolicy`
             (``repro serve --qos policy.toml``) — priority classes,
             per-tenant quotas and the batch-size cap.  Operator-only,
@@ -114,23 +109,12 @@ class BrokerConfig:
     """
 
     workers: int = 2
-    jobs: int = 1
     max_queue: int = 64
     max_wait: float = 30.0
     batch_window: float = 0.02
     memo_entries: int = 1024
-    timeout: float | None = None
-    retries: int = 1
-    policy: "ExecutionPolicy | None" = None
+    policy: ExecutionPolicy = field(default_factory=ExecutionPolicy)
     qos: "QosPolicy | None" = None
-
-    def effective_policy(self) -> "ExecutionPolicy":
-        """The policy batch runners execute under (see ``policy``)."""
-        if self.policy is not None:
-            return self.policy
-        return ExecutionPolicy(jobs=max(1, self.jobs),
-                               timeout=self.timeout,
-                               retries=self.retries)
 
 
 @dataclass
@@ -224,7 +208,7 @@ class AnalysisBroker:
             "memo_entries": len(self._memo),
             "draining": self._closed,
             "est_job_seconds": round(self._job_seconds, 4),
-            "policy": self.config.effective_policy().describe(),
+            "policy": self.config.policy.describe(),
         }
         if self.config.qos is not None:
             stats["qos"] = {
@@ -473,7 +457,7 @@ class AnalysisBroker:
 
     def _timed_batch(self, pairs) -> tuple[list, dict]:
         """Executor-side wrapper: run the batch under a ``qos.batch``
-        span and split its wall time into attribution phases.
+        span and fold the walker's layers into attribution phases.
 
         The span is opened on the executor thread, so the recorder's
         thread-local stack nests the batch's ``simulate``/``analyze``/
@@ -486,7 +470,7 @@ class AnalysisBroker:
         with recorder.span("qos.batch") as span:
             outcomes = self._batch_runner(pairs)
         wall = time.perf_counter() - t0
-        return outcomes, phases_from_span(span, wall)
+        return outcomes, phases_from_layers(layer_seconds([span], wall))
 
     def _run_batch_in_thread(self, pairs) -> list:
         """Executor-side batch execution (no event-loop state here).
@@ -498,17 +482,16 @@ class AnalysisBroker:
         the one requested name so ``run_many`` sees exactly the
         batch's jobs and can group same-execution members.
         """
-        policy = self.config.effective_policy()
         runner = ExperimentRunner(
             store=self._store,
             trace_store=self._trace_store,
-            policy=policy,
+            policy=self.config.policy,
         )
         configs = [
             dataclasses.replace(config, workloads=(name,))
             for name, config in pairs
         ]
-        runs = runner.run_many(configs, jobs=policy.jobs)
+        runs = runner.run_many(configs)
         outcomes: list = []
         for (name, __), run in zip(pairs, runs):
             result = run.results.get(name)

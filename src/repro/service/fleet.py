@@ -320,7 +320,7 @@ class FleetSupervisor:
         self.config = config or FleetConfig()
         self.cache_root = (str(cache_root)
                            if cache_root is not None else None)
-        self.broker_config = broker_config or BrokerConfig(jobs=1)
+        self.broker_config = broker_config or BrokerConfig()
         self._rng = rng or random.Random()
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(

@@ -36,7 +36,7 @@ from repro.service.qos.attribution import (
     TenantAccounting,
     attribution_from_counters,
     attribution_from_prometheus,
-    phases_from_span,
+    phases_from_layers,
     render_attribution,
 )
 from repro.service.qos.policy import (
@@ -80,7 +80,7 @@ __all__ = [
     "attribution_from_prometheus",
     "load_qos_policy",
     "parse_tenant",
-    "phases_from_span",
+    "phases_from_layers",
     "qos_policy_from_dict",
     "render_attribution",
 ]

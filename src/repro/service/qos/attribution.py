@@ -8,12 +8,14 @@ time queued behind batch work".  The phases (:data:`PHASES`):
 
 * ``queue`` — admitted and waiting for dispatch (plus, for coalesced
   requests, waiting on another tenant's identical in-flight job);
-* ``simulate`` / ``analyze`` / ``store`` — the batch's recorded spans
-  (``simulate*``, ``analyze*``, ``store.*``/``trace.*``), each
-  request billed the full batch phase because every batch member
-  genuinely waits for the whole batch;
-* ``pool`` — batch execution not covered by a recorded span
-  (executor hand-off, runner bookkeeping, process-pool overhead).
+* ``simulate`` / ``analyze`` / ``store`` — the batch's recorded spans,
+  billed by the shared walker (:func:`repro.obs.layer_seconds`) and
+  folded by :data:`LAYER_PHASES`; each request is billed the full
+  batch phase because every batch member genuinely waits for the
+  whole batch;
+* ``pool`` — the walker's ``unattributed`` row: batch execution not
+  covered by a classified span (executor hand-off, runner
+  bookkeeping, process-pool overhead).
 
 :class:`TenantAccounting` is the broker-side sink: it keeps an
 in-memory rollup (the ``/readyz`` ``qos`` section) and mirrors every
@@ -29,11 +31,12 @@ from __future__ import annotations
 from repro.obs.export import decode_labels, encode_labels, parse_prometheus
 
 __all__ = [
+    "LAYER_PHASES",
     "PHASES",
     "TenantAccounting",
     "attribution_from_counters",
     "attribution_from_prometheus",
-    "phases_from_span",
+    "phases_from_layers",
     "render_attribution",
 ]
 
@@ -50,54 +53,22 @@ _PROM_FAMILIES = {
     "repro_qos_phase_seconds_total": "qos.phase_seconds",
 }
 
-
-def _classify(name: str) -> str | None:
-    """Map a span name to its phase (None: keep descending)."""
-    if name.startswith(("simulate", "sim.")):
-        return "simulate"
-    if name.startswith("analyze"):
-        return "analyze"
-    if name.startswith(("store.", "trace.")):
-        return "store"
-    return None
+#: The phase each :mod:`repro.obs.layers` row is billed to.
+LAYER_PHASES = {
+    "minic.compile": "simulate", "asm.assemble": "simulate",
+    "cpu.sim": "simulate", "kernel.analyze": "analyze",
+    "tracefile.encode": "store", "tracefile.decode": "store",
+    "store": "store", "unattributed": "pool",
+}
 
 
-def phases_from_span(span, wall: float) -> dict[str, float]:
-    """Split one batch's wall seconds into execution phases.
-
-    ``span`` is the batch's ``qos.batch`` :class:`repro.obs.Span` (or
-    its dict form; or a null span when observation is off).  The walk
-    bills a subtree to the first classified ancestor — ``analyze``
-    includes its kernel children, a ``store.trace.get`` includes the
-    decode inside it — so nothing is double-counted.  Whatever no
-    span explains is the ``pool`` residual.
-    """
+def phases_from_layers(layers: dict[str, float]) -> dict[str, float]:
+    """Fold one batch's :func:`repro.obs.layer_seconds` rows (taken
+    with the batch's measured wall) into :data:`PHASES`."""
     phases: dict[str, float] = {}
-
-    def walk(node) -> None:
-        if isinstance(node, dict):
-            name = node.get("name", "")
-            node_wall = node.get("wall", 0.0)
-            children = node.get("children", ())
-        else:
-            name = getattr(node, "name", "")
-            node_wall = getattr(node, "wall", 0.0)
-            children = getattr(node, "children", ())
-        phase = _classify(name)
-        if phase is not None:
-            phases[phase] = phases.get(phase, 0.0) + node_wall
-            return
-        for child in children:
-            walk(child)
-
-    if isinstance(span, dict):
-        top_children = span.get("children", ())
-    else:
-        top_children = getattr(span, "children", ())
-    for child in top_children or ():
-        walk(child)
-    explained = sum(phases.values())
-    phases["pool"] = max(0.0, wall - explained)
+    for layer, seconds in layers.items():
+        phase = LAYER_PHASES[layer]
+        phases[phase] = phases.get(phase, 0.0) + seconds
     return phases
 
 

@@ -39,6 +39,14 @@ class TestFacadeSurface:
         with pytest.raises(ValueError, match="is repeated"):
             api.ExperimentConfig(predictors=("last", "last"))
 
+    def test_analysis_config_bounds_the_banks(self):
+        # The kernel and the oracle accept the same configs: nine
+        # banks would overflow the oracle's one-byte output flags.
+        eight = tuple(f"last(bits={bits})" for bits in range(4, 12))
+        assert len(api.AnalysisConfig(predictors=eight).predictors) == 8
+        with pytest.raises(ValueError, match="9 predictor banks exceed"):
+            api.AnalysisConfig(predictors=(*eight, "stride"))
+
     def test_gen_cap_check_leaves_analysis_config_alone(self):
         # The kernel's walk tests drive a cap of 0 directly.
         assert api.ExperimentConfig(gen_cap=1).gen_cap == 1

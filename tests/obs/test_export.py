@@ -90,7 +90,9 @@ class TestAggregateAndRender:
 
     def test_render_merges_siblings_and_lists_counters(self):
         text = render_profile(_sample_profile())
-        assert text.count("analyze") == 1  # merged siblings
+        tree = text.partition("\nlayer ")[0]
+        assert tree.count("analyze") == 1  # merged siblings
+        assert "kernel.analyze" in text  # one layer row for both
         assert "sim.instructions" in text
         assert "1,234" in text
 

@@ -12,7 +12,7 @@ import pickle
 
 import pytest
 
-from repro.obs import Recorder
+from repro.obs import Recorder, layer_seconds
 from repro.service.qos import (
     CLASSES,
     DEFAULT_TENANT,
@@ -29,7 +29,7 @@ from repro.service.qos import (
     attribution_from_prometheus,
     load_qos_policy,
     parse_tenant,
-    phases_from_span,
+    phases_from_layers,
     qos_policy_from_dict,
     render_attribution,
 )
@@ -381,25 +381,45 @@ def span_tree():
     }
 
 
-class TestPhasesFromSpan:
-    def test_first_classified_ancestor_wins(self):
-        phases = phases_from_span(span_tree(), wall=1.2)
-        assert phases["simulate"] == pytest.approx(0.4)
+def batch_phases(span, wall):
+    """What the broker bills a batch: the walker's layers, folded."""
+    return phases_from_layers(layer_seconds([span], wall))
+
+
+class TestBatchPhases:
+    def test_self_time_goes_to_nearest_classified_layer(self):
+        phases = batch_phases(span_tree(), wall=1.2)
+        # simulate keeps its own 0.3; the store.trace.put nested in it
+        # is billed to store, beside the store.result.put under the
+        # unclassified runner.batch.  Nothing is double-counted.
+        assert phases["simulate"] == pytest.approx(0.3)
         assert phases["analyze"] == pytest.approx(0.3)
-        # Only the store span OUTSIDE simulate counts.
-        assert phases["store"] == pytest.approx(0.1)
+        assert phases["store"] == pytest.approx(0.2)
         assert phases["pool"] == pytest.approx(0.4)
+        assert sum(phases.values()) == pytest.approx(1.2)
 
     def test_null_span_bills_everything_to_pool(self):
         class NullSpan:
             children = ()
 
-        phases = phases_from_span(NullSpan(), wall=2.0)
+        phases = batch_phases(NullSpan(), wall=2.0)
         assert phases == {"pool": 2.0}
 
     def test_residual_never_negative(self):
-        phases = phases_from_span(span_tree(), wall=0.5)
+        phases = batch_phases(span_tree(), wall=0.5)
         assert phases["pool"] == 0.0
+
+    def test_compile_and_decode_fold_into_simulate_and_store(self):
+        tree = {"name": "qos.batch", "wall": 1.0, "children": [
+            {"name": "minic.compile", "wall": 0.1, "children": []},
+            {"name": "asm.assemble", "wall": 0.2, "children": []},
+            {"name": "store.trace.get", "wall": 0.3, "children": [
+                {"name": "trace.decode", "wall": 0.25, "children": []},
+            ]},
+        ]}
+        phases = batch_phases(tree, wall=1.0)
+        assert phases == pytest.approx(
+            {"simulate": 0.3, "store": 0.3, "pool": 0.4})
 
 
 class TestTenantAccounting:
