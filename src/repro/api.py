@@ -62,6 +62,7 @@ from repro.runner import (
     set_default_runner,
     swap_default_runner,
 )
+from repro.runner.api import warn_resume
 from repro.service.qos import (
     QosError,
     QosPolicy,
@@ -227,7 +228,7 @@ def run_workload(name: str,
 
 
 def run_suite(config: ExperimentConfig | None = None,
-              jobs: int | None = None, resume: bool = False,
+              jobs: int | None = None, resume: bool | None = None,
               cancel=None) -> SuiteResult:
     """Analyse all configured workloads; returns name -> result.
 
@@ -236,20 +237,20 @@ def run_suite(config: ExperimentConfig | None = None,
     Raises :class:`repro.errors.RunnerError` (the ``kind``-specific
     subclass when every failure agrees) if any workload fails, and
     :class:`repro.errors.RunnerInterrupted` when a ``cancel`` event
-    stopped the run mid-way — completed jobs are journaled and a
-    ``resume=True`` re-run serves them from the cache.  The returned
-    :class:`SuiteResult` is a plain mapping that also carries
-    ``.metrics`` and (when observing) ``.profile``.
+    stopped the run mid-way — finished jobs are in the result store,
+    so re-running the same call continues.  ``resume`` is deprecated
+    and ignored.  The returned :class:`SuiteResult` is a plain mapping
+    that also carries ``.metrics`` and (when observing) ``.profile``.
     """
+    warn_resume(resume)
     config = config or ExperimentConfig()
-    run = default_runner().run(config, jobs=jobs, resume=resume,
-                               cancel=cancel)
+    run = default_runner().run(config, jobs=jobs, cancel=cancel)
     run.require()
     return SuiteResult(run)
 
 
-def run_sweep(configs, jobs: int | None = None, resume: bool = False,
-              cancel=None) -> SweepResult:
+def run_sweep(configs, jobs: int | None = None,
+              resume: bool | None = None, cancel=None) -> SweepResult:
     """Analyse a sweep of configs; returns one mapping per config.
 
     Each workload is simulated (or replayed from the trace store) at
@@ -260,8 +261,8 @@ def run_sweep(configs, jobs: int | None = None, resume: bool = False,
     :class:`SweepResult` is a plain list of per-config mappings that
     also carries ``.runs`` and (when observing) ``.profile``.
     """
-    runs = default_runner().run_many(configs, jobs=jobs, resume=resume,
-                                     cancel=cancel)
+    warn_resume(resume)
+    runs = default_runner().run_many(configs, jobs=jobs, cancel=cancel)
     for run in runs:
         run.require()
     return SweepResult(runs)

@@ -8,7 +8,7 @@ Eleven subcommands over one shared flag vocabulary
 * ``run`` — run the experiment suite through the two-tier-cached
   orchestrator and print per-job status (``--profile`` records and
   prints a span/counter profile, see docs/observability.md;
-  ``--resume`` picks an interrupted sweep back up from its journal);
+  re-running an interrupted sweep continues it from the result store);
 * ``workloads`` — list, run or disassemble the SPEC95-analogue suite
   (``--generated`` lists cached synthesized workloads with their
   ``(seed, knobs)`` provenance);
@@ -29,8 +29,9 @@ Eleven subcommands over one shared flag vocabulary
 
 Exit codes: :data:`EXIT_OK` (0) on success, :data:`EXIT_JOB_FAILURE`
 (1) when jobs failed, :data:`EXIT_INTERRUPTED` (3) when a run was
-stopped by SIGINT/SIGTERM after checkpointing — distinct so wrappers
-and CI can tell "rerun with --resume" from "investigate a failure".
+stopped by SIGINT/SIGTERM after draining in-flight jobs — distinct so
+wrappers and CI can tell "re-run to continue" from "investigate a
+failure".
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from repro.core.export import result_to_dict
 from repro.obs.export import render_profile, to_jsonl, to_prometheus
 from repro.runner.api import (
     DEFAULT_CACHE_DIR,
+    RESUME_NOTE,
     ExperimentRunner,
     default_store,
     default_trace_store,
@@ -61,6 +63,7 @@ from repro.runner.policy import (
     DEFAULT_SEGMENT_RECORDS,
     ExecutionPolicy,
     PolicyError,
+    env_jobs,
 )
 from repro.runner.tracestore import DEFAULT_TRACE_MAX_BYTES, TraceStore
 
@@ -75,7 +78,7 @@ def _cancel_on_signals():
     """A cancel event wired to SIGINT/SIGTERM for the block's duration.
 
     The first signal sets the event — the runner drains in-flight
-    jobs, checkpoints the journal and returns with
+    jobs, publishes their results to the store and returns with
     ``metrics.interrupted`` — instead of unwinding mid-write.  Handlers
     are restored on exit; outside the main thread (embedded use) the
     event is simply never signal-driven.
@@ -98,8 +101,16 @@ def _cancel_on_signals():
             signal.signal(sig, old)
 
 
-def _default_jobs() -> int:
-    return int(os.environ.get("REPRO_JOBS", "0")) or (os.cpu_count() or 1)
+def _jobs_from_args(parser, args, unset: int) -> int:
+    """``--jobs``, else ``$REPRO_JOBS``, else ``unset``; a malformed
+    ``REPRO_JOBS`` is a usage error."""
+    if args.jobs is not None:
+        return args.jobs
+    try:
+        jobs = env_jobs()
+    except PolicyError as error:
+        parser.error(str(error))
+    return unset if jobs is None else jobs
 
 
 def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
@@ -156,7 +167,7 @@ def _policy_from_args(parser, args, jobs: int = 1):
         base = ExecutionPolicy(
             jobs=max(1, jobs),
             timeout=getattr(args, "timeout", None),
-            retries=getattr(args, "retries", 1) or 1,
+            retries=getattr(args, "retries", 1),
         )
         text = getattr(args, "policy", None)
         if text:
@@ -223,14 +234,16 @@ def cmd_run(parser, args) -> int:
     config = _experiment_config(parser, args)
     policy = _policy_from_args(
         parser, args,
-        jobs=args.jobs if args.jobs is not None else _default_jobs(),
+        jobs=_jobs_from_args(parser, args, unset=os.cpu_count() or 1),
     )
     runner = ExperimentRunner(
         store=store, trace_store=trace_store,
         observe=args.profile, policy=policy,
     )
+    if args.resume:
+        print(f"[{RESUME_NOTE}]", file=sys.stderr)
     with _cancel_on_signals() as cancel:
-        run = runner.run(config, resume=args.resume, cancel=cancel)
+        run = runner.run(config, cancel=cancel)
 
     print(f"{'workload':<9} {'status':<10} {'wall':>8} {'instr':>9} "
           f"{'instr/s':>11}")
@@ -262,9 +275,10 @@ def cmd_run(parser, args) -> int:
             print(f"[metrics written to {path}]", file=sys.stderr)
 
     if run.metrics.interrupted:
-        if run.journal_path:
-            print(f"[interrupted; journal at {run.journal_path} — "
-                  f"re-run with --resume]", file=sys.stderr)
+        if store is not None:
+            print(f"[interrupted; finished jobs are in {store.root} — "
+                  f"re-run the same command to continue]",
+                  file=sys.stderr)
         return EXIT_INTERRUPTED
     return EXIT_JOB_FAILURE if run.failures else EXIT_OK
 
@@ -776,9 +790,7 @@ def _run_campaign(parser, args, spec):
 
     store, trace_store = _make_stores(args)
     policy = _policy_from_args(
-        parser, args,
-        jobs=args.jobs if args.jobs is not None
-        else int(os.environ.get("REPRO_JOBS", "1")),
+        parser, args, jobs=_jobs_from_args(parser, args, unset=1),
     )
     runner = ExperimentRunner(
         store=store, trace_store=trace_store,
@@ -981,9 +993,7 @@ def cmd_chaos(parser, args) -> int:
     try:
         runner = ExperimentRunner(
             store=ResultStore(chaos_dir), trace_store=TraceStore(chaos_dir),
-            policy=ExecutionPolicy(jobs=args.jobs, timeout=args.timeout,
-                                   retries=args.retries),
-            observe=True, faults=plan,
+            policy=policy, observe=True, faults=plan,
         )
         run = runner.run(config)
         profile = run.metrics.profile
@@ -1038,7 +1048,11 @@ def cmd_chaos(parser, args) -> int:
 
         print(f"[chaos] {run.metrics.summary()}")
         if keep is not None:
-            print(f"[chaos] artifacts kept in {keep}")
+            payload = dict(run.metrics.to_dict(), faults_fired=fired)
+            (keep / "metrics.json").write_text(
+                json.dumps(payload, indent=2) + "\n")
+            print(f"[chaos] artifacts kept in {keep} (metrics.json, "
+                  f"results/, traces/)")
         return EXIT_JOB_FAILURE if failed else EXIT_OK
     finally:
         if scratch is not None:
@@ -1246,8 +1260,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="metrics JSON path (default: <cache>/"
                           "metrics.json; '-' to skip)")
     run.add_argument("--resume", action="store_true",
-                     help="replay the journal of an interrupted run and "
-                          "re-execute only the jobs it missed")
+                     help="deprecated, ignored: a re-run already "
+                          "serves every job an interrupted run "
+                          "finished from the result store")
     run.set_defaults(func=cmd_run)
 
     chaos = sub.add_parser(
@@ -1277,8 +1292,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-job timeout in seconds (also arms the "
                             "worker.hang fault)")
     chaos.add_argument("--keep", metavar="DIR", default=None,
-                       help="keep the chaos run's cache dir (journal "
-                            "included) at DIR instead of deleting it")
+                       help="keep the chaos run's cache dir at DIR "
+                            "instead of deleting it, with the run's "
+                            "metrics (profile, fired faults) in "
+                            "DIR/metrics.json")
     chaos.add_argument("--fault", action="append", metavar="SITE=RATE",
                        help="override/add an injection site with a "
                             "probabilistic rate (repeatable)")

@@ -110,31 +110,18 @@ class StoreCorruption(RunnerError):
 class DiskFull(RunnerError):
     """A job failed because the disk filled up (``ENOSPC``).
 
-    The stores and the journal *degrade* on ENOSPC — eviction retry,
-    then running uncached/unjournaled — so this surfaces only when a
-    job could not complete at all without the space.  Structured
-    (``kind="enospc"``) so callers can distinguish "buy a bigger disk"
-    from a code bug without parsing a traceback."""
-
-
-class JournalConflict(RunnerError):
-    """The sweep journal is owned by another live process, or its
-    contents contradict the store it describes."""
+    The stores *degrade* on ENOSPC — eviction retry, then running
+    uncached — so this surfaces only when a job could not complete at
+    all without the space.  Structured (``kind="enospc"``) so callers
+    can tell "buy a bigger disk" from a code bug without parsing a
+    traceback."""
 
 
 class RunnerInterrupted(RunnerError):
     """A run was interrupted (SIGINT/SIGTERM): in-flight jobs were
-    drained and checkpointed to the journal, the rest never ran.
-
-    Attributes:
-        journal_path: journal to pass back via ``resume=`` (or the
-            CLI's ``--resume``) to pick the sweep up where it stopped;
-            None when the run had no journal.
+    drained and published, the rest never ran.  Finished jobs are in
+    the result store, so re-running the same call continues the sweep.
     """
-
-    def __init__(self, message: str, failures=None, journal_path=None):
-        self.journal_path = journal_path
-        super().__init__(message, failures=failures)
 
 
 #: ``JobFailure.kind`` / ``TaskError.kind`` -> exception class, the

@@ -8,15 +8,14 @@ CLIs).  It owns
   content hash per (workload, config) pair, derived from the compiled
   program bytes, the generated inputs and the analysis configuration;
 * the **result store** (:mod:`repro.runner.cache`) — persistent,
-  content-addressed, checksummed, LRU-bounded;
+  content-addressed, checksummed, LRU-bounded; also the checkpoint of
+  an interrupted sweep, since a re-run serves every stored job;
 * the **trace store** (:mod:`repro.runner.tracestore`) — the execution
   tier underneath it: one captured trace per (workload, scale),
   replayed for every analysis configuration;
 * the **pool** (:mod:`repro.runner.pool`) — per-job processes with
   timeout, retry with exponential backoff, crash isolation and
   serial fallback when process spawning itself keeps failing;
-* the **journal** (:mod:`repro.runner.journal`) — a write-ahead,
-  fsync'd record of job fates that makes interrupted sweeps resumable;
 * the **fault plan** (:mod:`repro.runner.faults`) — deterministic
   seeded fault injection for chaos-testing all of the above
   (``python -m repro chaos``);
@@ -52,7 +51,6 @@ from repro.runner.faults import (
     is_enospc,
     set_fault_plan,
 )
-from repro.runner.journal import RunJournal
 from repro.runner.job import (
     RESULT_SCHEMA,
     TRACE_SCHEMA,
@@ -95,7 +93,6 @@ __all__ = [
     "PoolRun",
     "RESULT_SCHEMA",
     "ResultStore",
-    "RunJournal",
     "RunMetrics",
     "TRACE_SCHEMA",
     "TraceStore",

@@ -29,7 +29,9 @@ Environment knobs (read at :func:`default_runner` construction):
 
 * ``REPRO_CACHE_DIR`` — store location (default ``.repro-cache/``);
 * ``REPRO_NO_CACHE`` — set to disable the disk store entirely;
-* ``REPRO_JOBS`` — default worker count for suite runs.
+* ``REPRO_JOBS`` — default worker count for suite runs (unset = 1;
+  :func:`repro.runner.policy.env_jobs` rejects anything but an int
+  >= 1).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import os
 import tempfile
 import threading
 import time
+import warnings
 from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import islice
@@ -46,12 +49,7 @@ from itertools import islice
 from repro.core import analyze_many, analyze_trace
 from repro.core.export import result_from_dict, result_to_dict
 from repro.core.kernel import TraceColumns
-from repro.errors import (
-    JournalConflict,
-    RunnerError,
-    RunnerInterrupted,
-    error_for_kind,
-)
+from repro.errors import RunnerError, RunnerInterrupted, error_for_kind
 from repro.obs import (
     ObsConfig,
     Recorder,
@@ -62,12 +60,6 @@ from repro.obs import (
 )
 from repro.runner.cache import DEFAULT_MAX_BYTES, ResultStore
 from repro.runner.faults import FaultPlan, set_fault_plan
-from repro.runner.journal import (
-    JOURNAL_NAME,
-    STATUS_DONE,
-    STATUS_FAILED as JOURNAL_FAILED,
-    RunJournal,
-)
 from repro.runner.job import (
     ExperimentConfig,
     Job,
@@ -88,6 +80,7 @@ from repro.runner.policy import (
     ExecutionPolicy,
     PolicyError,
     assert_excluded_from_identity,
+    env_jobs,
 )
 from repro.runner.tracestore import DEFAULT_TRACE_MAX_BYTES, TraceStore
 from repro.runner.pool import Task, TaskError, TaskPool, TaskResult
@@ -97,6 +90,17 @@ _log = logging.getLogger(__name__)
 
 #: Default store location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
+
+
+#: Why ``resume`` is ignored: the note its deprecation warning gives.
+RESUME_NOTE = ("resume is deprecated and ignored: finished jobs are in "
+               "the result store, so a re-run already resumes")
+
+
+def warn_resume(resume: bool | None) -> None:
+    """Warn an entry point's caller that passed ``resume``."""
+    if resume is not None:
+        warnings.warn(RESUME_NOTE, DeprecationWarning, stacklevel=3)
 
 
 def _store_put_safe(store: ResultStore, key: str, payload: dict) -> bool:
@@ -128,12 +132,11 @@ class ExperimentRun:
     results: dict = field(default_factory=dict)
     failures: dict = field(default_factory=dict)
     metrics: RunMetrics = field(default_factory=RunMetrics)
-    journal_path: str | None = None
 
     def require(self) -> dict:
         """The results, raising on interruption or any failure.
 
-        An interrupted (checkpointed) run raises
+        An interrupted run raises
         :class:`~repro.errors.RunnerInterrupted`.  Failures raise the
         :class:`~repro.errors.RunnerError` subclass matching the
         failures' ``kind`` when they all agree (e.g. every job timed
@@ -142,12 +145,10 @@ class ExperimentRun:
         """
         if self.metrics.interrupted:
             raise RunnerInterrupted(
-                f"run interrupted: {len(self.results)} job(s) "
-                f"checkpointed, the rest never ran; re-run with "
-                f"resume=True (CLI: --resume) to pick up from the "
-                f"journal",
+                f"run interrupted after {len(self.results)} job(s); "
+                f"finished jobs are in the result store, so re-run "
+                f"the same call to continue",
                 failures=self.failures,
-                journal_path=self.journal_path,
             )
         if self.failures:
             detail = "; ".join(
@@ -434,50 +435,7 @@ class ExperimentRunner:
         self._memo: dict[str, object] = {}
         #: run-scoped state (set by the lifecycle, read by the group
         #: strategies; the runner is not thread-safe).
-        self._journal: RunJournal | None = None
         self._cancel = None
-
-    # ------------------------------------------------------------------
-    # Journal lifecycle.
-    # ------------------------------------------------------------------
-
-    def _open_journal(self, resume: bool) -> RunJournal | None:
-        """The run's crash-safety journal (``<cache>/journal.jsonl``).
-
-        Journaling needs a disk store (the journal records that a
-        result was durably published *there*).  An unavailable journal
-        — locked by a live sibling process, unwritable directory —
-        degrades to running without checkpointing rather than failing
-        the run.
-        """
-        if self.store is None:
-            return None
-        journal = RunJournal(self.store.root / JOURNAL_NAME, resume=resume)
-        try:
-            return journal.open()
-        except JournalConflict as error:
-            get_recorder().count("journal.conflicts", 1)
-            _log.warning("journal unavailable (%s); running without "
-                         "crash-safe checkpointing", error)
-            return None
-        except OSError as error:
-            _log.warning("journal unwritable (%s); running without "
-                         "crash-safe checkpointing", error)
-            return None
-
-    def _journal_record(self, key: str, workload: str,
-                        status: str) -> None:
-        if self._journal is not None and key:
-            self._journal.record(key, workload, status)
-
-    def _journal_check(self, key: str, name: str, hit) -> None:
-        """Reconcile a journaled-done job against the store."""
-        if self._journal is None or not self._journal.completed(key):
-            return
-        if hit is None:
-            self._journal.conflict(key, name)
-        else:
-            get_recorder().count("journal.skips", 1)
 
     def _cancelled(self) -> bool:
         return self._cancel is not None and self._cancel.is_set()
@@ -495,19 +453,16 @@ class ExperimentRunner:
         (``result.profile``).  A failed job raises through
         :meth:`ExperimentRun.require` (a
         :class:`~repro.errors.RunnerError`); an unknown workload name
-        raises ``KeyError``.  Unjournaled: opening the journal without
-        ``resume`` truncates it, which would erase an interrupted
-        :meth:`run`'s checkpoint.
+        raises ``KeyError``.
         """
-        (run,) = self._lifecycle("runner.run_one", [(config, (name,))],
-                                 None, journal=False)
+        (run,) = self._lifecycle("runner.run_one", [(config, (name,))], None)
         result = run.require()[name]
         if run.metrics.profile is not None:
             result.profile = run.metrics.profile
         return result
 
     def run(self, config: ExperimentConfig | None = None,
-            jobs: int | None = None, resume: bool = False,
+            jobs: int | None = None, resume: bool | None = None,
             cancel=None) -> ExperimentRun:
         """Run every configured workload; never raises for job errors.
 
@@ -516,21 +471,21 @@ class ExperimentRunner:
         remaining jobs complete normally.  When the runner observes,
         the run's profile lands in ``run.metrics.profile``.
 
-        When a disk store is configured the run keeps a write-ahead
-        journal next to it; ``resume=True`` replays a previous
-        (interrupted) run's journal.  ``cancel`` is an optional
-        :class:`threading.Event`: once set, in-flight jobs drain and
-        are checkpointed, the rest never start, and the returned run
-        has ``metrics.interrupted`` set.
+        ``cancel`` is an optional :class:`threading.Event`: once set,
+        in-flight jobs drain and publish, the rest never start, and the
+        returned run has ``metrics.interrupted`` set.  Every published
+        result is in the store, so re-running the same call continues
+        an interrupted run.  ``resume`` is deprecated and ignored.
         """
+        warn_resume(resume)
         config = config or ExperimentConfig()
         (run,) = self._lifecycle("runner.run",
                                  [(config, _suite_names(config))], jobs,
-                                 resume=resume, cancel=cancel)
+                                 cancel=cancel)
         return run
 
     def run_many(self, configs, jobs: int | None = None,
-                 resume: bool = False, cancel=None,
+                 resume: bool | None = None, cancel=None,
                  ) -> list[ExperimentRun]:
         """Run a config sweep; each workload is simulated at most once.
 
@@ -539,21 +494,21 @@ class ExperimentRunner:
         :meth:`run`.  When the runner observes, the sweep's one shared
         profile is attached to every run's metrics.
         """
+        warn_resume(resume)
         requests = [(config, _suite_names(config)) for config in configs]
         return self._lifecycle("runner.sweep", requests, jobs,
-                               resume=resume, cancel=cancel)
+                               cancel=cancel)
 
     def _lifecycle(self, span: str, requests, jobs: int | None, *,
-                   resume: bool = False, cancel=None,
-                   journal: bool = True) -> list[ExperimentRun]:
-        """Observation, faults, journal and cancel around one sweep.
+                   cancel=None) -> list[ExperimentRun]:
+        """Observation, faults and cancel around one sweep.
 
         ``requests`` holds one ``(config, workload names)`` pair per
         returned run; the sweep itself runs under the ``span`` root.
-        Each job's terminal state is journaled (fsync'd) before its
-        result is published, a set ``cancel`` event drains in-flight
-        work and checkpoints, and a resumed run re-executes only the
-        jobs not journaled as complete.
+        A set ``cancel`` event drains in-flight work.  The result store
+        is the sweep's checkpoint: each job's result is published there
+        as it finishes, so a re-run serves those as cache hits and
+        executes only the rest.
         """
         # Observe into a fresh recorder, or borrow the enabled one the
         # caller installed (its snapshot is then cumulative).
@@ -566,18 +521,11 @@ class ExperimentRunner:
         # The fault plan (the chaos-testing channel) lives for the run.
         plan = (set_fault_plan(self.faults)
                 if self.faults is not None else None)
-        self._journal = self._open_journal(resume) if journal else None
         self._cancel = cancel
         try:
             with get_recorder().span(span):
                 runs = self._sweep(requests, jobs)
-            if self._journal is not None:
-                for run in runs:
-                    run.journal_path = str(self._journal.path)
         finally:
-            if self._journal is not None:
-                self._journal.close()
-            self._journal = None
             self._cancel = None
             if self.faults is not None:
                 set_fault_plan(plan)
@@ -659,7 +607,6 @@ class ExperimentRunner:
                     if payload is not None:
                         hit = result_from_dict(payload)
                     status = STATUS_CACHE_HIT
-                    self._journal_check(key, name, hit)
                 if hit is None:
                     groups.setdefault((name, config.scale), []).append(
                         (run, config, key)
@@ -871,10 +818,9 @@ class ExperimentRunner:
                  status: str, *, wall: float, attempts: int,
                  stored: bool = False) -> None:
         """The one publish step: write through the store (unless a
-        pool worker ``stored`` it already), journal, memo, note."""
+        pool worker ``stored`` it already), memo, note."""
         if not stored and self.store is not None:
             _store_put_safe(self.store, key, result_to_dict(result))
-        self._journal_record(key, name, STATUS_DONE)
         self._memo[key] = result
         run.results[name] = result
         _note(run, JobMetric(
@@ -888,7 +834,6 @@ class ExperimentRunner:
 
     def _record_failure(self, run: ExperimentRun, name: str, key: str,
                         failure: JobFailure) -> None:
-        self._journal_record(key, name, JOURNAL_FAILED)
         run.failures[name] = failure
         _note(run, JobMetric(
             workload=name, key=key, status=STATUS_FAILED,
@@ -942,8 +887,7 @@ def default_runner() -> ExperimentRunner:
             _DEFAULT_RUNNER = ExperimentRunner(
                 store=default_store(),
                 trace_store=default_trace_store(),
-                policy=ExecutionPolicy(
-                    jobs=int(os.environ.get("REPRO_JOBS", "1"))),
+                policy=ExecutionPolicy(jobs=env_jobs() or 1),
             )
         return _DEFAULT_RUNNER
 

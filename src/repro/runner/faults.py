@@ -27,9 +27,9 @@ site                      effect when it fires
 ``pool.spawn``            the pool fails to spawn a worker process
 ``service.accept``        the analysis server drops a fresh connection
 ``service.handler``       the analysis server 500s an otherwise-fine request
-``store.enospc``          a store/journal write raises ``ENOSPC`` (disk
-                          full); the stores respond with eviction + one
-                          retry, the journal degrades to unjournaled
+``store.enospc``          a store write raises ``ENOSPC`` (disk full); the
+                          stores respond with eviction + one retry, then
+                          run uncached
 ``worker.kill``           the fleet chaos driver ``kill -9``\\ s a live serve
                           worker mid-load (evaluated in the driver, see
                           :mod:`repro.service.fleet`)

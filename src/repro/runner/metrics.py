@@ -83,8 +83,8 @@ class RunMetrics:
     profile: dict | None = None
     #: ``ExecutionPolicy.describe()`` of the producing runner, when known.
     policy: dict | None = None
-    #: True when the run was cancelled (SIGINT/SIGTERM) and checkpointed
-    #: mid-way: completed jobs are journaled, the rest never ran.
+    #: True when the run was cancelled (SIGINT/SIGTERM) mid-way:
+    #: finished jobs are in the result store, the rest never ran.
     interrupted: bool = False
 
     def add(self, metric: JobMetric) -> None:
@@ -168,5 +168,6 @@ class RunMetrics:
             f"{self.failures} failed; peak {self.peak_workers} worker(s)"
         )
         if self.interrupted:
-            text += " [interrupted: checkpointed, resume with --resume]"
+            text += (" [interrupted: finished jobs are in the result "
+                     "store; re-run the same call to continue]")
         return text

@@ -14,6 +14,7 @@ enforced contract (called from tests and at runner construction).
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass
 
 from repro.errors import ReproError
@@ -135,6 +136,18 @@ class ExecutionPolicy:
                     f"unknown policy field {key!r} (known: "
                     f"{', '.join(POLICY_FIELDS)})")
         return policy.merged(**overrides)
+
+
+def env_jobs() -> int | None:
+    """``REPRO_JOBS`` as a worker count: None when unset, else an int
+    >= 1; any other value raises :class:`PolicyError` naming it."""
+    raw = os.environ.get("REPRO_JOBS")
+    if raw is None:
+        return None
+    if not raw.isdigit() or int(raw) < 1:
+        raise PolicyError(
+            f"REPRO_JOBS must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 #: Field names, for the identity-exclusion contract below.

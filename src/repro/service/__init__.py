@@ -10,7 +10,7 @@ measures it.
 
 Layering: protocol (wire format) → broker (scheduling) → server
 (HTTP) / client (blocking caller side).  The broker reuses the
-runner's stores, journal and fault plumbing — the service adds no
+runner's stores and fault plumbing — the service adds no
 second cache or execution path.
 """
 

@@ -23,12 +23,9 @@ Admission is bounded: when the queue is full or the EWMA-estimated
 wait exceeds ``max_wait``, :meth:`AnalysisBroker.submit` raises
 :exc:`Overloaded` carrying a ``retry_after`` hint, which the server
 turns into HTTP 429.  :meth:`AnalysisBroker.drain` stops admission,
-finishes every admitted job (each batch journals through the runner)
-and only then returns — the graceful-shutdown half of the contract.
-
-Concurrent batches sharing one store root race for the run journal's
-lock; the loser degrades to running without checkpointing (a logged
-warning, not an error) — see docs/robustness.md.
+finishes every admitted job (each batch publishes its results to the
+store through the runner) and only then returns — the graceful-shutdown
+half of the contract.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ Error mapping: :exc:`~repro.service.protocol.ProtocolError` → 400,
 
 Shutdown is a **drain**, not a stop: SIGTERM/SIGINT close the
 listener, every in-flight request finishes and is answered, the
-broker finishes every admitted job (journaled through the runner),
+broker finishes every admitted job (published through the runner),
 and only then does :func:`run_server` return 0.  Chaos sites
 ``service.accept`` (drop a fresh connection) and ``service.handler``
 (500 an otherwise-fine request) plug the service into the fault plans

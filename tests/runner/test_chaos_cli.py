@@ -1,5 +1,6 @@
-"""CLI robustness: the chaos command, SIGTERM checkpointing with
---resume, and the distinct interrupted exit code."""
+"""CLI robustness: the chaos command, a SIGTERM'd run that a re-run
+continues from the result store, and the distinct interrupted exit
+code."""
 
 import json
 import os
@@ -39,8 +40,13 @@ class TestChaosCommand:
         assert "injected >= 3 distinct fault kinds" in out
         assert "byte-identical" in out
         assert "FAIL" not in out
-        # --keep preserved the journal for post-mortems/CI artifacts.
-        assert (keep / "journal.jsonl").exists()
+        # --keep preserved the run's metrics for post-mortems/CI
+        # artifacts: the profile and the faults that fired.
+        metrics = json.loads((keep / "metrics.json").read_text())
+        assert len(metrics["faults_fired"]) >= 3
+        assert any(counter.startswith("faults.injected.")
+                   for counter in metrics["profile"]["counters"])
+        assert len(metrics["jobs"]) == 1
 
     def test_chaos_rejects_bad_fault_flag(self, capsys):
         with pytest.raises(SystemExit):
@@ -78,10 +84,9 @@ class TestSigtermResume:
         )
         # Let it get at least one job deep, then interrupt it.
         deadline = time.monotonic() + 60
-        journal = cache / "journal.jsonl"
+        results = cache / "results"
         while time.monotonic() < deadline:
-            if journal.exists() and len(
-                    journal.read_text().splitlines()) >= 2:
+            if any(results.rglob("*.json")):
                 break
             if process.poll() is not None:
                 break
@@ -93,20 +98,16 @@ class TestSigtermResume:
         if process.returncode == 0:
             pytest.skip("run finished before SIGTERM landed")
         assert process.returncode == EXIT_INTERRUPTED, stderr
-        assert "--resume" in stderr
-        done_before = [
-            json.loads(line)["key"] for line in
-            journal.read_text().splitlines()[1:]
-            if json.loads(line).get("status") == "done"
-        ]
-        assert done_before  # something was checkpointed
+        assert "re-run the same command" in stderr
+        done_before = list(results.rglob("*.json"))
+        assert done_before  # something was published
 
         resumed = subprocess.run(
-            [*argv, "--resume", "--profile"], env=_env(), cwd=REPO,
+            [*argv, "--profile"], env=_env(), cwd=REPO,
             capture_output=True, text=True, timeout=600,
         )
         assert resumed.returncode == EXIT_OK, resumed.stderr
-        # The checkpointed jobs were served from the cache, not re-run.
+        # The published jobs were served from the cache, not re-run.
         assert "cache-hit" in resumed.stdout
         assert f"{len(done_before)} hit" in resumed.stdout
 

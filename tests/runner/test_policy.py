@@ -16,9 +16,12 @@ from repro.runner import (
     Job,
     job_key,
 )
+from repro.cli import _jobs_from_args, _policy_from_args, build_parser
+from repro.runner import default_runner, reset_default_runner
 from repro.runner.policy import (
     POLICY_FIELDS,
     assert_excluded_from_identity,
+    env_jobs,
 )
 
 
@@ -140,3 +143,89 @@ class TestIdentityExclusion:
         runner_b = ExperimentRunner()
         assert runner_a.policy != runner_b.policy
         assert job_key(Job("com", config)) == key
+
+
+class TestEnvJobs:
+    """``REPRO_JOBS`` has one reader: unset is None, else an int >= 1."""
+
+    def test_unset_is_none(self, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        assert env_jobs() is None
+
+    def test_positive_int(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        assert env_jobs() == 3
+
+    @pytest.mark.parametrize("raw", ["0", "-2", "abc", "", "1.5"])
+    def test_rejects_everything_else(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_JOBS", raw)
+        with pytest.raises(PolicyError, match="REPRO_JOBS"):
+            env_jobs()
+
+    def test_default_runner_defaults_to_one(self, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        reset_default_runner()
+        try:
+            assert default_runner().policy.jobs == 1
+            reset_default_runner()
+            monkeypatch.setenv("REPRO_JOBS", "2")
+            assert default_runner().policy.jobs == 2
+        finally:
+            reset_default_runner()
+
+    def test_run_suite_names_the_variable(self, monkeypatch, tmp_path):
+        from repro import api
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        reset_default_runner()
+        try:
+            with pytest.raises(PolicyError, match="REPRO_JOBS"):
+                api.run_suite(ExperimentConfig(workloads=("com",),
+                                               max_instructions=1_000))
+        finally:
+            reset_default_runner()
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--workloads", "com"],
+        ["campaign", "run", "spec.toml"],
+    ])
+    def test_cli_reports_a_usage_error(self, monkeypatch, capsys,
+                                       command):
+        parser = build_parser()
+        args = parser.parse_args(command)
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        with pytest.raises(SystemExit) as info:
+            _jobs_from_args(parser, args, unset=1)
+        assert info.value.code == 2
+        assert "REPRO_JOBS" in capsys.readouterr().err
+
+    def test_cli_unset_defaults(self, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        parser = build_parser()
+        args = parser.parse_args(["run"])
+        assert _jobs_from_args(parser, args, unset=7) == 7
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        assert _jobs_from_args(parser, args, unset=7) == 2
+        args = parser.parse_args(["run", "--jobs", "4"])
+        assert _jobs_from_args(parser, args, unset=7) == 4
+
+
+class TestCliRetries:
+    """``--retries`` reaches the policy as given; 0 means fail fast."""
+
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    @pytest.mark.parametrize("retries", [0, 1, 3])
+    def test_value_passes_through(self, command, retries):
+        parser = build_parser()
+        args = parser.parse_args([command, "--retries", str(retries)])
+        assert _policy_from_args(parser, args).retries == retries
+
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    def test_negative_is_a_usage_error(self, command, capsys):
+        parser = build_parser()
+        args = parser.parse_args([command, "--retries", "-1"])
+        with pytest.raises(SystemExit) as info:
+            _policy_from_args(parser, args)
+        assert info.value.code == 2
+        assert "retries must be >= 0" in capsys.readouterr().err
