@@ -165,7 +165,7 @@ def _policy_from_args(parser, args, jobs: int = 1):
     """
     try:
         base = ExecutionPolicy(
-            jobs=max(1, jobs),
+            jobs=jobs,
             timeout=getattr(args, "timeout", None),
             retries=getattr(args, "retries", 1),
         )

@@ -15,10 +15,12 @@ columns — the constructor's keyword arguments — and rebuilds the
 object through the same constructor.  Either way everything else the
 analysis engine needs per element — arc offsets, predictor input
 keys, arc group keys, D-node identities, the branch/output/passthrough
-record subsets — is derived **once per trace** by one method
-(``_derive``), so a multi-config sweep pays the layout cost once and
-every analyzer runs as batched passes over the columns
-(:mod:`repro.core.kernel.engine`).
+record subsets — is derived by one method (``_derive``, under the
+``analyze.kernel.derive`` span) **on first use**: the first read of
+any derived column builds them all.  Capturing a trace and storing it
+never read one, so they pay only for the primaries; an analysis pays
+the derivation once per object, and every analyzer runs as batched
+passes over the columns (:mod:`repro.core.kernel.engine`).
 
 Budget truncation never re-decodes: every column is prefix-closed, so
 an analyzer with ``max_instructions = m`` reads ``pc[:m]`` and arcs
@@ -35,6 +37,8 @@ big-integer bitwise arithmetic and count them with ``bytes.translate``
 
 from __future__ import annotations
 
+import os
+import threading
 from collections import Counter
 from itertools import accumulate, compress, islice
 
@@ -86,6 +90,28 @@ def _branch_stream(kind: str, index_bits: int, pcs, takens,
     return hits
 
 
+#: The slots :meth:`TraceColumns._derive` fills, on first use.
+_DERIVED = frozenset((
+    "is_branch", "has_imm", "has_src", "has_out", "src_start", "in_key",
+    "group_key", "d_prefix", "d_ids", "br_idx", "br_pc", "br_taken",
+    "ov_idx", "ov_pc", "ov_val", "pt_idx", "pt_arc",
+))
+
+#: Serialises first reads: a stored trace's columns are shared by the
+#: service's batch threads, and each object must derive only once.  A
+#: forked pool worker gets a fresh one, since a parent thread may have
+#: held it at the fork.
+_DERIVE_LOCK = threading.Lock()
+
+
+def _reset_derive_lock() -> None:
+    global _DERIVE_LOCK
+    _DERIVE_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_derive_lock)
+
+
 class TraceColumns:
     """One decoded trace as flat parallel columns (see module doc)."""
 
@@ -131,8 +157,8 @@ class TraceColumns:
                  passthrough, taken, nsrc, src_value, src_prod, src_ppc,
                  src_mem, src_loc):
         """Columns from the primary columns (the keyword arguments, the
-        ones a stored trace keeps), with every derived column computed
-        once by :meth:`_derive`."""
+        ones a stored trace keeps); every derived column is computed
+        by :meth:`_derive` on first use."""
         self.n_static = max(n_static, 1)
         self.ops = ops
         self.n_records = len(pc)
@@ -150,7 +176,21 @@ class TraceColumns:
         self._counts_cache = {}
         self._genclass_cache = None
         self._pred_cache = {}
-        self._derive()
+
+    def __getattr__(self, name):
+        # Reached only for an unset slot: a derived one is built here,
+        # together with all the others, the first time it is read.
+        if name not in _DERIVED:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        with _DERIVE_LOCK:
+            try:  # another thread may have derived while this one waited
+                return object.__getattribute__(self, name)
+            except AttributeError:
+                pass
+            with get_recorder().span("analyze.kernel.derive"):
+                self._derive()
+        return object.__getattribute__(self, name)
 
     @classmethod
     def from_records(cls, records, n_static: int,
@@ -216,15 +256,18 @@ class TraceColumns:
 
     def _derive(self) -> None:
         """Compute every derived column and record subset from the
-        primaries: the one derivation both builders share."""
+        primaries: the one derivation both builders share, run by the
+        first read of a derived column.  Each slot is set only once its
+        value is complete, so a concurrent reader never sees a partial
+        column."""
         n = self.n_static
         pcs = self.pc
         nsrcs = self.nsrc
         self.src_start = starts = list(accumulate(nsrcs, initial=0))
-        self.in_key = in_keys = []
-        self.group_key = group_keys = []
-        self.d_ids = d_ids = []
-        self.d_prefix = d_prefix = [0]
+        in_keys = []
+        group_keys = []
+        d_ids = []
+        d_prefix = [0]
         d_count = 0  # appended as is: runs of one count share an int
         arcs = zip(self.src_prod, self.src_ppc, self.src_mem, self.src_loc)
         for pc, k in zip(pcs, nsrcs):
@@ -241,6 +284,10 @@ class TraceColumns:
                 else:
                     group_keys.append((producer * n + producer_pc) * n + pc)
             d_prefix.append(d_count)
+        self.in_key = in_keys
+        self.group_key = group_keys
+        self.d_ids = d_ids
+        self.d_prefix = d_prefix
 
         m = self.n_records
         ops = self.ops

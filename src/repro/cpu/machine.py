@@ -37,6 +37,11 @@ from repro.isa.registers import REG_A0, REG_GP, REG_RA, REG_SP, REG_V0, fp_reg
 
 _NO_PRODUCER = (None, None)
 
+#: ``Source``'s tuple constructor without the NamedTuple signature's
+#: argument binding: the traced step builds its per-instruction arcs
+#: as ``_new(Source, (value, producer, producer_pc, is_mem, loc))``.
+_new = tuple.__new__
+
 
 @dataclass(slots=True)
 class MachineResult:
@@ -167,13 +172,14 @@ class Machine:
             raise SimError("machine was created with tracing disabled")
         limit = self.max_instructions
         started = self.uid
+        step = self.step
         try:
             while not self.halted:
                 if self.uid >= limit:
                     raise SimError(
                         f"instruction limit exceeded ({limit} instructions)"
                     )
-                record = self.step()
+                record = step()
                 if record is not None:
                     yield record
         finally:
@@ -226,6 +232,7 @@ class Machine:
         self.uid = uid + 1
         category = ins.category
         regs = self.regs
+        reg_prod = self.reg_prod
         tracing = self.tracing
         srcs: list[Source] = []
         out = None
@@ -241,17 +248,19 @@ class Machine:
             if src1:
                 a = regs[src1]
                 if tracing:
-                    srcs.append(Source(a, *self.reg_prod[src1], False, src1))
+                    srcs.append(
+                        _new(Source, (a, *reg_prod[src1], False, src1)))
             if src2 is not None and src2:
                 b = regs[src2]
                 if tracing:
-                    srcs.append(Source(b, *self.reg_prod[src2], False, src2))
+                    srcs.append(
+                        _new(Source, (b, *reg_prod[src2], False, src2)))
             out = ins.func(a, b)
             dest = ins.dest
             if dest:
                 regs[dest] = out
                 if tracing:
-                    self.reg_prod[dest] = (uid, pc)
+                    reg_prod[dest] = (uid, pc)
         elif category is Category.LOAD:
             out, passthrough = self._do_load(ins, uid, pc, srcs)
         elif category is Category.STORE:
@@ -262,9 +271,11 @@ class Machine:
             b = regs[src2] if src2 is not None and src2 else 0
             if tracing:
                 if src1:
-                    srcs.append(Source(a, *self.reg_prod[src1], False, src1))
+                    srcs.append(
+                        _new(Source, (a, *reg_prod[src1], False, src1)))
                 if src2 is not None and src2:
-                    srcs.append(Source(b, *self.reg_prod[src2], False, src2))
+                    srcs.append(
+                        _new(Source, (b, *reg_prod[src2], False, src2)))
             taken = ins.func(a, b)
             if taken:
                 next_pc = ins.target
@@ -274,13 +285,13 @@ class Machine:
             out = pc + 1
             regs[REG_RA] = out
             if tracing:
-                self.reg_prod[REG_RA] = (uid, pc)
+                reg_prod[REG_RA] = (uid, pc)
             next_pc = ins.target
         elif category is Category.JUMP_REG:
             src1 = ins.src1
             tgt = regs[src1]
             if tracing:
-                srcs.append(Source(tgt, *self.reg_prod[src1], False, src1))
+                srcs.append(_new(Source, (tgt, *reg_prod[src1], False, src1)))
             if not 0 <= tgt <= self._sentinel:
                 raise SimError(f"indirect jump to bad target: {tgt}")
             out = tgt
@@ -289,7 +300,7 @@ class Machine:
             if ins.dest is not None:  # jalr
                 regs[REG_RA] = pc + 1
                 if tracing:
-                    self.reg_prod[REG_RA] = (uid, pc)
+                    reg_prod[REG_RA] = (uid, pc)
             next_pc = tgt
         elif category is Category.SYSCALL:
             self._do_syscall(ins, srcs)
@@ -298,18 +309,10 @@ class Machine:
         self.pc = next_pc
         if not tracing:
             return None
-        return DynInst(
-            uid=uid,
-            pc=pc,
-            op=ins.op,
-            category=category,
-            has_imm=ins.has_imm,
-            srcs=tuple(srcs),
-            out=out,
-            passthrough=passthrough,
-            taken=taken,
-            target=target,
-        )
+        # Positional: DynInst's field order (uid, pc, op, category,
+        # has_imm, srcs, out, passthrough, taken, target).
+        return DynInst(uid, pc, ins.op, category, ins.has_imm, tuple(srcs),
+                       out, passthrough, taken, target)
 
     def _do_load(self, ins, uid, pc, srcs):
         regs = self.regs
@@ -319,7 +322,8 @@ class Machine:
         addr = (base + ins.imm) & WORD_MASK
         tracing = self.tracing
         if tracing and src1:
-            srcs.append(Source(base, *self.reg_prod[src1], False, src1))
+            srcs.append(
+                _new(Source, (base, *self.reg_prod[src1], False, src1)))
         op = ins.op
         if op == "lw":
             value = memory.read_word(addr)
@@ -343,8 +347,7 @@ class Machine:
             else:
                 producer = memory.producer(addr)
             srcs.append(
-                Source(value, *(producer or _NO_PRODUCER), True, addr)
-            )
+                _new(Source, (value, *(producer or _NO_PRODUCER), True, addr)))
         dest = ins.dest
         if dest:
             regs[dest] = value
@@ -360,12 +363,14 @@ class Machine:
         addr = (base + ins.imm) & WORD_MASK
         tracing = self.tracing
         if tracing and src1:
-            srcs.append(Source(base, *self.reg_prod[src1], False, src1))
+            srcs.append(
+                _new(Source, (base, *self.reg_prod[src1], False, src1)))
         data = regs[src2] if src2 else (0.0 if ins.op == "s.d" else 0)
         passthrough = None
         if tracing and src2:
             passthrough = len(srcs)
-            srcs.append(Source(data, *self.reg_prod[src2], False, src2))
+            srcs.append(
+                _new(Source, (data, *self.reg_prod[src2], False, src2)))
         op = ins.op
         if op == "sw":
             memory.write_word(addr, data)

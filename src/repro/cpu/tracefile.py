@@ -157,7 +157,7 @@ def header_for(columns: TraceColumns, complete: bool | None = None,
         "format": FORMAT,
         "n_static": columns.n_static,
         "n_records": columns.n_records,
-        "n_arcs": columns.src_start[-1],
+        "n_arcs": len(columns.src_value),
         "complete": complete,
         "workload": workload,
         "counts": columns.counts_for(columns.n_records),

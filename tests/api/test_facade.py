@@ -53,6 +53,7 @@ class TestFacadeSurface:
         assert api.AnalysisConfig(gen_cap=0).gen_cap == 0
 
 
+@pytest.mark.usefixtures("isolated_default_store")
 class TestFacadeExecution:
     def test_run_workload_memo_identity(self):
         config = ExperimentConfig(max_instructions=1_500)

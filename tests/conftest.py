@@ -17,6 +17,7 @@ from repro.core.shard import (
 from repro.cpu import Machine
 from repro.cpu.tracefile import read_trace_columns, save_trace
 from repro.minic import compile_program
+from repro.runner import reset_default_runner
 
 
 def run_asm(source: str, input_words=None, input_floats=None,
@@ -94,6 +95,16 @@ def analyze_segmented(records, n_static: int, config, directory,
     for args in task_args:
         merge.add(_segment_task(*args))
     return merge.finalize()
+
+
+@pytest.fixture
+def isolated_default_store(tmp_path, monkeypatch):
+    """A default runner over a store of the test's own, never the
+    checkout's ``.repro-cache/`` (CI fails if the suite leaves one)."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default-cache"))
+    reset_default_runner()
+    yield
+    reset_default_runner()
 
 
 @pytest.fixture

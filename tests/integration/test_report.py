@@ -18,6 +18,7 @@ from repro.campaign import (
 )
 from repro.campaign.exhibits import build_tables
 from repro.report.experiments import SEQUENCE_BUCKETS
+from repro.runner import reset_default_runner
 from repro.report.tables import (
     Table,
     bucket_label,
@@ -31,8 +32,21 @@ SPEC = paper_spec(max_instructions=8_000)
 CONFIG = SPEC.configs()[0]
 
 
+@pytest.fixture(scope="module", autouse=True)
+def _isolated_default_store(tmp_path_factory):
+    """The module's default runner (campaign, ``run_suite`` and the
+    CLI without ``--cache-dir``) over a store of its own, never the
+    checkout's ``.repro-cache/``; module-scoped for ``campaign``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR",
+                     str(tmp_path_factory.mktemp("default-cache")))
+        reset_default_runner()
+        yield
+    reset_default_runner()
+
+
 @pytest.fixture(scope="module")
-def campaign():
+def campaign(_isolated_default_store):
     return run_campaign(SPEC)
 
 

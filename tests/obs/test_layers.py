@@ -82,6 +82,15 @@ class TestWalker:
                                    span("qos.batch", 0.25))])
         assert rows == {"unattributed": 1.0}
 
+    def test_derive_bills_to_kernel_analyze_wherever_it_opens(self):
+        # The derived columns are built on first read, which may come
+        # from outside an ``analyze`` span (a segment-index build).
+        rows = layer_seconds([span("runner.run", 1.0,
+                                   span("shard.index.build", 0.5,
+                                        span("analyze.kernel.derive",
+                                             0.25)))])
+        assert rows == {"kernel.analyze": 0.25, "unattributed": 0.75}
+
     def test_layer_names_are_perfbench_span_names(self):
         spec = importlib.util.spec_from_file_location(
             "perfbench_tracer", REPO / "perfbench" / "tracer.py")

@@ -145,6 +145,7 @@ class TestParallelRunner:
         assert run.metrics.failures == 1
 
 
+@pytest.mark.usefixtures("isolated_default_store")
 class TestReportIntegration:
     def test_run_workload_uses_shared_runner(self):
         config = ExperimentConfig(max_instructions=2_000)
@@ -210,6 +211,7 @@ class TestRunnerCli:
         assert cli_main(["cache", "clear", "--cache-dir", str(cache)]) == 0
         assert "removed 1" in capsys.readouterr().out
 
+    @pytest.mark.usefixtures("isolated_default_store")
     def test_report_cli_accepts_jobs_flag(self, capsys):
         code = cli_main([
             "report", "--exhibit", "table1", "--max-instructions", "1000",

@@ -211,6 +211,38 @@ class TestEnvJobs:
         assert _jobs_from_args(parser, args, unset=7) == 4
 
 
+class TestCliJobs:
+    """``--jobs`` reaches the policy as given; below 1 is a usage error
+    (it used to be raised to 1 silently)."""
+
+    @pytest.mark.parametrize("command", [
+        ["run"], ["campaign", "run", "spec.toml"], ["serve"],
+    ])
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_value_passes_through(self, monkeypatch, command, jobs):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        parser = build_parser()
+        args = parser.parse_args([*command, "--jobs", str(jobs)])
+        policy = _policy_from_args(
+            parser, args, jobs=_jobs_from_args(parser, args, unset=1))
+        assert policy.jobs == jobs
+
+    @pytest.mark.parametrize("command", [
+        ["run"], ["campaign", "run", "spec.toml"], ["serve"],
+    ])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_below_one_is_a_usage_error(self, monkeypatch, capsys,
+                                        command, jobs):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        parser = build_parser()
+        args = parser.parse_args([*command, "--jobs", jobs])
+        with pytest.raises(SystemExit) as info:
+            _policy_from_args(
+                parser, args, jobs=_jobs_from_args(parser, args, unset=1))
+        assert info.value.code == 2
+        assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+
+
 class TestCliRetries:
     """``--retries`` reaches the policy as given; 0 means fail fast."""
 

@@ -25,7 +25,6 @@ from repro.runner import (
     ResultStore,
     TraceStore,
     job_key,
-    reset_default_runner,
 )
 from repro.runner.metrics import STATUS_CACHE_HIT, STATUS_REPLAYED
 
@@ -171,14 +170,8 @@ class TestStoreResume:
         assert _hits(rerun) == set(CONFIG.workloads)
 
 
+@pytest.mark.usefixtures("isolated_default_store")
 class TestResumeDeprecated:
-    @pytest.fixture(autouse=True)
-    def _isolated_default_runner(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
-        reset_default_runner()
-        yield
-        reset_default_runner()
-
     SMALL = ExperimentConfig(workloads=("com",), max_instructions=1_000)
 
     def test_runner_run(self, tmp_path):
