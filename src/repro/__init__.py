@@ -79,7 +79,14 @@ def _resolve_version() -> str:
         return "0+unknown"
 
 
-__version__ = _resolve_version()
+def __getattr__(name: str):
+    # ``__version__`` is resolved on first read, not at import: the
+    # metadata scan costs more than most runs spend importing.
+    if name == "__version__":
+        version = globals()["__version__"] = _resolve_version()
+        return version
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AnalysisConfig",

@@ -62,7 +62,6 @@ from repro.runner import (
     set_default_runner,
     swap_default_runner,
 )
-from repro.runner.api import warn_resume
 from repro.service.qos import (
     QosError,
     QosPolicy,
@@ -228,8 +227,7 @@ def run_workload(name: str,
 
 
 def run_suite(config: ExperimentConfig | None = None,
-              jobs: int | None = None, resume: bool | None = None,
-              cancel=None) -> SuiteResult:
+              jobs: int | None = None, cancel=None) -> SuiteResult:
     """Analyse all configured workloads; returns name -> result.
 
     ``jobs`` > 1 fans workloads out over the runner's process pool
@@ -238,11 +236,10 @@ def run_suite(config: ExperimentConfig | None = None,
     subclass when every failure agrees) if any workload fails, and
     :class:`repro.errors.RunnerInterrupted` when a ``cancel`` event
     stopped the run mid-way — finished jobs are in the result store,
-    so re-running the same call continues.  ``resume`` is deprecated
-    and ignored.  The returned :class:`SuiteResult` is a plain mapping
-    that also carries ``.metrics`` and (when observing) ``.profile``.
+    so re-running the same call continues.  The returned
+    :class:`SuiteResult` is a plain mapping that also carries
+    ``.metrics`` and (when observing) ``.profile``.
     """
-    warn_resume(resume)
     config = config or ExperimentConfig()
     run = default_runner().run(config, jobs=jobs, cancel=cancel)
     run.require()
@@ -250,18 +247,17 @@ def run_suite(config: ExperimentConfig | None = None,
 
 
 def run_sweep(configs, jobs: int | None = None,
-              resume: bool | None = None, cancel=None) -> SweepResult:
+              cancel=None) -> SweepResult:
     """Analyse a sweep of configs; returns one mapping per config.
 
     Each workload is simulated (or replayed from the trace store) at
     most once for the whole sweep — the single pass feeds one analyzer
     per config (:func:`repro.core.analyze_many`).  Raises
     :class:`repro.errors.RunnerError` if any job fails;
-    ``resume``/``cancel`` follow :func:`run_suite`.  The returned
+    ``cancel`` follows :func:`run_suite`.  The returned
     :class:`SweepResult` is a plain list of per-config mappings that
     also carries ``.runs`` and (when observing) ``.profile``.
     """
-    warn_resume(resume)
     runs = default_runner().run_many(configs, jobs=jobs, cancel=cancel)
     for run in runs:
         run.require()

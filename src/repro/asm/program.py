@@ -44,8 +44,6 @@ class Program:
     symbols: dict[str, int] = field(default_factory=dict)
     entry: int = 0
     source: str = field(default="", repr=False)
-    _canonical: bytes | None = field(default=None, init=False, repr=False,
-                                     compare=False)
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -60,18 +58,3 @@ class Program:
                 lines.append(f"{label}:")
             lines.append(f"  {index:5d}  {instr.render()}")
         return "\n".join(lines)
-
-    def canonical_bytes(self) -> bytes:
-        """Canonical bytes of the program (entry point, listing, data
-        segment), for content hashing.
-
-        Built on the first call and kept: an assembled program is not
-        edited afterwards (a source edit compiles a new Program).
-        """
-        if self._canonical is None:
-            parts = [f"entry={self.entry}", self.listing()]
-            for item in self.data:
-                parts.append(f"{item.addr}:{item.size}:{item.value!r}:"
-                             f"{int(item.is_float)}")
-            self._canonical = "\n".join(parts).encode()
-        return self._canonical

@@ -51,7 +51,6 @@ from repro.core.export import result_to_dict
 from repro.obs.export import render_profile, to_jsonl, to_prometheus
 from repro.runner.api import (
     DEFAULT_CACHE_DIR,
-    RESUME_NOTE,
     ExperimentRunner,
     default_store,
     default_trace_store,
@@ -240,8 +239,6 @@ def cmd_run(parser, args) -> int:
         store=store, trace_store=trace_store,
         observe=args.profile, policy=policy,
     )
-    if args.resume:
-        print(f"[{RESUME_NOTE}]", file=sys.stderr)
     with _cancel_on_signals() as cancel:
         run = runner.run(config, cancel=cancel)
 
@@ -1234,16 +1231,26 @@ def cmd_qos(parser, args) -> int:
 # Parser assembly.
 # ----------------------------------------------------------------------
 
+class _VersionAction(argparse.Action):
+    """``--version``: reads the package version only when it is given,
+    so no other call pays for the metadata lookup."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        import repro
+
+        print(f"{parser.prog} {repro.__version__}")
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description='Reproduction of "Modeling Program Predictability" '
                     "(Sazeides & Smith, ISCA 1998).",
     )
-    import repro
-
-    parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {repro.__version__}")
+    parser.add_argument("--version", action=_VersionAction, nargs=0,
+                        default=argparse.SUPPRESS,
+                        help="show program's version number and exit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser(
@@ -1259,10 +1266,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--metrics", default=None,
                      help="metrics JSON path (default: <cache>/"
                           "metrics.json; '-' to skip)")
-    run.add_argument("--resume", action="store_true",
-                     help="deprecated, ignored: a re-run already "
-                          "serves every job an interrupted run "
-                          "finished from the result store")
     run.set_defaults(func=cmd_run)
 
     chaos = sub.add_parser(

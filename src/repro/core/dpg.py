@@ -10,13 +10,15 @@ Nodes are dynamic instruction uids (``int``) plus ``("D", key)`` tuples
 for input-data nodes.  Edges carry the ``<x,y>`` label, the value
 passed, and the operand slot.  :func:`classify_uses` adds the
 single/repeated-use classification, which needs the whole graph.
+
+networkx is the optional ``dpg`` extra: it is imported by
+:func:`build_dpg` alone, so the streaming analysis never loads it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.events import (
     ARC_BEHAVIOR,
@@ -32,6 +34,9 @@ from repro.cpu.trace import DynInst
 from repro.isa.opcodes import Category
 from repro.predictors import GsharePredictor, PredictorBank
 
+if TYPE_CHECKING:
+    import networkx as nx
+
 
 def build_dpg(
     trace,
@@ -45,7 +50,15 @@ def build_dpg(
     predictable output), ``kind`` (:class:`InKind`), ``behavior`` and
     ``label``.  Every true dependence becomes an edge with ``x``, ``y``
     (bools), ``label`` (``"<p,n>"`` style), ``value`` and ``slot``.
+
+    Raises:
+        ImportError: networkx (the ``dpg`` extra) is not installed.
     """
+    try:
+        import networkx as nx
+    except ImportError as error:
+        raise ImportError("build_dpg needs networkx: install the 'dpg' "
+                          "extra (pip install 'repro[dpg]')") from error
     graph = nx.MultiDiGraph()
     bank = PredictorBank(predictor)
     gshare = GsharePredictor(gshare_bits)

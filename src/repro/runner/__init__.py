@@ -5,8 +5,9 @@ of suite results (the report exhibits, the benchmark harness, the
 CLIs).  It owns
 
 * the **job model** (:mod:`repro.runner.job`) — a deterministic
-  content hash per (workload, config) pair, derived from the compiled
-  program bytes, the generated inputs and the analysis configuration;
+  content hash per (workload, config) pair, derived from the mini-C
+  source, a digest of the toolchain sources, the generated inputs and
+  the analysis configuration;
 * the **result store** (:mod:`repro.runner.cache`) — persistent,
   content-addressed, checksummed, LRU-bounded; also the checkpoint of
   an interrupted sweep, since a re-run serves every stored job;

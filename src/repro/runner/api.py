@@ -41,7 +41,6 @@ import os
 import tempfile
 import threading
 import time
-import warnings
 from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import islice
@@ -90,17 +89,6 @@ _log = logging.getLogger(__name__)
 
 #: Default store location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
-
-
-#: Why ``resume`` is ignored: the note its deprecation warning gives.
-RESUME_NOTE = ("resume is deprecated and ignored: finished jobs are in "
-               "the result store, so a re-run already resumes")
-
-
-def warn_resume(resume: bool | None) -> None:
-    """Warn an entry point's caller that passed ``resume``."""
-    if resume is not None:
-        warnings.warn(RESUME_NOTE, DeprecationWarning, stacklevel=3)
 
 
 def _store_put_safe(store: ResultStore, key: str, payload: dict) -> bool:
@@ -462,8 +450,7 @@ class ExperimentRunner:
         return result
 
     def run(self, config: ExperimentConfig | None = None,
-            jobs: int | None = None, resume: bool | None = None,
-            cancel=None) -> ExperimentRun:
+            jobs: int | None = None, cancel=None) -> ExperimentRun:
         """Run every configured workload; never raises for job errors.
 
         A job that fails to hash, times out, crashes or raises is
@@ -475,26 +462,23 @@ class ExperimentRunner:
         in-flight jobs drain and publish, the rest never start, and the
         returned run has ``metrics.interrupted`` set.  Every published
         result is in the store, so re-running the same call continues
-        an interrupted run.  ``resume`` is deprecated and ignored.
+        an interrupted run.
         """
-        warn_resume(resume)
         config = config or ExperimentConfig()
         (run,) = self._lifecycle("runner.run",
                                  [(config, _suite_names(config))], jobs,
                                  cancel=cancel)
         return run
 
-    def run_many(self, configs, jobs: int | None = None,
-                 resume: bool | None = None, cancel=None,
+    def run_many(self, configs, jobs: int | None = None, cancel=None,
                  ) -> list[ExperimentRun]:
         """Run a config sweep; each workload is simulated at most once.
 
         Returns one :class:`ExperimentRun` per config, aligned with
-        ``configs``.  Failures, ``resume`` and ``cancel`` follow
+        ``configs``.  Failures and ``cancel`` follow
         :meth:`run`.  When the runner observes, the sweep's one shared
         profile is attached to every run's metrics.
         """
-        warn_resume(resume)
         requests = [(config, _suite_names(config)) for config in configs]
         return self._lifecycle("runner.sweep", requests, jobs,
                                cancel=cancel)
@@ -579,9 +563,10 @@ class ExperimentRunner:
         by execution identity: ``(runs, {(name, scale): entries})``
         with one ``(run, config, key)`` entry per missing job.
 
-        A workload whose compile/input generation blows up fails here
-        without sinking the suite.  Unknown names still raise — that
-        is a caller bug, not a job fault.
+        A workload whose input generation blows up fails here without
+        sinking the suite; keying never compiles, so a source that
+        fails to compile fails its jobs when they execute.  Unknown
+        names still raise — that is a caller bug, not a job fault.
         """
         runs = []
         groups: dict[tuple, list] = {}

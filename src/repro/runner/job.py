@@ -4,12 +4,11 @@ A :class:`Job` is the unit of orchestration: one workload analysed
 under one :class:`ExperimentConfig`.  Every job has a deterministic
 **content hash** (:func:`job_key`) derived from
 
-* the compiled program bytes (instruction listing, data segment and
-  entry point) — so recompiling after a mini-C source or compiler
-  change invalidates cached results;
-* the mini-C source hash itself (defence in depth: it also changes the
-  compiled bytes, but hashing it directly makes the invalidation
-  independent of listing formatting);
+* the mini-C source hash, and a digest of the toolchain sources
+  (:func:`toolchain_digest`: ``repro.minic``, ``repro.asm`` and
+  ``repro.isa``) — together they fix the program that would execute,
+  so a source or compiler edit invalidates cached results without
+  compiling anything to find out;
 * the generated input streams at the configured scale;
 * every field of the effective :class:`repro.core.AnalysisConfig`;
 * :data:`RESULT_SCHEMA`, bumped whenever analysis *semantics* change
@@ -17,14 +16,17 @@ under one :class:`ExperimentConfig`.  Every job has a deterministic
 
 Two processes — or two sessions days apart — that build the same job
 therefore agree on its key, which is what lets the disk store double
-as the transport channel between pool workers and the parent.
+as the transport channel between pool workers and the parent.  Keying
+never compiles: a job compiles its workload only when it simulates.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 from dataclasses import dataclass
+from pathlib import Path
 
 from repro.core import AnalysisConfig
 from repro.predictors.base import PREDICTOR_KINDS, validate_predictor_specs
@@ -121,45 +123,55 @@ class JobFailure:
     kind: str = "error"
 
 
+def _feed(digest, *parts) -> None:
+    for part in parts:
+        digest.update(str(part).encode())
+        digest.update(b"\x00")
+
+
+@functools.cache
+def toolchain_digest() -> str:
+    """sha256 of the toolchain sources (``repro.minic``, ``repro.asm``
+    and ``repro.isa``), read once per process: with the mini-C source
+    it fixes the compiled program, so any compiler, assembler or ISA
+    edit changes every key."""
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(path for package in ("minic", "asm", "isa")
+                       for path in (root / package).rglob("*.py")):
+        digest.update(str(path.relative_to(root)).encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def _feed_execution(digest, workload, scale: int) -> None:
     """Hash everything that determines what would actually execute:
-    program content, source hash, and the generated inputs at scale."""
-
-    def feed(*parts) -> None:
-        for part in parts:
-            digest.update(str(part).encode())
-            digest.update(b"\x00")
-
-    feed("source", workload.source_hash())
-    digest.update(workload.program().canonical_bytes())
+    source hash, toolchain digest, and the generated inputs at scale."""
+    _feed(digest, "source", workload.source_hash(), "toolchain",
+          toolchain_digest())
     words, floats = workload.make_inputs(scale)
-    feed("scale", scale, "words", len(words))
+    _feed(digest, "scale", scale, "words", len(words))
     digest.update(",".join(map(str, words)).encode())
-    feed("floats", len(floats))
+    _feed(digest, "floats", len(floats))
     digest.update(",".join(repr(value) for value in floats).encode())
 
 
 def job_key(job: Job) -> str:
     """Deterministic content hash of ``job`` (hex sha256).
 
-    Compiles the workload (cached per :class:`~repro.workloads.Workload`
-    instance) and generates its inputs, so the key reflects what would
-    actually run — not just the names on the label.
+    Hashes the workload's source, the toolchain and its generated
+    inputs, so the key reflects what would actually run — not just the
+    names on the label — without compiling the workload.
     """
     workload = get_workload(job.workload)
     digest = hashlib.sha256()
-
-    def feed(*parts) -> None:
-        for part in parts:
-            digest.update(str(part).encode())
-            digest.update(b"\x00")
-
-    feed("repro-job", RESULT_SCHEMA, workload.name, workload.spec_name,
-         workload.kind)
+    _feed(digest, "repro-job", RESULT_SCHEMA, workload.name,
+          workload.spec_name, workload.kind)
     _feed_execution(digest, workload, job.config.scale)
     analysis = job.analysis_config()
     for config_field in dataclasses.fields(analysis):
-        feed(config_field.name, getattr(analysis, config_field.name))
+        _feed(digest, config_field.name,
+              getattr(analysis, config_field.name))
     return digest.hexdigest()
 
 
@@ -167,24 +179,19 @@ def trace_key(workload_name: str, scale: int = 1) -> str:
     """Execution-identity hash of a workload run (hex sha256).
 
     Deliberately narrower than :func:`job_key`: only what determines
-    the dynamic instruction stream — program bytes, source hash, inputs
-    at ``scale`` — plus the trace format version.  Every analyzer knob
-    *and the instruction budget* are excluded, so one stored trace
-    serves any analysis of the same execution (a shorter budget is a
-    prefix of a longer one; length adequacy is checked against the
-    stored header, see :class:`repro.runner.tracestore.TraceStore`).
+    the dynamic instruction stream — source hash, toolchain digest,
+    inputs at ``scale`` — plus the trace format version.  Every
+    analyzer knob *and the instruction budget* are excluded, so one
+    stored trace serves any analysis of the same execution (a shorter
+    budget is a prefix of a longer one; length adequacy is checked
+    against the stored header, see
+    :class:`repro.runner.tracestore.TraceStore`).
     """
     from repro.cpu.tracefile import FORMAT as TRACE_FORMAT
 
     workload = get_workload(workload_name)
     digest = hashlib.sha256()
-
-    def feed(*parts) -> None:
-        for part in parts:
-            digest.update(str(part).encode())
-            digest.update(b"\x00")
-
-    feed("repro-trace", TRACE_SCHEMA, TRACE_FORMAT, workload.name,
-         workload.spec_name, workload.kind)
+    _feed(digest, "repro-trace", TRACE_SCHEMA, TRACE_FORMAT, workload.name,
+          workload.spec_name, workload.kind)
     _feed_execution(digest, workload, scale)
     return digest.hexdigest()

@@ -3,7 +3,8 @@
 Where the :class:`~repro.runner.cache.ResultStore` keys on the full
 *analysis* identity (workload content + every analyzer knob), the
 trace store keys on the *execution* identity alone
-(:func:`repro.runner.job.trace_key`: program bytes + inputs + scale).
+(:func:`repro.runner.job.trace_key`: source + toolchain + inputs +
+scale).
 One stored trace therefore serves every analysis configuration of its
 workload: the runner simulates once, then replays.
 

@@ -80,6 +80,35 @@ class TestSerialRunner:
         with pytest.raises(RunnerError, match="1 job\\(s\\) failed"):
             run.require()
 
+    @pytest.mark.parametrize("jobs", [1, pytest.param(
+        2, marks=pytest.mark.skipif(not HAS_FORK,
+                                    reason="needs fork start method"))])
+    def test_compile_error_fails_only_its_jobs(self, tmp_path, monkeypatch,
+                                               jobs):
+        # Keying never compiles, so the error surfaces when the
+        # workload's group executes (inline or in a pool worker).
+        source = tmp_path / "broken.mc"
+        source.write_text("int main() { return undefined_name; }\n")
+        broken = Workload("broken", "998.broken", "int", "fails to compile",
+                          lambda scale: ([scale], []), source_file=source)
+        monkeypatch.setitem(suite_module._BY_NAME, "broken", broken)
+        configs = [
+            ExperimentConfig(max_instructions=1_200,
+                             workloads=("com", "broken", "go")),
+            ExperimentConfig(max_instructions=1_200,
+                             workloads=("com", "broken", "go"),
+                             predictors=("last",)),
+        ]
+        runner = ExperimentRunner(store=ResultStore(tmp_path / "store"),
+                                  policy=ExecutionPolicy(jobs=jobs,
+                                                         retries=0))
+        for run in runner.run_many(configs):
+            assert set(run.results) == {"com", "go"}
+            assert set(run.failures) == {"broken"}
+            assert "undefined" in run.failures["broken"].error
+            with pytest.raises(RunnerError, match="1 job\\(s\\) failed"):
+                run.require()
+
     def test_unknown_workload_raises_immediately(self):
         runner = ExperimentRunner(store=None)
         config = ExperimentConfig(workloads=("com", "nope"))

@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.runner import ExperimentConfig, Job, job_key
+from repro.runner import (
+    ExperimentConfig,
+    ExperimentRunner,
+    Job,
+    ResultStore,
+    TraceStore,
+    job_key,
+    trace_key,
+)
+from repro.runner import job as job_module
 from repro.workloads import get_workload
 from repro.workloads import suite as suite_module
 from repro.workloads.suite import Workload
@@ -68,6 +77,62 @@ class TestJobKey:
         before = job_key(Job("tmpw", SMALL))
         temp_workload.source_path.write_text(PROGRAM_V2)
         assert job_key(Job("tmpw", SMALL)) != before
+
+    def test_toolchain_digest_changes_both_keys(self, monkeypatch):
+        job_before = job_key(Job("com", SMALL))
+        trace_before = trace_key("com")
+        digest = job_module.toolchain_digest()
+        monkeypatch.setattr(job_module, "toolchain_digest",
+                            lambda: "0" * len(digest))
+        assert job_key(Job("com", SMALL)) != job_before
+        assert trace_key("com") != trace_before
+
+    def test_keying_never_compiles(self, temp_workload):
+        job_key(Job("tmpw", SMALL))
+        trace_key("tmpw")
+        assert temp_workload._program is None
+
+
+def _span_names(profile) -> set:
+    names = set()
+
+    def walk(spans) -> None:
+        for span in spans:
+            names.add(span["name"])
+            walk(span.get("children", ()))
+
+    walk(profile["spans"])
+    return names
+
+
+class TestWarmRunsNeverCompile:
+    """A job compiles its workload only when it simulates."""
+
+    CONFIGS = [ExperimentConfig(max_instructions=1_000,
+                                workloads=("com", "go")),
+               ExperimentConfig(max_instructions=1_000,
+                                workloads=("com", "go"),
+                                predictors=("last",))]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("tier", ["cache-hit", "replayed"])
+    def test_warm_sweep_opens_no_compile_span(self, tmp_path, monkeypatch,
+                                              tier, jobs):
+        traces = TraceStore(tmp_path / "traces")
+        ExperimentRunner(store=ResultStore(tmp_path / "cold"),
+                         trace_store=traces).run_many(self.CONFIGS)
+        for name in ("com", "go"):
+            monkeypatch.setattr(get_workload(name), "_program", None)
+        results = tmp_path / ("cold" if tier == "cache-hit" else "warm")
+        runner = ExperimentRunner(store=ResultStore(results),
+                                  trace_store=traces, observe=True)
+        runs = runner.run_many(self.CONFIGS, jobs=jobs)
+        statuses = {metric.status for run in runs
+                    for metric in run.metrics.jobs}
+        assert statuses == {tier}
+        names = _span_names(runs[0].metrics.profile)
+        assert not names & {"minic.compile", "asm.assemble"}
+        assert get_workload("com")._program is None
 
 
 class TestWorkloadProgramCache:

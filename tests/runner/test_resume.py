@@ -1,10 +1,9 @@
 """An interrupted sweep resumes from the result store.
 
-Job keys hash program, inputs and config, so the content-addressed
-store is an idempotent checkpoint: a re-run serves every job an
-earlier (interrupted, killed, or sibling) run published as a
-``cache-hit`` and executes only the rest.  ``resume`` survives one
-cycle as a deprecated no-op.
+Job keys hash source, toolchain, inputs and config, so the
+content-addressed store is an idempotent checkpoint: a re-run serves
+every job an earlier (interrupted, killed, or sibling) run published
+as a ``cache-hit`` and executes only the rest.
 """
 
 import json
@@ -15,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro import api
-from repro.cli import EXIT_OK, main
+from repro.cli import main
 from repro.core.export import result_to_dict
 from repro.errors import RunnerInterrupted
 from repro.runner import (
@@ -172,38 +171,27 @@ class TestStoreResume:
 
 @pytest.mark.usefixtures("isolated_default_store")
 class TestResumeDeprecated:
+    """``resume=`` and ``--resume`` finished their deprecation cycle:
+    both are gone, and a plain run warns about nothing."""
+
     SMALL = ExperimentConfig(workloads=("com",), max_instructions=1_000)
 
-    def test_runner_run(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="re-run already"):
-            run = _runner(tmp_path).run(self.SMALL, resume=True)
-        assert set(run.results) == {"com"}
+    @pytest.mark.parametrize("entry", [
+        lambda root, config: _runner(root).run(config, resume=True),
+        lambda root, config: _runner(root).run_many([config], resume=True),
+        lambda root, config: api.run_suite(config, resume=True),
+        lambda root, config: api.run_sweep([config], resume=True),
+    ], ids=["run", "run_many", "run_suite", "run_sweep"])
+    def test_resume_argument_is_gone(self, tmp_path, entry):
+        with pytest.raises(TypeError, match="resume"):
+            entry(tmp_path, self.SMALL)
 
-    def test_runner_run_many(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="re-run already"):
-            (run,) = _runner(tmp_path).run_many([self.SMALL], resume=False)
-        assert set(run.results) == {"com"}
-
-    def test_api_run_suite(self):
-        with pytest.warns(DeprecationWarning, match="re-run already"):
-            results = api.run_suite(self.SMALL, resume=True)
-        assert set(results) == {"com"}
-
-    def test_api_run_sweep(self):
-        with pytest.warns(DeprecationWarning, match="re-run already"):
-            (results,) = api.run_sweep([self.SMALL], resume=True)
-        assert set(results) == {"com"}
-
-    def test_cli_resume_flag_is_a_note(self, tmp_path, capsys):
-        argv = ["run", "--workloads", "com", "--max-instructions",
-                "1000", "--jobs", "1", "--cache-dir", str(tmp_path),
-                "--metrics", "-"]
-        assert main(argv) == EXIT_OK
-        capsys.readouterr()
-        assert main([*argv, "--resume"]) == EXIT_OK
-        captured = capsys.readouterr()
-        assert "re-run already resumes" in captured.err
-        assert "cache-hit" in captured.out
+    def test_resume_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["run", "--workloads", "com", "--cache-dir",
+                  str(tmp_path), "--resume"])
+        assert exited.value.code == 2
+        assert "--resume" in capsys.readouterr().err
 
     def test_omitting_resume_is_silent(self, tmp_path, recwarn):
         _runner(tmp_path).run(self.SMALL)
