@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast bench bench-smoke perfbench-check kernel-parity \
+.PHONY: test test-fast bench-smoke perfbench-check kernel-parity \
         shard-parity service-smoke qos-smoke campaign-smoke fleet-smoke clean-cache
 
 ## Tier-1 verification: the full test suite.
@@ -11,10 +11,6 @@ test:
 ## The suite minus the slow end-to-end runs.
 test-fast:
 	$(PYTHON) -m pytest -x -q -m "not slow"
-
-## Full pytest-benchmark harness (regenerates exhibit artifacts).
-bench:
-	$(PYTHON) -m pytest benchmarks -q
 
 ## Fast CI smoke: cold-vs-warm sweep through the two-tier cache;
 ## writes BENCH_runner.json at the repo root and fails if a warm
@@ -30,17 +26,16 @@ perfbench-check:
 
 ## Columnar-kernel parity gate: the predictor slices against the
 ## oracle's predictors, the differential test suites (fast fuzz tier
-## and the segmented cases included), the runner suite (five banks,
-## reuse on stored columns, no second layout on replay), and the full
-## parity matrix (eight-bank and reuse cases included), which writes
-## reports/kernel_parity.json, prints each case's speedup and fails on
-## any byte-level divergence between the columnar kernel and the
-## reference oracle, analyze_reference (see docs/kernel.md).
+## and the segmented cases included), and the runner suite (five
+## banks, reuse on stored columns, no second layout on replay).  The
+## parity suite's matrix (every suite workload, every config variant
+## with eight banks and reuse among them, a grid of generated seeds)
+## fails on any byte-level divergence between the columnar kernel and
+## the reference oracle, analyze_reference (see docs/kernel.md).
 kernel-parity:
 	$(PYTHON) -m pytest -x -q tests/core/test_kernel_state.py \
 		tests/core/test_kernel_parity.py \
 		tests/properties/test_kernel_fuzz.py tests/runner/test_engine.py
-	$(PYTHON) benchmarks/bench_kernel.py
 
 ## Segment-parallel parity gate: adversarial boundary tests, the
 ## runner's segmented/chaos/reindex suite, policy semantics, and the

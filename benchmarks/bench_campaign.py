@@ -1,7 +1,4 @@
-"""Benchmarks the campaign engine end-to-end.
-
-Under pytest-benchmark this measures the cold and warm grid; run
-directly it is the CI ``campaign-smoke``::
+"""The campaign engine's end-to-end smoke, ``make campaign-smoke``::
 
     python benchmarks/bench_campaign.py
 
@@ -39,50 +36,6 @@ def _runner(root, observe: bool = False) -> ExperimentRunner:
         observe=observe,
     )
 
-
-# ----------------------------------------------------------------------
-# pytest-benchmark entry points.
-# ----------------------------------------------------------------------
-
-def bench_campaign_cold(benchmark, tmp_path_factory):
-    spec = load_spec(SMOKE_SPEC)
-
-    def setup():
-        root = tmp_path_factory.mktemp("campaign-cold")
-        return (spec,), {"runner": _runner(root)}
-
-    campaign = benchmark.pedantic(run_campaign, setup=setup,
-                                  rounds=2, iterations=1)
-    assert campaign.pool_jobs == spec.jobs()
-
-
-def bench_campaign_warm(benchmark, tmp_path_factory):
-    spec = load_spec(SMOKE_SPEC)
-    root = tmp_path_factory.mktemp("campaign-warm")
-    run_campaign(spec, runner=_runner(root))
-
-    def warm_run():
-        campaign = run_campaign(spec, runner=_runner(root))
-        assert campaign.fully_warm
-        return campaign
-
-    benchmark(warm_run)
-
-
-def bench_campaign_report(benchmark, tmp_path_factory):
-    root = tmp_path_factory.mktemp("campaign-report")
-    campaign = run_campaign(load_spec(SMOKE_SPEC), runner=_runner(root))
-    out = iter(range(1_000_000))
-
-    def emit():
-        return create_report(campaign, root / f"report{next(out)}")
-
-    benchmark(emit)
-
-
-# ----------------------------------------------------------------------
-# CI smoke.
-# ----------------------------------------------------------------------
 
 def smoke(output_path=None, report_dir=None) -> dict:
     """Cold-vs-warm campaign; writes BENCH_campaign.json and a report.

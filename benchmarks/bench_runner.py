@@ -1,21 +1,17 @@
-"""Benchmarks the experiment runner itself.
+"""Smoke benchmark of the experiment runner: ``make bench-smoke``.
 
-Measures the orchestration layer rather than any exhibit: serial vs
-parallel suite wall time (cold store), cold vs warm cache, and the
-two-tier sweep path — a 4-config sweep over all 12 workloads cold,
-with a warm trace store, and with both tiers warm.  On a multi-core
-machine the parallel cold run should land well under the serial one
-(the 12 workloads are independent); the warm runs should beat cold by
-a wide margin because nothing is re-simulated (trace tier) or even
-re-analysed (result tier).
-
-Run under pytest for statistics, or directly for the CI smoke that
-records ``BENCH_runner.json`` at the repo root::
+Measures the orchestration layer rather than any exhibit: a 4-config
+sweep over all 12 workloads naive (no stores), cold, with a warm trace
+store and with both tiers warm, then one large stored trace replayed
+serially and segment-parallel.  The warm sweeps should beat cold by a
+wide margin because nothing is re-simulated (trace tier) or even
+re-analysed (result tier).  It records ``BENCH_runner.json`` at the
+repo root and exits non-zero when a :func:`check` gate fails::
 
     python benchmarks/bench_runner.py
 
-Worker count comes from ``REPRO_BENCH_JOBS`` (default: CPU count;
-the smoke always runs serial so its ratios are scheduling-free).
+The sweeps run serial, so their ratios are scheduling-free; the
+segment-parallel replay uses one worker per core.
 """
 
 from __future__ import annotations
@@ -30,11 +26,9 @@ from repro.runner import (
     TraceStore,
 )
 
-#: Smaller budget than the exhibit benches: each round pays the full
-#: 12-workload trace cost from scratch.
+#: A small budget: each cold sweep pays the full 12-workload trace
+#: cost from scratch.
 RUNNER_BUDGET = 6_000
-
-CONFIG = ExperimentConfig(max_instructions=RUNNER_BUDGET)
 
 #: The sweep the acceptance benchmark measures: one full-predictor
 #: config plus three single-predictor variants, all sharing each
@@ -48,8 +42,6 @@ SWEEP_CONFIGS = (
     ExperimentConfig(max_instructions=RUNNER_BUDGET,
                      predictors=("context",), gen_cap=32),
 )
-
-JOBS = int(os.environ.get("REPRO_BENCH_JOBS", str(os.cpu_count() or 1)))
 
 #: Alternating cold / trace-warm sweep pairs the smoke samples, each
 #: into fresh stores; the warm <= cold ``analyze`` gate compares their
@@ -84,63 +76,6 @@ KERNEL_WORK = (
 PARALLEL_RECORDS = int(os.environ.get("REPRO_PARALLEL_RECORDS",
                                       "1000000"))
 PARALLEL_SCALE = int(os.environ.get("REPRO_PARALLEL_SCALE", "4"))
-PARALLEL_JOBS = int(os.environ.get("REPRO_PARALLEL_JOBS",
-                                   str(os.cpu_count() or 1)))
-
-
-def _cold_setup(tmp_path_factory, jobs):
-    def setup():
-        root = tmp_path_factory.mktemp("runner-cold")
-        return (ExperimentRunner(store=ResultStore(root),
-                                 policy=ExecutionPolicy(jobs=jobs)),), {}
-
-    return setup
-
-
-def _run(runner):
-    return runner.run(CONFIG).require()
-
-
-def bench_suite_serial_cold(benchmark, tmp_path_factory):
-    results = benchmark.pedantic(
-        _run, setup=_cold_setup(tmp_path_factory, jobs=1),
-        rounds=2, iterations=1,
-    )
-    assert len(results) == 12
-
-
-def bench_suite_parallel_cold(benchmark, tmp_path_factory):
-    results = benchmark.pedantic(
-        _run, setup=_cold_setup(tmp_path_factory, jobs=JOBS),
-        rounds=2, iterations=1,
-    )
-    assert len(results) == 12
-
-
-def bench_suite_warm_cache(benchmark, tmp_path_factory):
-    root = tmp_path_factory.mktemp("runner-warm")
-    ExperimentRunner(store=ResultStore(root)).run(CONFIG).require()
-
-    def warm_run():
-        # A fresh runner each call: hits come from the disk store, not
-        # the in-process memo.
-        run = ExperimentRunner(store=ResultStore(root)).run(CONFIG)
-        assert run.metrics.count("computed") == 0
-        return run.require()
-
-    results = benchmark(warm_run)
-    assert len(results) == 12
-
-
-# ----------------------------------------------------------------------
-# The two-tier sweep path.
-# ----------------------------------------------------------------------
-
-def _two_tier(root, observe: bool = False) -> ExperimentRunner:
-    return ExperimentRunner(
-        store=ResultStore(root), trace_store=TraceStore(root),
-        observe=observe,
-    )
 
 
 def _sweep(runner):
@@ -148,52 +83,6 @@ def _sweep(runner):
     for run in runs:
         run.require()
     return runs
-
-
-def bench_sweep_cold(benchmark, tmp_path_factory):
-    def setup():
-        return (_two_tier(tmp_path_factory.mktemp("sweep-cold")),), {}
-
-    runs = benchmark.pedantic(_sweep, setup=setup, rounds=2, iterations=1)
-    assert len(runs) == len(SWEEP_CONFIGS)
-
-
-def bench_sweep_trace_warm(benchmark, tmp_path_factory):
-    """Warm trace tier, cold result tier: every job replays."""
-    root = tmp_path_factory.mktemp("sweep-tw")
-    _sweep(_two_tier(root))
-
-    counter = iter(range(1_000_000))
-
-    def setup():
-        runner = ExperimentRunner(
-            store=ResultStore(root / f"fresh{next(counter)}"),
-            trace_store=TraceStore(root),
-        )
-        return (runner,), {}
-
-    runs = benchmark.pedantic(_sweep, setup=setup, rounds=2, iterations=1)
-    assert all(
-        metric.status == "replayed"
-        for run in runs for metric in run.metrics.jobs
-    )
-
-
-def bench_sweep_full_warm(benchmark, tmp_path_factory):
-    """Both tiers warm: every job is a result-store hit."""
-    root = tmp_path_factory.mktemp("sweep-fw")
-    _sweep(_two_tier(root))
-
-    def warm_run():
-        runs = _sweep(_two_tier(root))
-        assert all(
-            metric.status == "cache-hit"
-            for run in runs for metric in run.metrics.jobs
-        )
-        return runs
-
-    runs = benchmark(warm_run)
-    assert len(runs) == len(SWEEP_CONFIGS)
 
 
 # ----------------------------------------------------------------------
@@ -205,11 +94,11 @@ def parallel_smoke() -> dict:
 
     Captures a ``PARALLEL_RECORDS``-record ``com`` trace once (writing
     its segment-index sidecar), then times two trace-warm replays from
-    a cold result tier: serial, and segment-parallel over
-    ``PARALLEL_JOBS`` workers.  The two results must serialize to the
-    same bytes; ``analyze_parallel_speedup`` is their wall ratio.  The
-    >= 2.5x acceptance gate arms only with 4+ cores (:func:`check`, from
-    ``os.cpu_count()``).  This shape (a 1e6-record trace, ``max(4,
+    a cold result tier: serial, and segment-parallel with one worker
+    per core (``os.cpu_count()``).  The two results must serialize to
+    the same bytes; ``analyze_parallel_speedup`` is their wall ratio.
+    The >= 2.5x acceptance gate arms only with 4+ cores (:func:`check`,
+    from the same count).  This shape (a 1e6-record trace, ``max(4,
     jobs)`` segments) has not been sampled at 2 cores; perfbench's
     shard probe, a different shape (150k-record gcc, 2 segments,
     ``jobs=2``), read a median of 1.24x over 10 probes on 2 vCPUs.
@@ -222,7 +111,7 @@ def parallel_smoke() -> dict:
 
     from repro.core.export import result_to_dict
 
-    jobs = max(1, PARALLEL_JOBS)
+    jobs = os.cpu_count() or 1
     segments = max(4, jobs)
     spacing = max(1, PARALLEL_RECORDS // (2 * segments))
     policy = ExecutionPolicy(jobs=jobs, segments=segments,

@@ -8,7 +8,7 @@ replayed by the kernel's one copy of its update rule
 run), and node/arc classification happens through translate tables
 and Counters (:mod:`~repro.core.kernel.engine`) — byte-identical to
 the reference loop (:func:`repro.core.analysis.analyze_reference`),
-measured ≥5x faster on the analyze phase (benchmarks/bench_kernel.py).
+gated ≥3x faster on analyze by ``make bench-smoke`` (BENCH_runner.json).
 
 The kernel runs every config, instruction-reuse tracking included;
 the reference loop is only the differential oracle the kernel is

@@ -140,6 +140,9 @@ def test_config_variants_identical(variant, tmp_path):
     "gen:pointer-chase@3",
     "gen:float-kernel@4",
     "gen:callgraph@5",
+    "gen:loopy@11",
+    "gen:branchy@12",
+    "gen:float-kernel@13",
 ])
 def test_generated_grid_identical(gen_name, tmp_path):
     machine = generated_workload(gen_name).machine()

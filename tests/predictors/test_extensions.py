@@ -202,3 +202,19 @@ class TestLocalBranchPredictor:
         config = AnalysisConfig(branch_predictor="local")
         result = analyze_machine(Machine(assemble(source)), "x", config)
         assert result.predictors["context"].branches.total() == 30
+
+
+@pytest.mark.parametrize("kind", ["gshare", "local"])
+def test_branch_predictor_accurate_on_go(kind):
+    """Both branch predictor kinds learn a real workload's branches:
+    the 2,877 branches among go's first 30k instructions."""
+    from itertools import islice
+
+    from repro.workloads import get_workload
+
+    branches = [(dyn.pc, dyn.taken) for dyn in
+                islice(get_workload("go").machine().trace(), 30_000)
+                if dyn.is_branch]
+    predictor = make_branch_predictor(kind)
+    hits = sum(predictor.see(pc, taken) for pc, taken in branches)
+    assert hits / len(branches) > 0.7
