@@ -439,6 +439,9 @@ def measure_qos(budget: int, requests_each: int) -> tuple[dict, dict]:
             "p99_delta_pct": round(
                 100.0 * (abuse_p99 - base_p99) / base_p99, 1
             ) if base_p99 > 0 else 0.0,
+            # The bound is an absolute p99 ceiling: at a ~10 ms
+            # baseline the grace outweighs the 25% many times over.
+            "ceiling_s": round(1.25 * base_p99 + QOS_GRACE, 4),
             "within_bound": abuse_p99 <= base_p99 * 1.25 + QOS_GRACE,
         }
     abuser = abuse["abuser"]
@@ -594,9 +597,11 @@ def smoke(clients: int = CLIENTS,
           f"(restart {availability['restart_seconds']:.2f}s, "
           f"{availability['failed_requests']} failed)")
     for tenant, entry in qos_section["tenants"].items():
-        delta = qos_section["isolation"][tenant]["p99_delta_pct"]
+        bound = qos_section["isolation"][tenant]
         print(f"  qos {tenant:<9} p99 {entry['baseline_p99']:.4f}s -> "
-              f"{entry['p99']:.4f}s under abuse ({delta:+.1f}%)")
+              f"{entry['p99']:.4f}s under abuse "
+              f"({bound['p99_delta_pct']:+.1f}%, ceiling "
+              f"{bound['ceiling_s']:.4f}s)")
     abuser = qos_section["abuser"]
     print(f"  qos abuser     {abuser['issued']} issued @ "
           f"{abuser['abuse_factor']}x quota, {abuser['shed']} shed, "
@@ -653,9 +658,11 @@ def check(report: dict) -> list[str]:
                 continue
             if not entry["within_bound"]:
                 problems.append(
-                    f"compliant tenant {tenant!r} p99 degraded "
-                    f"{entry['p99_delta_pct']}% under abuse — over the "
-                    f"25% isolation bound"
+                    f"compliant tenant {tenant!r} p99 "
+                    f"{qos['tenants'][tenant]['p99']} s over the "
+                    f"{entry['ceiling_s']} s ceiling "
+                    f"(+{qos['isolation']['bound_pct']:g}% + "
+                    f"{qos['isolation']['grace_seconds']:g} s)"
                 )
         if qos["compliant_sheds"]:
             problems.append(

@@ -16,8 +16,7 @@ from repro.workloads import SUITE
 
 def main() -> None:
     config = AnalysisConfig(
-        predictors=("stride",), trees_for=(), track_paths=False,
-        track_branches=False, track_reuse=True,
+        predictors=("stride",), trees_for=(), track_reuse=True,
         max_instructions=60_000,
     )
     print(f"{'bench':<6} {'reuse rate':>11} {'reuse∩pred':>11} "

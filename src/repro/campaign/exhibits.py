@@ -69,12 +69,9 @@ def predicted_node_percent(result, predictor: str) -> float:
     return percentage(predicted, pred.nodes.total())
 
 
-def branch_accuracy_percent(result, predictor: str) -> float | None:
-    """Conditional-branch accuracy, or None when not tracked."""
-    pred = result.predictors[predictor]
-    if pred.branches is None:
-        return None
-    return 100.0 * pred.branches.accuracy()
+def branch_accuracy_percent(result, predictor: str) -> float:
+    """Conditional-branch accuracy."""
+    return 100.0 * result.predictors[predictor].branches.accuracy()
 
 
 def variant_mean_predictability(result, variant) -> float:
@@ -132,11 +129,10 @@ def predictability_table(campaign: CampaignResult) -> Table:
     )
     for variant, name, result in campaign.iter_cells():
         for spec in variant.predictors:
-            branches = branch_accuracy_percent(result, spec)
             out.add_row(
                 variant.name, name, spec,
                 predicted_node_percent(result, spec),
-                "-" if branches is None else round(branches, 2),
+                round(branch_accuracy_percent(result, spec), 2),
             )
     return out
 
@@ -291,13 +287,10 @@ def branch_accuracy_plot(campaign: CampaignResult) -> str:
     }
     index = {name: i for i, name in enumerate(series)}
     for variant, name, result in campaign.iter_cells():
-        accuracies = [
+        by_workload[name][index[variant.name]] = max(
             branch_accuracy_percent(result, spec)
             for spec in variant.predictors
-        ]
-        accuracies = [a for a in accuracies if a is not None]
-        if accuracies:
-            by_workload[name][index[variant.name]] = max(accuracies)
+        )
     groups = [(_short(name), values)
               for name, values in by_workload.items()]
     return _svg_grouped_bars(

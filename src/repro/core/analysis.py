@@ -19,7 +19,8 @@ The prediction protocol follows Section 3 of the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from itertools import islice
 
 from repro.core.arcs import ArcGroupTable
@@ -42,49 +43,39 @@ from repro.predictors.base import MAX_BANKS, PREDICTOR_KINDS
 class AnalysisConfig:
     """Knobs for one analysis run.
 
+    Every analysis computes the paper's full model: node and arc
+    classes, generator paths (Fig. 9), predictable sequences (Fig. 12),
+    branch behaviour (Fig. 13), fully-mispredicted runs, critical
+    points and per-opcode node classes.  Its fixed structures are
+    constants: the paper's 64K-entry gshare
+    (:data:`~repro.predictors.gshare.GSHARE_BITS` index bits) and the
+    reuse buffer's :data:`~repro.core.reuse.REUSE_WAYS` entries per
+    static instruction.
+
     Attributes:
         predictors: value-predictor kinds to run side by side, at most
             :data:`~repro.predictors.base.MAX_BANKS` (``ValueError``).
-        track_paths: enable generator-class path analysis (Fig. 9).
         trees_for: predictor kinds that additionally track per-generate
             trees, influence counts and distances (Figs. 10/11) — the
             memory-hungry part; the paper shows these for the
             context-based predictor.
         gen_cap: cap on generator ids carried per value (tree tracking).
-        gshare_bits: index bits of the branch predictor (64K = 16).
         branch_predictor: direction-predictor kind — ``"gshare"`` (the
             paper's choice) or ``"local"`` (the two-level alternative
             the paper suggests in Section 3).
-        track_sequences: enable Fig. 12 statistics.
-        track_branches: enable Fig. 13 statistics.
-        track_unpred: track fully-mispredicted instruction runs (the
-            Section 6 unpredictability view).
-        track_critical: attribute terminations to static instructions
-            ("critical points for prediction").
-        track_ops: attribute node classes to opcodes (verifies the
-            paper's "mostly compare/logical/shift" style claims).
         track_reuse: run a Sodani/Sohi-style instruction reuse buffer
             alongside the analysis (Section 6's reuse/memoization
             suggestion); the overlap is measured against the *first*
             configured predictor.
-        reuse_ways: reuse-buffer entries per static instruction.
         max_instructions: truncate the trace after this many dynamic
             instructions (None = run the workload to completion).
     """
 
     predictors: tuple[str, ...] = PREDICTOR_KINDS
-    track_paths: bool = True
     trees_for: tuple[str, ...] = ("context",)
     gen_cap: int = 64
-    gshare_bits: int = 16
     branch_predictor: str = "gshare"
-    track_sequences: bool = True
-    track_branches: bool = True
-    track_unpred: bool = True
-    track_critical: bool = True
-    track_ops: bool = True
     track_reuse: bool = False
-    reuse_ways: int = 4
     max_instructions: int | None = None
 
     def __post_init__(self):
@@ -122,9 +113,7 @@ class Analyzer:
         self._see_outputs = [bank.outputs.see for bank in self._banks]
         self._nk = len(self._banks)
         self._full_mask = (1 << self._nk) - 1
-        self._gshare = make_branch_predictor(
-            cfg.branch_predictor, cfg.gshare_bits
-        )
+        self._gshare = make_branch_predictor(cfg.branch_predictor)
         self._arc_table = ArcGroupTable(self._n_static, self._nk)
         self._node_stats = [NodeStats() for _ in self._banks]
         self._running_counts = [0] * self._n_static
@@ -132,39 +121,18 @@ class Analyzer:
             profile_counts if profile_counts is not None
             else self._running_counts
         )
-        self._path_trackers = None
-        if cfg.track_paths:
-            self._path_trackers = [
-                PathTracker(
-                    track_trees=bank.kind in cfg.trees_for,
-                    gen_cap=cfg.gen_cap,
-                )
-                for bank in self._banks
-            ]
-        self._seq_trackers = (
-            [SequenceTracker() for _ in self._banks]
-            if cfg.track_sequences else None
-        )
-        self._branch_trackers = (
-            [BranchTracker() for _ in self._banks]
-            if cfg.track_branches else None
-        )
-        self._unpred_trackers = (
-            [UnpredTracker() for _ in self._banks]
-            if cfg.track_unpred else None
-        )
-        self._critical = (
-            [CriticalPoints(self._n_static) for _ in self._banks]
-            if cfg.track_critical else None
-        )
-        self._reuse = (
-            ReuseTracker(ways=cfg.reuse_ways)
-            if cfg.track_reuse else None
-        )
-        from collections import Counter as _Counter
-        self._node_ops = (
-            [_Counter() for _ in self._banks] if cfg.track_ops else None
-        )
+        self._path_trackers = [
+            PathTracker(track_trees=bank.kind in cfg.trees_for,
+                        gen_cap=cfg.gen_cap)
+            for bank in self._banks
+        ]
+        self._seq_trackers = [SequenceTracker() for _ in self._banks]
+        self._branch_trackers = [BranchTracker() for _ in self._banks]
+        self._unpred_trackers = [UnpredTracker() for _ in self._banks]
+        self._critical = [CriticalPoints(self._n_static)
+                          for _ in self._banks]
+        self._reuse = ReuseTracker() if cfg.track_reuse else None
+        self._node_ops = [Counter() for _ in self._banks]
         self._out_flags = bytearray()
         self._d_nodes: set[int] = set()
         self._d_arcs = 0
@@ -281,53 +249,47 @@ class Analyzer:
             out_p = (outbits & bit) != 0
             if has_out:
                 self._node_stats[k].add(kind, out_p)
-                if self._node_ops is not None:
-                    self._node_ops[k][(kind, out_p, dyn.op)] += 1
+                self._node_ops[k][(kind, out_p, dyn.op)] += 1
             else:
                 self._node_stats[k].no_output += 1
-            if is_branch and self._branch_trackers is not None:
+            if is_branch:
                 self._branch_trackers[k].on_branch(kind, out_p)
-            if seq_trackers is not None:
-                fully = ((inter_y & bit) != 0 or n_srcs == 0) and (
-                    not has_out or out_p
-                )
-                seq_trackers[k].on_node(fully)
-            if self._unpred_trackers is not None:
-                fully_un = (
-                    (union_y & bit) == 0
-                    and not ((outbits & bit) != 0 and has_out)
-                    and (n_srcs > 0 or has_out)
-                )
-                self._unpred_trackers[k].on_node(fully_un)
-            if self._critical is not None and has_out and not out_p:
+            fully = ((inter_y & bit) != 0 or n_srcs == 0) and (
+                not has_out or out_p
+            )
+            seq_trackers[k].on_node(fully)
+            fully_un = (
+                (union_y & bit) == 0
+                and not ((outbits & bit) != 0 and has_out)
+                and (n_srcs > 0 or has_out)
+            )
+            self._unpred_trackers[k].on_node(fully_un)
+            if has_out and not out_p:
                 self._critical[k].record(pc, terminated=has_p)
             if (self._reuse is not None and k == 0
                     and category is Category.ALU and dyn.out is not None):
-                reuse_predicted = ((inter_y & bit) != 0 or n_srcs == 0) \
-                    and (not has_out or out_p)
                 self._reuse.on_node(
-                    pc, tuple(src.value for src in srcs), reuse_predicted)
-            if path_trackers is not None:
-                tracker = path_trackers[k]
-                tracker.begin_node()
-                for slot in range(n_srcs):
-                    if not (y_list[slot] & bit):
-                        continue
-                    if x_list[slot] & bit:
-                        tracker.feed_propagate_arc(srcs[slot].producer)
-                    else:
-                        src = srcs[slot]
-                        if src.producer is None:
-                            gen_class = GenClass.D
-                        elif wl_counts[src.producer_pc] == 1:
-                            gen_class = GenClass.W
-                        else:
-                            gen_class = GenClass.C
-                        tracker.feed_generate_arc(gen_class)
-                if has_out:
-                    tracker.end_node(out_p, kind)
+                    pc, tuple(src.value for src in srcs), fully)
+            tracker = path_trackers[k]
+            tracker.begin_node()
+            for slot in range(n_srcs):
+                if not (y_list[slot] & bit):
+                    continue
+                if x_list[slot] & bit:
+                    tracker.feed_propagate_arc(srcs[slot].producer)
                 else:
-                    tracker.skip_node()
+                    src = srcs[slot]
+                    if src.producer is None:
+                        gen_class = GenClass.D
+                    elif wl_counts[src.producer_pc] == 1:
+                        gen_class = GenClass.W
+                    else:
+                        gen_class = GenClass.C
+                    tracker.feed_generate_arc(gen_class)
+            if has_out:
+                tracker.end_node(out_p, kind)
+            else:
+                tracker.skip_node()
 
     # ------------------------------------------------------------------
     # Finalisation.
@@ -369,25 +331,22 @@ class Analyzer:
                             f"{behavior.name.lower()}", n,
                         )
         for k, bank in enumerate(self._banks):
-            pred = PredictorResult(kind=bank.kind, nodes=self._node_stats[k])
+            tracker = self._path_trackers[k]
+            tracker.finalize()
+            self._seq_trackers[k].finalize()
+            self._unpred_trackers[k].finalize()
+            pred = PredictorResult(
+                kind=bank.kind,
+                nodes=self._node_stats[k],
+                paths=tracker.stats,
+                trees=tracker.trees,
+                sequences=self._seq_trackers[k].stats,
+                branches=self._branch_trackers[k].stats,
+                unpred=self._unpred_trackers[k].stats,
+                critical=self._critical[k],
+                node_ops=self._node_ops[k],
+            )
             arc_stats.append(pred.arcs)
-            if self._path_trackers is not None:
-                tracker = self._path_trackers[k]
-                tracker.finalize()
-                pred.paths = tracker.stats
-                pred.trees = tracker.trees
-            if self._seq_trackers is not None:
-                self._seq_trackers[k].finalize()
-                pred.sequences = self._seq_trackers[k].stats
-            if self._branch_trackers is not None:
-                pred.branches = self._branch_trackers[k].stats
-            if self._unpred_trackers is not None:
-                self._unpred_trackers[k].finalize()
-                pred.unpred = self._unpred_trackers[k].stats
-            if self._critical is not None:
-                pred.critical = self._critical[k]
-            if self._node_ops is not None:
-                pred.node_ops = self._node_ops[k]
             result.predictors[bank.kind] = pred
         if self._reuse is not None:
             result.reuse = self._reuse.stats

@@ -38,11 +38,7 @@ if TYPE_CHECKING:
     import networkx as nx
 
 
-def build_dpg(
-    trace,
-    predictor: str = "stride",
-    gshare_bits: int = 16,
-) -> nx.MultiDiGraph:
+def build_dpg(trace, predictor: str = "stride") -> nx.MultiDiGraph:
     """Build the DPG of ``trace`` under one value predictor.
 
     Every dynamic instruction becomes a node with attributes ``pc``,
@@ -61,7 +57,7 @@ def build_dpg(
                           "extra (pip install 'repro[dpg]')") from error
     graph = nx.MultiDiGraph()
     bank = PredictorBank(predictor)
-    gshare = GsharePredictor(gshare_bits)
+    gshare = GsharePredictor()
     for dyn in trace:
         _add_node(graph, dyn, bank, gshare)
     classify_uses(graph)

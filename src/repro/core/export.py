@@ -148,14 +148,13 @@ def _predictor_to_dict(pred: PredictorResult) -> dict:
             "no_output": pred.nodes.no_output,
         },
         "arcs": {"counts": pred.arcs.counts},
-    }
-    if pred.paths is not None:
-        out["paths"] = {
+        "paths": {
             "propagate_elements": pred.paths.propagate_elements,
             "class_counts": pred.paths.class_counts,
             "combo_counts": _counter_to_dict(pred.paths.combo_counts),
             "gen_counts": pred.paths.gen_counts,
-        }
+        },
+    }
     if pred.trees is not None:
         out["trees"] = {
             "depth_hist": _counter_to_dict(pred.trees.depth_hist),
@@ -164,30 +163,27 @@ def _predictor_to_dict(pred: PredictorResult) -> dict:
             "distance_hist": _counter_to_dict(pred.trees.distance_hist),
             "truncated": pred.trees.truncated,
         }
-    if pred.sequences is not None:
-        out["sequences"] = {"lengths": _counter_to_dict(pred.sequences.lengths)}
-    if pred.branches is not None:
-        out["branches"] = {"class_counts": pred.branches.class_counts}
-    if pred.unpred is not None:
-        out["unpred"] = {"lengths": _counter_to_dict(pred.unpred.lengths)}
-    if pred.critical is not None:
-        out["critical"] = {
-            "n_static": pred.critical.n_static,
-            "output_misses": pred.critical.output_misses,
-            "terminations": pred.critical.terminations,
-        }
-    if pred.node_ops is not None:
-        out["node_ops"] = [
-            [int(kind), int(predicted), op, count]
-            for (kind, predicted, op), count in sorted(
-                pred.node_ops.items(),
-                key=lambda item: (item[0][0], item[0][1], item[0][2]),
-            )
-        ]
+    out["sequences"] = {"lengths": _counter_to_dict(pred.sequences.lengths)}
+    out["branches"] = {"class_counts": pred.branches.class_counts}
+    out["unpred"] = {"lengths": _counter_to_dict(pred.unpred.lengths)}
+    out["critical"] = {
+        "n_static": pred.critical.n_static,
+        "output_misses": pred.critical.output_misses,
+        "terminations": pred.critical.terminations,
+    }
+    out["node_ops"] = [
+        [int(kind), int(predicted), op, count]
+        for (kind, predicted, op), count in sorted(
+            pred.node_ops.items(),
+            key=lambda item: (item[0][0], item[0][1], item[0][2]),
+        )
+    ]
     return out
 
 
 def _predictor_from_dict(payload: dict) -> PredictorResult:
+    paths = payload["paths"]
+    critical = payload["critical"]
     pred = PredictorResult(
         kind=payload["kind"],
         nodes=NodeStats(
@@ -195,15 +191,28 @@ def _predictor_from_dict(payload: dict) -> PredictorResult:
             no_output=payload["nodes"]["no_output"],
         ),
         arcs=ArcStats(counts=payload["arcs"]["counts"]),
-    )
-    paths = payload.get("paths")
-    if paths is not None:
-        pred.paths = PathStats(
+        paths=PathStats(
             propagate_elements=paths["propagate_elements"],
             class_counts=paths["class_counts"],
             combo_counts=_counter_from_dict(paths["combo_counts"]),
             gen_counts=paths["gen_counts"],
-        )
+        ),
+        sequences=SequenceStats(
+            lengths=_counter_from_dict(payload["sequences"]["lengths"])),
+        branches=BranchStats(
+            class_counts=payload["branches"]["class_counts"]),
+        unpred=SequenceStats(
+            lengths=_counter_from_dict(payload["unpred"]["lengths"])),
+        critical=CriticalPoints(
+            n_static=critical["n_static"],
+            output_misses=critical["output_misses"],
+            terminations=critical["terminations"],
+        ),
+        node_ops=Counter({
+            (InKind(kind), bool(predicted), op): count
+            for kind, predicted, op, count in payload["node_ops"]
+        }),
+    )
     trees = payload.get("trees")
     if trees is not None:
         pred.trees = TreeStats(
@@ -213,30 +222,6 @@ def _predictor_from_dict(payload: dict) -> PredictorResult:
             distance_hist=_counter_from_dict(trees["distance_hist"]),
             truncated=trees["truncated"],
         )
-    sequences = payload.get("sequences")
-    if sequences is not None:
-        pred.sequences = SequenceStats(
-            lengths=_counter_from_dict(sequences["lengths"])
-        )
-    branches = payload.get("branches")
-    if branches is not None:
-        pred.branches = BranchStats(class_counts=branches["class_counts"])
-    unpred = payload.get("unpred")
-    if unpred is not None:
-        pred.unpred = SequenceStats(lengths=_counter_from_dict(unpred["lengths"]))
-    critical = payload.get("critical")
-    if critical is not None:
-        pred.critical = CriticalPoints(
-            n_static=critical["n_static"],
-            output_misses=critical["output_misses"],
-            terminations=critical["terminations"],
-        )
-    node_ops = payload.get("node_ops")
-    if node_ops is not None:
-        pred.node_ops = Counter({
-            (InKind(kind), bool(predicted), op): count
-            for kind, predicted, op, count in node_ops
-        })
     return pred
 
 

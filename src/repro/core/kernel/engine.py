@@ -80,6 +80,7 @@ from repro.core.stats import (
 from repro.core.unpred import CriticalPoints
 from repro.isa.opcodes import Category
 from repro.obs import get_recorder
+from repro.predictors.gshare import GSHARE_BITS
 
 # ----------------------------------------------------------------------
 # Composite-byte layout: one byte per (record, bank) holding every flag
@@ -223,7 +224,7 @@ def assemble_bits(columns, in_hits, out_hits, br_hits, m, A):
 _LANES = 8
 
 
-def _assemble(columns, specs, br_kind, br_bits, m) -> dict:
+def _assemble(columns, specs, br_kind, m) -> dict:
     """Each spec's bit lanes under one branch predictor, over at least
     the first ``m`` records: ``{spec: {"y", "x", "comp"}}`` (``specs``
     without repeats).
@@ -237,7 +238,7 @@ def _assemble(columns, specs, br_kind, br_bits, m) -> dict:
     the columns object per branch predictor; a larger budget rebuilds
     the lanes it is asked for.
     """
-    key = ("lanes", br_kind, br_bits)
+    key = ("lanes", br_kind)
     entry = columns._pred_cache.get(key)
     if entry is None or entry["m"] < m:
         entry = {"m": m, "lanes": {}}
@@ -249,7 +250,7 @@ def _assemble(columns, specs, br_kind, br_bits, m) -> dict:
     m = entry["m"]
     A = columns.src_start[m]
     ov_cnt = bisect_left(columns.ov_idx, m)
-    br_hits = columns.branch_hits(br_kind, br_bits,
+    br_hits = columns.branch_hits(br_kind, GSHARE_BITS,
                                   bisect_left(columns.br_idx, m))
     ones_a = _ones(A)
     for g in range(0, len(todo), _LANES):
@@ -333,23 +334,19 @@ def _run_lengths(selector: bytes) -> SequenceStats:
 # stream order (merge_tallies) before running the second.
 # ----------------------------------------------------------------------
 
-def bank_tallies(comp: bytes, cfg, op_col, pcs) -> dict:
+def bank_tallies(comp: bytes, op_col, pcs) -> dict:
     """Node/ops/branch/seq/unpred/miss/term tallies of one bank's
     composite bytes (``op_col`` and ``pcs`` may run past them)."""
     node_codes = comp.translate(_NODE_T)
-    tallies = {"node": Counter(node_codes)}
-    if cfg.track_ops:
-        tallies["ops"] = Counter(zip(node_codes, op_col))
-    if cfg.track_branches:
-        tallies["branch"] = Counter(comp.translate(_BRANCH_T))
-    if cfg.track_sequences:
-        tallies["seq"] = comp.translate(_SEQ_T)
-    if cfg.track_unpred:
-        tallies["unpred"] = comp.translate(_UNPRED_T)
-    if cfg.track_critical:
-        tallies["miss"] = Counter(compress(pcs, comp.translate(_MISS_T)))
-        tallies["term"] = Counter(compress(pcs, comp.translate(_TERM_T)))
-    return tallies
+    return {
+        "node": Counter(node_codes),
+        "ops": Counter(zip(node_codes, op_col)),
+        "branch": Counter(comp.translate(_BRANCH_T)),
+        "seq": comp.translate(_SEQ_T),
+        "unpred": comp.translate(_UNPRED_T),
+        "miss": Counter(compress(pcs, comp.translate(_MISS_T))),
+        "term": Counter(compress(pcs, comp.translate(_TERM_T))),
+    }
 
 
 def merge_tallies(total: dict, part: dict) -> None:
@@ -366,7 +363,7 @@ def merge_tallies(total: dict, part: dict) -> None:
             total[name] += value
 
 
-def bank_result(spec: str, tallies: dict, cfg, ops,
+def bank_result(spec: str, tallies: dict, ops,
                 n_static: int) -> PredictorResult:
     """One bank's :class:`PredictorResult` from its tallies, minus the
     paths and arcs, which need the whole walk and the final counts."""
@@ -377,36 +374,28 @@ def bank_result(spec: str, tallies: dict, cfg, ops,
             node_stats.no_output = n
         else:
             class_counts[code >> 1][code & 1] = n
-    pred = PredictorResult(kind=spec, nodes=node_stats)
-    if cfg.track_ops:
-        # Assigning (not adding) resolves op-name collisions in first
-        # occurrence order, as the reference does.
-        node_ops = Counter()
-        for (code, opx), n in tallies["ops"].items():
-            if code != _NO_OUTPUT:
-                node_ops[(InKind(code >> 1), bool(code & 1),
-                          ops[opx][0])] = n
-        pred.node_ops = node_ops
-    if cfg.track_branches:
-        branches = BranchStats()
-        for code, n in tallies["branch"].items():
-            if code != _NO_OUTPUT:
-                branches.class_counts[code >> 1][code & 1] = n
-        pred.branches = branches
-    if cfg.track_sequences:
-        pred.sequences = _run_lengths(tallies["seq"])
-    if cfg.track_unpred:
-        pred.unpred = _run_lengths(tallies["unpred"])
-    if cfg.track_critical:
-        critical = CriticalPoints(n_static)
-        misses = critical.output_misses
-        for pc, n in tallies["miss"].items():
-            misses[pc] = n
-        terms = critical.terminations
-        for pc, n in tallies["term"].items():
-            terms[pc] = n
-        pred.critical = critical
-    return pred
+    # Assigning (not adding) resolves op-name collisions in first
+    # occurrence order, as the reference does.
+    node_ops = Counter()
+    for (code, opx), n in tallies["ops"].items():
+        if code != _NO_OUTPUT:
+            node_ops[(InKind(code >> 1), bool(code & 1), ops[opx][0])] = n
+    branches = BranchStats()
+    for code, n in tallies["branch"].items():
+        if code != _NO_OUTPUT:
+            branches.class_counts[code >> 1][code & 1] = n
+    sequences = _run_lengths(tallies["seq"])
+    unpred = _run_lengths(tallies["unpred"])
+    critical = CriticalPoints(n_static)
+    for pc, n in tallies["miss"].items():
+        critical.output_misses[pc] = n
+    for pc, n in tallies["term"].items():
+        critical.terminations[pc] = n
+    return PredictorResult(
+        kind=spec, nodes=node_stats, branches=branches,
+        sequences=sequences, unpred=unpred,
+        critical=critical, node_ops=node_ops,
+    )
 
 
 def count_analysis(recorder, specs, preds, m: int, A: int) -> None:
@@ -771,7 +760,7 @@ def _budget(columns, config) -> int:
 def _warm_largest(columns, configs) -> dict:
     """Assemble every spec's lanes once per branch predictor, at the
     largest budget any config gives that predictor:
-    ``{(branch_predictor, gshare_bits): lanes}`` (see :func:`_assemble`).
+    ``{branch_predictor: lanes}`` (see :func:`_assemble`).
 
     Largest budget first, so each spec's predictor passes (shared by
     both branch predictors' lanes) also run once, at the largest budget
@@ -781,22 +770,22 @@ def _warm_largest(columns, configs) -> dict:
     """
     need: dict = {}
     for cfg in configs:
-        key = (cfg.branch_predictor, cfg.gshare_bits)
-        m, specs = need.get(key, (0, {}))
+        kind = cfg.branch_predictor
+        m, specs = need.get(kind, (0, {}))
         specs.update(dict.fromkeys(cfg.predictors))
-        need[key] = (max(m, _budget(columns, cfg)), specs)
+        need[kind] = (max(m, _budget(columns, cfg)), specs)
     return {
-        (kind, bits): _assemble(columns, specs, kind, bits, m)
-        for (kind, bits), (m, specs) in sorted(
+        kind: _assemble(columns, specs, kind, m)
+        for kind, (m, specs) in sorted(
             need.items(), key=lambda item: -item[1][0])
     }
 
 
 def _walk_key(cfg, spec) -> tuple:
     """The walk a config's bank reads its paths from: (spec, branch
-    predictor, index bits, tracked, gen_cap when tracked)."""
+    predictor, tracked, gen_cap when tracked)."""
     tracked = spec in cfg.trees_for
-    return (spec, cfg.branch_predictor, cfg.gshare_bits, tracked,
+    return (spec, cfg.branch_predictor, tracked,
             cfg.gen_cap if tracked else None)
 
 
@@ -815,14 +804,13 @@ def _run_walks(columns, configs, lanes, snapshots: dict,
     """
     plan: dict = {}  # walk key -> {budget: keys served at that cut}
     for cfg in configs:
-        if cfg.track_paths:
-            m = _budget(columns, cfg)
-            for spec in cfg.predictors:
-                key = _walk_key(cfg, spec)
-                if (key, m) not in snapshots:
-                    plan.setdefault(key, {})[m] = {key}
-    for key in [key for key in plan if not key[3]]:
-        hosts = [host for host in plan if host[3] and host[:3] == key[:3]]
+        m = _budget(columns, cfg)
+        for spec in cfg.predictors:
+            key = _walk_key(cfg, spec)
+            if (key, m) not in snapshots:
+                plan.setdefault(key, {})[m] = {key}
+    for key in [key for key in plan if not key[2]]:
+        hosts = [host for host in plan if host[2] and host[:2] == key[:2]]
         for m in list(plan[key]):
             host = next((host for host in hosts if max(plan[host]) >= m),
                         None)
@@ -841,8 +829,8 @@ def _run_walks(columns, configs, lanes, snapshots: dict,
     prods = columns.src_prod
     recorder = get_recorder()
     for key, cuts in plan.items():
-        spec, kind, bits, tracked, gen_cap = key
-        lane = lanes[(kind, bits)][spec]
+        spec, kind, tracked, gen_cap = key
+        lane = lanes[kind][spec]
         codes = lane["comp"].translate(_NODE_T)
         walk = ResumableWalk(tracked, gen_cap)
         r0 = 0
@@ -854,7 +842,7 @@ def _run_walks(columns, configs, lanes, snapshots: dict,
             paths, trees = (walk.finalize() if key in served
                             else (walk.path_stats(), None))
             for want in served:
-                snapshots[(want, m)] = (paths, trees if want[3] else None)
+                snapshots[(want, m)] = (paths, trees if want[2] else None)
         if recorder.enabled:
             recorder.count("analyze.walk.records."
                            + ("tracked" if tracked else "untracked"), r0)
@@ -864,12 +852,9 @@ def _run_walks(columns, configs, lanes, snapshots: dict,
 
 
 def _bank_key(cfg, spec, m) -> tuple:
-    """A bank result's key: (spec, branch predictor, index bits, the
-    tally flags, budget).  It holds no tree flags: paths and trees come
-    from the walk snapshots."""
-    return (spec, cfg.branch_predictor, cfg.gshare_bits, cfg.track_ops,
-            cfg.track_branches, cfg.track_sequences, cfg.track_unpred,
-            cfg.track_critical, m)
+    """A bank result's key: (spec, branch predictor, budget).  It holds
+    no tree flags: paths and trees come from the walk snapshots."""
+    return (spec, cfg.branch_predictor, m)
 
 
 def _final_counts(columns, m, static_counts):
@@ -883,35 +868,35 @@ def _run_banks(columns, configs, lanes, banks: dict,
     and it lacks.
 
     A bank's tallies add over record ranges (:func:`merge_tallies`, as
-    the segment merge uses), so each (spec, branch predictor, tally
-    flags) tallies its records once, in ascending budget order, with a
+    the segment merge uses), so each (spec, branch predictor) tallies
+    its records once, in ascending budget order, with a
     :func:`bank_result` at each budget.  The arc fold needs each
     budget's final counts, so it runs per budget.
     """
-    plan: dict = {}  # key minus budget -> (a config, budgets)
+    plan: dict = {}  # key minus budget -> budgets
     for cfg in configs:
         m = _budget(columns, cfg)
         for spec in cfg.predictors:
             key = _bank_key(cfg, spec, m)
             if key not in banks:
-                plan.setdefault(key[:-1], (cfg, set()))[1].add(m)
+                plan.setdefault(key[:-1], set()).add(m)
     recorder = get_recorder()
     n_static = columns.n_static
-    for key, (cfg, budgets) in plan.items():
-        spec = key[0]
-        lane = lanes[(cfg.branch_predictor, cfg.gshare_bits)][spec]
+    for key, budgets in plan.items():
+        spec, kind = key
+        lane = lanes[kind][spec]
         fresh = []
         with recorder.span("analyze.kernel.classify"):
             totals: dict = {}
             r0 = 0
             for m in sorted(budgets):
                 merge_tallies(totals, bank_tallies(
-                    lane["comp"][r0:m], cfg,
+                    lane["comp"][r0:m],
                     memoryview(columns.op_index)[r0:m], columns.pc[r0:m],
                 ))
                 r0 = m
-                fresh.append((m, bank_result(spec, totals, cfg,
-                                             columns.ops, n_static)))
+                fresh.append((m, bank_result(spec, totals, columns.ops,
+                                             n_static)))
         with recorder.span("analyze.kernel.arcs"):
             for m, pred in fresh:
                 A = columns.src_start[m]
@@ -950,11 +935,11 @@ def _reuse_stats(columns, cfg, lanes, m) -> ReuseStats:
     by their input values; "fully predicted" is the first bank's
     sequence selector (every input and the output predicted).
     """
-    lane = lanes[(cfg.branch_predictor, cfg.gshare_bits)][cfg.predictors[0]]
+    lane = lanes[cfg.branch_predictor][cfg.predictors[0]]
     fully = lane["comp"][:m].translate(_SEQ_T)
     alu = bytes(cat is Category.ALU for __, cat, __i in columns.ops)
     alu_sel = bytes(columns.op_index[:m]).translate(alu.ljust(256, b"\0"))
-    tracker = ReuseTracker(ways=cfg.reuse_ways)
+    tracker = ReuseTracker()
     on_node = tracker.on_node
     pcs = columns.pc
     outs = columns.out
@@ -997,9 +982,8 @@ def analyze_columns_many(columns, configs, name="trace",
         banks = cache.setdefault("banks", {})
     else:
         snapshots, banks = {}, {}
-    if any(cfg.track_paths for cfg in configs):
-        with recorder.span("analyze.kernel.paths"):
-            _run_walks(columns, configs, lanes, snapshots, profile_counts)
+    with recorder.span("analyze.kernel.paths"):
+        _run_walks(columns, configs, lanes, snapshots, profile_counts)
     _run_banks(columns, configs, lanes, banks, static_counts)
 
     results = []
@@ -1007,11 +991,9 @@ def analyze_columns_many(columns, configs, name="trace",
         m = _budget(columns, cfg)
         preds = []
         for spec in cfg.predictors:
-            pred = banks[_bank_key(cfg, spec, m)]
-            if cfg.track_paths:
-                paths, trees = snapshots[(_walk_key(cfg, spec), m)]
-                pred = replace(pred, paths=paths, trees=trees)
-            preds.append(pred)
+            paths, trees = snapshots[(_walk_key(cfg, spec), m)]
+            preds.append(replace(banks[_bank_key(cfg, spec, m)],
+                                 paths=paths, trees=trees))
         A = columns.src_start[m]
         count_analysis(recorder, cfg.predictors, preds, m, A)
         result = AnalysisResult(

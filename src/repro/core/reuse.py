@@ -25,6 +25,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
+#: Reuse-buffer entries per static instruction: the one size every
+#: analysis runs.
+REUSE_WAYS = 4
+
 
 @dataclass(slots=True)
 class ReuseStats:
@@ -52,7 +56,7 @@ class ReuseStats:
 class ReuseTracker:
     """A ``ways``-deep reuse buffer per static instruction."""
 
-    def __init__(self, ways: int = 4):
+    def __init__(self, ways: int = REUSE_WAYS):
         if ways < 1:
             raise ValueError("ways must be positive")
         self.ways = ways

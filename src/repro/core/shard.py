@@ -79,6 +79,7 @@ from repro.core.stats import AnalysisResult
 from repro.cpu.tracefile import decode_columns, read_trace_raw
 from repro.errors import ReproError
 from repro.obs import get_recorder
+from repro.predictors.gshare import GSHARE_BITS
 
 SEGIDX_VERSION = 1
 SEGIDX_MAGIC = b"RPRSIDX1"
@@ -130,9 +131,6 @@ class SegmentIndex:
         if kind != self.branch[0]:
             return (f"branch predictor {kind!r} != indexed "
                     f"{self.branch[0]!r}")
-        if kind == "gshare" and config.gshare_bits != self.branch[1]:
-            return (f"gshare_bits {config.gshare_bits} != indexed "
-                    f"{self.branch[1]}")
         return None
 
     # -- resume inputs -------------------------------------------------
@@ -145,7 +143,7 @@ class SegmentIndex:
                 dense[pc] += n
         return dense
 
-    def states_at(self, t: int, specs, br_kind, br_bits) -> dict:
+    def states_at(self, t: int, specs, br_kind) -> dict:
         """Folded predictor states at boundary ``t`` for ``specs``."""
         states = {
             "in": {spec: value_state_for(spec) for spec in specs},
@@ -195,8 +193,7 @@ def default_family(config=None) -> tuple[tuple, tuple]:
     from repro.core.analysis import AnalysisConfig
 
     config = config if config is not None else AnalysisConfig()
-    return (tuple(config.predictors),
-            (config.branch_predictor, config.gshare_bits))
+    return (tuple(config.predictors), (config.branch_predictor, GSHARE_BITS))
 
 
 def plan_bounds(m: int, segments: int) -> list[int]:
@@ -320,10 +317,9 @@ def compute_segment(cols, r0: int, states: dict, counts_start, config,
     ``x_patches`` list for arcs whose producer lives in an earlier
     segment (their X bit is unknowable locally).
     """
-    cfg = config
     m = cols.n_records
     A = cols.src_start[-1]
-    specs = cfg.predictors
+    specs = config.predictors
     nk = len(specs)
 
     # --- resumed predictor slices ------------------------------------
@@ -339,7 +335,7 @@ def compute_segment(cols, r0: int, states: dict, counts_start, config,
                         cols.ov_val, hits)
         out_hits.append(hits)
     br_hits = bytearray()
-    run_branch_slice(cfg.branch_predictor, cfg.gshare_bits, states["br"],
+    run_branch_slice(config.branch_predictor, GSHARE_BITS, states["br"],
                      cols.br_pc, cols.br_taken, br_hits)
     yb, out, union, inter = assemble_bits(cols, in_hits, out_hits,
                                           br_hits, m, A)
@@ -367,15 +363,13 @@ def compute_segment(cols, r0: int, states: dict, counts_start, config,
     )
     banks = []
     for k, comp in enumerate(composites(cols, out, union, inter, m, nk)):
-        bank = {
-            "tallies": bank_tallies(comp, cfg, cols.op_index, cols.pc),
+        banks.append({
+            "tallies": bank_tallies(comp, cols.op_index, cols.pc),
             "ybk": ((y_v >> k) & ones_a).to_bytes(A, "little"),
             "xbk": bytearray(
                 ((x_v >> k) & ones_a).to_bytes(A, "little")),
-        }
-        if cfg.track_paths:
-            bank["codes"] = comp.translate(_NODE_T)
-        banks.append(bank)
+            "codes": comp.translate(_NODE_T),
+        })
 
     return {
         "r0": r0,
@@ -403,7 +397,6 @@ class SegmentMerge:
 
     def __init__(self, config, name, n_static, ops,
                  profile_counts=None, static_counts=None):
-        self.cfg = config
         self.name = name
         self.n_static = n_static
         self.ops = ops
@@ -422,9 +415,8 @@ class SegmentMerge:
                 "tallies": {},
                 "y_parts": [],
                 "x_parts": [],
-                "walk": (ResumableWalk(spec in config.trees_for,
-                                       config.gen_cap)
-                         if config.track_paths else None),
+                "walk": ResumableWalk(spec in config.trees_for,
+                                      config.gen_cap),
             }
             for spec in self.specs
         ]
@@ -452,11 +444,10 @@ class SegmentMerge:
             merge_tallies(acc["tallies"], bank["tallies"])
             acc["y_parts"].append(bank["ybk"])
             acc["x_parts"].append(bytes(bank["xbk"]))
-            if acc["walk"] is not None:
-                with get_recorder().span("analyze.kernel.paths"):
-                    acc["walk"].feed(
-                        m, payload["starts"], bank["ybk"], bank["xbk"],
-                        payload["prods"], payload["gcol"], bank["codes"])
+            with get_recorder().span("analyze.kernel.paths"):
+                acc["walk"].feed(
+                    m, payload["starts"], bank["ybk"], bank["xbk"],
+                    payload["prods"], payload["gcol"], bank["codes"])
         self.m += m
         self.A += payload["A"]
         self.segments += 1
@@ -466,7 +457,6 @@ class SegmentMerge:
         self.group_parts.append(payload["group_key"])
 
     def finalize(self) -> AnalysisResult:
-        cfg = self.cfg
         n_static = self.n_static
         m, A = self.m, self.A
         if self.static_counts is None:
@@ -485,15 +475,14 @@ class SegmentMerge:
             static_counts=list(final_counts),
         )
         preds = [
-            bank_result(spec, acc["tallies"], cfg, self.ops, n_static)
+            bank_result(spec, acc["tallies"], self.ops, n_static)
             for spec, acc in zip(self.specs, self.banks)
         ]
 
         recorder = get_recorder()
-        if cfg.track_paths:
-            with recorder.span("analyze.kernel.paths"):
-                for pred, acc in zip(preds, self.banks):
-                    pred.paths, pred.trees = acc["walk"].finalize()
+        with recorder.span("analyze.kernel.paths"):
+            for pred, acc in zip(preds, self.banks):
+                pred.paths, pred.trees = acc["walk"].finalize()
         # Arc fold over the whole trace at once (ArcStats cells are
         # purely additive), through the serial engine's helpers.
         with recorder.span("analyze.kernel.arcs"):
@@ -526,8 +515,7 @@ def _segment_task(body, header, index, seg, config, profile_counts):
     r0, r1, arc0, t0 = seg
     cols = decode_columns(body, header, r0, r1, arc0)
     states = index.states_at(t0, config.predictors,
-                             config.branch_predictor,
-                             config.gshare_bits)
+                             config.branch_predictor)
     counts_start = index.counts_at(t0)
     return compute_segment(cols, r0, states, counts_start, config,
                            profile_counts)

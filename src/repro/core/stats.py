@@ -211,7 +211,11 @@ class BranchStats:
 
 @dataclass(slots=True)
 class PredictorResult:
-    """All per-predictor results for one workload run."""
+    """All per-predictor results for one workload run.
+
+    A finished analysis sets every field; ``trees`` stays None for a
+    bank outside ``AnalysisConfig.trees_for``.
+    """
 
     kind: str
     nodes: NodeStats = field(default_factory=NodeStats)
@@ -228,12 +232,11 @@ class PredictorResult:
     node_ops: Counter | None = None
 
     def ops_for_class(self, kind: InKind, out_predicted: bool) -> Counter:
-        """Opcode counts of one node class (empty when not tracked)."""
+        """Opcode counts of one node class."""
         out: Counter = Counter()
-        if self.node_ops is not None:
-            for (node_kind, predicted, op), count in self.node_ops.items():
-                if node_kind == kind and predicted == out_predicted:
-                    out[op] += count
+        for (node_kind, predicted, op), count in self.node_ops.items():
+            if node_kind == kind and predicted == out_predicted:
+                out[op] += count
         return out
 
 

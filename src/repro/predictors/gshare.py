@@ -8,13 +8,17 @@ an overall accuracy of 93% on its SPEC95 integer traces.
 
 from __future__ import annotations
 
+#: Index bits of the paper's 64K-entry table: the one size every
+#: analysis runs.
+GSHARE_BITS = 16
+
 
 class GsharePredictor:
     """Global-history XOR-indexed pattern history table."""
 
     kind = "gshare"
 
-    def __init__(self, index_bits: int = 16):
+    def __init__(self, index_bits: int = GSHARE_BITS):
         self.index_bits = index_bits
         self._mask = (1 << index_bits) - 1
         self._counters = bytearray([1]) * (1 << index_bits)

@@ -13,6 +13,8 @@ selected via ``AnalysisConfig(branch_predictor="local")``.
 
 from __future__ import annotations
 
+from repro.predictors.gshare import GSHARE_BITS, GsharePredictor
+
 
 class LocalBranchPredictor:
     """Per-branch history, shared 2-bit-counter pattern table."""
@@ -51,10 +53,8 @@ class LocalBranchPredictor:
         return self._counters[index] >= 2
 
 
-def make_branch_predictor(kind: str, index_bits: int = 16):
+def make_branch_predictor(kind: str, index_bits: int = GSHARE_BITS):
     """Factory for branch predictors: ``"gshare"`` or ``"local"``."""
-    from repro.predictors.gshare import GsharePredictor
-
     if kind == "gshare":
         return GsharePredictor(index_bits)
     if kind == "local":

@@ -111,6 +111,14 @@ class TestRemovedPaths:
         with pytest.raises(TypeError):
             api.configure(**{kwarg: 2})
 
+    @pytest.mark.parametrize("field", [
+        "track_paths", "track_sequences", "track_branches", "track_unpred",
+        "track_critical", "track_ops", "gshare_bits", "reuse_ways",
+    ])
+    def test_analysis_config_has_one_shape(self, field):
+        with pytest.raises(TypeError, match=field):
+            api.AnalysisConfig(**{field: 1})
+
     @pytest.mark.parametrize("argv", [
         ["run", "--engine", "reference"],
         ["report", "--engine", "columnar"],

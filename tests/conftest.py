@@ -11,6 +11,7 @@ from repro.core.kernel import TraceColumns
 from repro.core.shard import (
     _segment_task,
     build_index,
+    default_family,
     plan_bounds,
     prepare_file_segments,
 )
@@ -87,8 +88,7 @@ def analyze_segmented(records, n_static: int, config, directory,
     __, columns = read_trace_columns(path)
     if bounds is None:
         bounds = plan_bounds(columns.n_records, segments)
-    index = build_index(columns, bounds, config.predictors,
-                        (config.branch_predictor, config.gshare_bits))
+    index = build_index(columns, bounds, *default_family(config))
     task_args, merge = prepare_file_segments(
         path, config, index, segments, name=name,
         profile_counts=profile_counts)

@@ -154,17 +154,6 @@ class TestConfig:
         result = analyze_machine(machine, "trunc", config)
         assert result.nodes == 20
 
-    def test_disable_optional_trackers(self):
-        config = AnalysisConfig(
-            track_paths=False, track_sequences=False, track_branches=False
-        )
-        machine = Machine(assemble(LOOP_ASM))
-        result = analyze_machine(machine, "bare", config)
-        pred = result.predictors["context"]
-        assert pred.paths is None
-        assert pred.sequences is None
-        assert pred.branches is None
-
     def test_profile_counts_accepted(self):
         profiler = Machine(assemble(LOOP_ASM), tracing=False)
         profiler.run()

@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from repro.asm import assemble
 from repro.core import (
     AnalysisConfig,
     analyze_many,
@@ -35,6 +36,7 @@ from repro.core.kernel.engine import (
     _assemble,
 )
 from repro.core.paths import PathTracker
+from repro.cpu import Machine
 from repro.gen import generated_workload
 from repro.obs import Recorder, recording
 from repro.workloads import SUITE, get_workload
@@ -44,16 +46,16 @@ from tests.conftest import analyze_segmented
 BUDGET = 4_000
 
 #: Config variants covering every kernel code path: default bank,
-#: parameterized specs, hybrid + branch-predictor variants, tracking
-#: toggles, tree tracking per bank, tiny budgets, the most banks a
-#: config may hold, and instruction-reuse tracking.
+#: parameterized specs, hybrid + branch-predictor variants, tree
+#: tracking per bank, tiny budgets, the most banks a config may hold,
+#: and instruction-reuse tracking.
 VARIANTS = {
     "default": AnalysisConfig(max_instructions=BUDGET),
     "hybrid": AnalysisConfig(
         predictors=("hybrid", "last"), max_instructions=BUDGET
     ),
     "local-branch": AnalysisConfig(
-        branch_predictor="local", gshare_bits=10, max_instructions=BUDGET
+        branch_predictor="local", max_instructions=BUDGET
     ),
     "params": AnalysisConfig(
         predictors=("last(bits=8,hysteresis=0)", "context(l1=8,l2=10,order=2)",
@@ -63,10 +65,6 @@ VARIANTS = {
     "trees-all": AnalysisConfig(
         trees_for=("last", "stride", "context"), gen_cap=4,
         max_instructions=BUDGET,
-    ),
-    "tracking-off": AnalysisConfig(
-        track_sequences=False, track_branches=False, track_unpred=False,
-        track_paths=False, max_instructions=BUDGET,
     ),
     "tiny": AnalysisConfig(max_instructions=7),
     "eight-banks": AnalysisConfig(
@@ -78,7 +76,7 @@ VARIANTS = {
     ),
     "reuse": AnalysisConfig(
         predictors=("stride", "last", "context"), track_reuse=True,
-        reuse_ways=2, max_instructions=BUDGET,
+        max_instructions=BUDGET,
     ),
 }
 
@@ -153,6 +151,35 @@ def test_generated_grid_identical(gen_name, tmp_path):
                           tmp_path, name=gen_name)
 
 
+#: No suite workload reaches the kernel's ``_NO_OUTPUT`` node code at
+#: the parity budget; here every ``nop`` and ``j`` and the final
+#: ``syscall`` classify as "no output" (101 nodes per bank).
+NO_OUTPUT_ASM = """
+        .text
+__start:
+        li   $t0, 50
+loop:   nop
+        addi $t0, $t0, -1
+        j    next
+next:   bne  $t0, $zero, loop
+        li   $v0, 10
+        syscall
+"""
+
+
+def test_no_output_nodes_identical(tmp_path):
+    machine = Machine(assemble(NO_OUTPUT_ASM))
+    records = list(machine.trace())
+    n_static = len(machine.program.instructions)
+    config = AnalysisConfig()
+    # Byte-identity alone passes if every engine reads 0.
+    reference = _reference(records, n_static, config, name="no-output")
+    assert all(pred.nodes.no_output > 0
+               for pred in reference.predictors.values())
+    _assert_engines_agree(records, n_static, config, tmp_path,
+                          name="no-output")
+
+
 def test_profiled_counts_identical(tmp_path):
     records, n_static = _trace_of("go")
     counts = [0] * 4096
@@ -169,7 +196,7 @@ def test_analyze_many_identical(tmp_path):
     mixed = [
         AnalysisConfig(max_instructions=BUDGET),
         AnalysisConfig(predictors=("hybrid",), max_instructions=2_000),
-        AnalysisConfig(gshare_bits=8, max_instructions=BUDGET),
+        AnalysisConfig(branch_predictor="local", max_instructions=BUDGET),
     ]
     # Shaped like a design-space sweep over one stored trace: the same
     # banks at a quarter, a half, then the full budget (smallest first,
@@ -188,9 +215,9 @@ def test_analyze_many_identical(tmp_path):
     ]
     # Shaped like perfbench's replay sweep, to pin the per-call
     # sharing: context walked tracked at two caps and untracked, from
-    # different bank tuples; budgets out of order; a second gshare
-    # size; and ten distinct specs under the default branch predictor,
-    # so its lanes split into two assembly groups.
+    # different bank tuples; budgets out of order; a second branch
+    # predictor; and ten distinct specs under the default one, so its
+    # lanes split into two assembly groups.
     lasts = tuple(f"last(bits={bits})" for bits in range(6, 13))
     shared = [
         AnalysisConfig(predictors=("stride", "context"), gen_cap=4,
@@ -206,9 +233,10 @@ def test_analyze_many_identical(tmp_path):
         AnalysisConfig(predictors=lasts[4:], trees_for=(),
                        max_instructions=BUDGET // 4),
         AnalysisConfig(predictors=("context", "last"), trees_for=(),
-                       gshare_bits=10, max_instructions=BUDGET // 2),
+                       branch_predictor="local",
+                       max_instructions=BUDGET // 2),
         AnalysisConfig(predictors=("context",), gen_cap=16,
-                       gshare_bits=10, max_instructions=BUDGET),
+                       branch_predictor="local", max_instructions=BUDGET),
     ]
     assert len(records) >= BUDGET
     for configs in (mixed, sweep, shared):
@@ -229,19 +257,19 @@ def test_analyze_many_identical(tmp_path):
                 == [_dump(r) for r in reference])
     # The shared sweep's walks: context/4 to the full budget (its half
     # budget and the untracked full one ride on it), context/16 to a
-    # quarter, last(bits=6)/64 to a half, and under gshare_bits=10
-    # context/16 to the full budget (serving untracked context at a
-    # half).  Untracked: stride to the full budget, last to a quarter,
-    # three last(bits=..) to a half, three to a quarter, and last to a
-    # half under gshare_bits=10.
+    # quarter, last(bits=6)/64 to a half, and under the local branch
+    # predictor context/16 to the full budget (serving untracked
+    # context at a half).  Untracked: stride to the full budget, last
+    # to a quarter, three last(bits=..) to a half, three to a quarter,
+    # and last to a half under the local predictor.
     counters = recorder.snapshot()["counters"]
     assert counters["analyze.walk.records.tracked"] == (
         BUDGET + BUDGET // 4 + BUDGET // 2 + BUDGET)
     assert counters["analyze.walk.records.untracked"] == (
         BUDGET + BUDGET // 4 + 3 * (BUDGET // 2) + 3 * (BUDGET // 4)
         + BUDGET // 2)
-    # Ten specs under gshare/16 fill two groups of at most 8 lanes;
-    # gshare/10 holds two.
+    # Ten specs under gshare fill two groups of at most 8 lanes; local
+    # holds two.
     assert counters["analyze.assemble.calls"] == 3
     # The tracked walks intern at most one set per record and at least
     # one per generate node, and their snapshots expand fewer gids
@@ -264,7 +292,7 @@ def test_walk_snapshot_is_detached():
     a fresh walk cut at the same record."""
     records, n_static = _trace_of("com")
     columns = TraceColumns.from_records(records, n_static)
-    lane = _assemble(columns, ("context",), "gshare", 16, BUDGET)["context"]
+    lane = _assemble(columns, ("context",), "gshare", BUDGET)["context"]
     codes = lane["comp"].translate(_NODE_T)
     gcol = columns.genclass_so_far()
 
@@ -337,7 +365,7 @@ def test_walk_cut_anywhere_matches_tracker(spec, gen_cap):
     last; a second snapshot at the same cut changes nothing."""
     records, n_static = _trace_of("com")
     columns = TraceColumns.from_records(records, n_static)
-    lane = _assemble(columns, (spec,), "gshare", 16, BUDGET)[spec]
+    lane = _assemble(columns, (spec,), "gshare", BUDGET)[spec]
     args = (columns.src_start, lane["y"], lane["x"], columns.src_prod,
             columns.genclass_so_far(), lane["comp"].translate(_NODE_T))
     rng = random.Random(gen_cap)

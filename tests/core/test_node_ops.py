@@ -117,12 +117,3 @@ class TestMechanics:
                     assert sum(ops.values()) == pred.nodes.count(
                         kind, out_p
                     )
-
-    def test_tracking_can_be_disabled(self):
-        config = AnalysisConfig(track_ops=False, max_instructions=2_000)
-        result = analyze_machine(
-            get_workload("com").machine(), "x", config
-        )
-        pred = result.predictors["stride"]
-        assert pred.node_ops is None
-        assert pred.ops_for_class(InKind.PP, True) == {}

@@ -24,6 +24,7 @@ from repro.core.kernel import TraceColumns
 from repro.core.shard import (
     ShardError,
     build_index,
+    default_family,
     plan_bounds,
     prepare_file_segments,
     select_segments,
@@ -42,11 +43,6 @@ def _trace_of(name: str):
 
 def _dump(result) -> str:
     return json.dumps(result_to_dict(result), sort_keys=False)
-
-
-def _family_of(config):
-    return (config.predictors,
-            (config.branch_predictor, config.gshare_bits))
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +105,7 @@ class TestAdversarialBoundaries:
         for config in (
             AnalysisConfig(predictors=("hybrid", "last"),
                            max_instructions=BUDGET),
-            AnalysisConfig(branch_predictor="local", gshare_bits=10,
+            AnalysisConfig(branch_predictor="local",
                            max_instructions=BUDGET),
             AnalysisConfig(trees_for=("last",), gen_cap=4,
                            max_instructions=BUDGET),
@@ -140,7 +136,7 @@ class TestPlanning:
     def test_select_degrades_to_serial_without_usable_cuts(self, com):
         __, __, columns = com
         config = AnalysisConfig()
-        specs, branch = _family_of(config)
+        specs, branch = default_family(config)
         m = columns.n_records
         index = build_index(columns, [0, m], specs=specs, branch=branch)
         # No interior boundary: one segment = run serial.

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.asm import assemble
-from repro.core import AnalysisConfig, analyze_machine
+from repro.core import analyze_machine
 from repro.core.unpred import CriticalPoints, UnpredTracker
 from repro.cpu import Machine
 
@@ -112,10 +112,3 @@ loop:   andi $t0, $s0, 15
         )
         for site in sites:
             assert 0 <= site.pc < result.static_instructions
-
-    def test_trackers_can_be_disabled(self):
-        config = AnalysisConfig(track_unpred=False, track_critical=False)
-        machine = Machine(assemble(self.SOURCE))
-        result = analyze_machine(machine, "off", config)
-        pred = result.predictors["stride"]
-        assert pred.unpred is None and pred.critical is None

@@ -17,7 +17,8 @@ EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
 ALL_EXAMPLES = sorted(p.name for p in EXAMPLES_DIR.glob("*.py"))
 
 #: Fast enough to execute in the unit-test suite.
-FAST_EXAMPLES = ["predictor_comparison.py", "gcc_loop.py"]
+FAST_EXAMPLES = ["predictor_comparison.py", "gcc_loop.py",
+                 "reuse_vs_prediction.py"]
 
 
 def test_example_inventory():

@@ -63,13 +63,7 @@ def _variant_for(seed: int) -> AnalysisConfig:
         trees_for=trees_for,
         gen_cap=rng.choice((2, 8, 64)),
         branch_predictor=rng.choice(("gshare", "local")),
-        gshare_bits=rng.choice((8, 12, 16)),
-        track_sequences=rng.random() < 0.9,
-        track_branches=rng.random() < 0.9,
-        track_unpred=rng.random() < 0.9,
-        track_paths=rng.random() < 0.9,
         track_reuse=rng.random() < 0.2,
-        reuse_ways=rng.choice((1, 4)),
         max_instructions=rng.choice((200, BUDGET)),
     )
 
@@ -92,7 +86,6 @@ def _sibling_for(seed: int, config: AnalysisConfig) -> AnalysisConfig:
         trees_for=() if shared in config.trees_for else (shared,),
         gen_cap=rng.choice([cap for cap in (2, 8, 64)
                             if cap != config.gen_cap]),
-        track_paths=True,
         max_instructions=rng.choice((200, BUDGET)),
     )
 

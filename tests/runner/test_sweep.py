@@ -66,7 +66,7 @@ class TestAnalyzeMany:
         configs = [
             AnalysisConfig(max_instructions=4_000),
             AnalysisConfig(predictors=("last",), max_instructions=4_000),
-            AnalysisConfig(predictors=("stride",), gshare_bits=6,
+            AnalysisConfig(predictors=("stride",), branch_predictor="local",
                            max_instructions=4_000),
         ]
         fanned = analyze_many(iter(records), n_static, configs, name="com")
