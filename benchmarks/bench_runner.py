@@ -44,17 +44,18 @@ SWEEP_CONFIGS = (
 )
 
 #: Alternating cold / trace-warm sweep pairs the smoke samples, each
-#: into fresh stores; the warm <= cold ``analyze`` gate compares their
-#: medians, since one pair of timings swings with host noise.
+#: into fresh stores; the warm <= cold ``analyze`` gate reads the
+#: median of the per-pair warm/cold ratios, since one pair of timings
+#: swings with host noise and the two sides of a pair share its drift.
 ANALYZE_PAIRS = 5
 
-#: How far the warm ``analyze`` median may exceed the cold one, as a
-#: fraction of the cold median.  Both sides run equal kernel work, so
-#: a zero tolerance fails correct trees on host noise; this is the
-#: spread (interquartile range) of the per-pair warm/cold ratio over 35
-#: pairs in 7 smokes of the tree before column-block trace files, on a
-#: 2-vCPU shared host (quartiles 0.863 and 1.058).  A second layout of
-#: the decoded trace inside the warm ``analyze`` span costs about +48%.
+#: How far the median per-pair warm/cold ``analyze`` ratio may exceed
+#: 1.  Both sides run equal kernel work, so a zero tolerance fails
+#: correct trees on host noise; this is the spread (interquartile
+#: range) of the per-pair ratio over 35 pairs in 7 smokes of the tree
+#: before column-block trace files, on a 2-vCPU shared host (quartiles
+#: 0.863 and 1.058).  A second layout of the decoded trace inside the
+#: warm ``analyze`` span costs about +48%.
 ANALYZE_TOLERANCE = 0.19
 
 #: The counters naming the analysis kernel's work in a sweep (see
@@ -185,14 +186,15 @@ def smoke(output_path=None) -> dict:
     (:mod:`repro.obs`); their ``seconds`` are the medians and
     ``samples`` counts every timing's samples.  Each pair's
     ``analyze`` span walls land in ``analyze_samples`` (median,
-    quartiles, samples, and how many pairs the warm sweep won); the
+    quartiles and samples per side, the same for the per-pair
+    warm/cold ratio, and how many pairs the warm sweep won); the
     first pair's per-layer breakdown in ``phases.columnar`` and
     kernel-work counters in ``kernel_work``.  ``reference_analyze`` times
     the reference oracle (:func:`repro.core.analyze_reference`) over
     the cold sweep's stored traces, and
-    ``speedup.analyze_columnar_vs_reference`` compares it with the
-    cold sweep's ``analyze`` wall — the columnar kernel's headline
-    number (see docs/kernel.md).
+    ``speedup.analyze_columnar_vs_reference`` divides it by the median
+    cold ``analyze`` wall — the columnar kernel's headline number (see
+    docs/kernel.md).
     """
     import json
     import platform
@@ -298,11 +300,13 @@ def smoke(output_path=None) -> dict:
                 if pair == 0:
                     phases.setdefault("columnar", {})[label] = breakdown
                     work[label] = kernel_work(runs)
-        wins = sum(warm <= cold for cold, warm
-                   in zip(analyze["cold"], analyze["trace_warm"]))
-        return {"pairs": ANALYZE_PAIRS, "warm_wins": wins,
+        ratios = [warm / max(cold, 1e-9) for cold, warm
+                  in zip(analyze["cold"], analyze["trace_warm"])]
+        return {"pairs": ANALYZE_PAIRS,
+                "warm_wins": sum(ratio <= 1 for ratio in ratios),
                 "cold": spread(analyze["cold"]),
-                "trace_warm": spread(analyze["trace_warm"])}
+                "trace_warm": spread(analyze["trace_warm"]),
+                "ratio": spread(ratios)}
 
     def reference_analyze(scratch: Path) -> float:
         """The oracle's analyze wall over the cold sweep's traces.
@@ -351,7 +355,7 @@ def smoke(output_path=None) -> dict:
 
     analyze_speedup = round(
         timings["reference_analyze"]
-        / max(phases["columnar"]["cold"]["kernel.analyze"], 1e-9), 2
+        / max(analyze_samples["cold"]["median"], 1e-9), 2
     )
 
     workloads = len(full_warm[0].results)
@@ -402,7 +406,8 @@ def smoke(output_path=None) -> dict:
         print(f"  {label} phases: {parts}")
     print(f"  analyze over {analyze_samples['pairs']} pairs: cold median "
           f"{analyze_samples['cold']['median']}s, trace-warm median "
-          f"{analyze_samples['trace_warm']['median']}s "
+          f"{analyze_samples['trace_warm']['median']}s, median "
+          f"warm/cold ratio {analyze_samples['ratio']['median']} "
           f"(warm won {analyze_samples['warm_wins']})")
     print(f"  segment-parallel replay of {parallel['records']:,} "
           f"records ({parallel['jobs']} worker(s), "
@@ -418,9 +423,9 @@ def smoke(output_path=None) -> dict:
 def check(report) -> list[str]:
     """The smoke's acceptance gates; returns failed-gate descriptions.
 
-    The warm <= cold ``analyze`` gate compares the medians of
-    ``ANALYZE_PAIRS`` alternating samples (``analyze_samples``), within
-    ``ANALYZE_TOLERANCE`` of the cold median: the cold sweep analyses
+    The warm <= cold ``analyze`` gate reads the median of the
+    ``ANALYZE_PAIRS`` per-pair warm/cold ratios (``analyze_samples``),
+    which may exceed 1 by ``ANALYZE_TOLERANCE``: the cold sweep analyses
     the columns it built while simulating, the trace-warm sweep the
     columns it decodes from the stored traces, and both run the same
     passes, assemblies and walk records.  The deterministic gate beside
@@ -447,13 +452,11 @@ def check(report) -> list[str]:
             f"cold {work['cold']}"
         )
     analyze = report["analyze_samples"]
-    bound = analyze["cold"]["median"] * (1 + ANALYZE_TOLERANCE)
-    if analyze["trace_warm"]["median"] > bound:
+    if analyze["ratio"]["median"] > 1 + ANALYZE_TOLERANCE:
         failures.append(
-            "warm replay analyze median "
-            f"({analyze['trace_warm']['median']}s) exceeds cold "
-            f"analyze median ({analyze['cold']['median']}s) by more "
-            f"than {ANALYZE_TOLERANCE:.0%} over {analyze['pairs']} pairs"
+            "median warm/cold analyze ratio "
+            f"({analyze['ratio']['median']}) exceeds "
+            f"{1 + ANALYZE_TOLERANCE:.2f} over {analyze['pairs']} pairs"
         )
     # The segment-parallel gate needs real cores to mean anything:
     # on a 1-2 core host the number is recorded but not enforced.

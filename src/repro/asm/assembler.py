@@ -367,6 +367,10 @@ class _Assembler:
 
 def _strip_comment(line: str) -> str:
     """Remove ``#`` comments, respecting quoted strings."""
+    if "#" not in line:
+        return line
+    if '"' not in line:
+        return line[:line.index("#")]
     in_string = False
     escaped = False
     for index, char in enumerate(line):

@@ -269,12 +269,16 @@ class TraceColumns:
         d_ids = []
         d_prefix = [0]
         d_count = 0  # appended as is: runs of one count share an int
+        # One int object per (pc, slot) input key, shared by every arc
+        # that carries it.
+        slot_keys = [(key, key | 1, key | 2, key | 3)
+                     for key in range(0, n << 2, 4)]
         arcs = zip(self.src_prod, self.src_ppc, self.src_mem, self.src_loc)
         for pc, k in zip(pcs, nsrcs):
-            key_base = pc << 2
+            keys = slot_keys[pc]
             for slot, (producer, producer_pc, is_mem, loc) in zip(range(k),
                                                                   arcs):
-                in_keys.append(key_base | slot)
+                in_keys.append(keys[slot])
                 if producer < 0:
                     # The D node's identity, as Source.d_key computes it.
                     d_id = loc if is_mem else _REG_D + loc

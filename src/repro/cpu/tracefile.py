@@ -261,6 +261,17 @@ def _values(bits: array, floats: bytes, nones: bytes = b"") -> list:
     return values
 
 
+def _static(static_pcs: list, block: array, path) -> list:
+    """``block``'s PCs as the shared ints of ``static_pcs``, so each
+    distinct PC is one object however often it recurs; a PC past the
+    header's ``n_static`` raises :class:`ReproError`."""
+    try:
+        return list(map(static_pcs.__getitem__, block))
+    except IndexError:
+        raise ReproError(
+            f"corrupt trace body: pc beyond n_static: {path}") from None
+
+
 def decode_columns(body, header: dict, r0: int = 0, r1: int | None = None,
                    arc0: int = 0, path="<trace>") -> TraceColumns:
     """Build columns for records ``[r0, r1)`` of a v3 trace body.
@@ -270,8 +281,9 @@ def decode_columns(body, header: dict, r0: int = 0, r1: int | None = None,
     trace.  The columns are *local* — record and arc indices start at
     zero — but producer uids and ``group_key`` stay global, because the
     format stores producers as absolute uids.  A body whose length
-    disagrees with the header's ``n_records``/``n_arcs`` raises
-    :class:`ReproError`.
+    disagrees with the header's ``n_records``/``n_arcs``, or with a pc
+    or producer pc outside ``range(n_static)``, raises
+    :class:`ReproError`.  Equal PCs decode to one shared int object.
     """
     n_records = header["n_records"]
     n_arcs = header["n_arcs"]
@@ -282,8 +294,9 @@ def decode_columns(body, header: dict, r0: int = 0, r1: int | None = None,
             f"{expected}: {path}")
     if r1 is None:
         r1 = n_records
+    static_pcs = list(range(max(header["n_static"], 1)))
     records = _slices(body, _RECORD_CODES, n_records, r0, r1, 0)
-    pc = next(records).tolist()
+    pc = _static(static_pcs, next(records), path)
     op_index = bytearray(next(records))
     passthrough = next(records).tolist()
     taken = bytearray(next(records))
@@ -301,7 +314,7 @@ def decode_columns(body, header: dict, r0: int = 0, r1: int | None = None,
     src_prod = next(arcs).tolist()
     for a in compress(range(len(src_prod)), flags.translate(_FLAG_D)):
         src_prod[a] = -1
-    src_ppc = next(arcs).tolist()
+    src_ppc = _static(static_pcs, next(arcs), path)
     src_loc = next(arcs).tolist()
     ops = [(entry[0], Category(entry[1]), bool(entry[2]))
            for entry in header["ops"]]

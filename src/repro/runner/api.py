@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import logging
 import os
+import resource
 import tempfile
 import threading
 import time
@@ -220,6 +221,18 @@ def _maybe_write_segindex(trace_store: TraceStore, key: str, columns,
                      "serial", error)
 
 
+def _gauge_peak_rss(recorder) -> None:
+    """Gauge ``process.peak_rss_mb`` from ``getrusage``: this process's
+    peak (``scope="self"``) and its largest reaped child's
+    (``scope="children"``, 0 before any child exits).  Linux reports
+    ``ru_maxrss`` in KiB."""
+    for scope, who in (("self", resource.RUSAGE_SELF),
+                       ("children", resource.RUSAGE_CHILDREN)):
+        recorder.gauge("process.peak_rss_mb",
+                       resource.getrusage(who).ru_maxrss / 1024.0,
+                       labels={"scope": scope})
+
+
 def _resolve_trace(name: str, config: ExperimentConfig,
                    trace_store: TraceStore | None, budget: int | None,
                    policy: ExecutionPolicy | None):
@@ -229,7 +242,7 @@ def _resolve_trace(name: str, config: ExperimentConfig,
     (:data:`STATUS_REPLAYED`) as :class:`~repro.core.kernel.TraceColumns`;
     otherwise the workload is simulated straight into columns
     (:func:`_capture`), which are written through the store for the
-    next config (the store memoizes them) and reported
+    next config (the store keeps them in its one slot) and reported
     :data:`STATUS_COMPUTED`.  Either way a sharding ``policy`` gets the
     trace its segment-index sidecar.
     """
@@ -515,6 +528,8 @@ class ExperimentRunner:
                 set_fault_plan(plan)
             if owned is not None:
                 set_recorder(previous)
+        if rec is not None:
+            _gauge_peak_rss(rec)
         profile = rec.snapshot() if rec is not None else None
         if profile is not None and self.obs.events_path:
             try:

@@ -58,21 +58,27 @@ SEGIDX_SUFFIX = ".segidx"
 
 
 class TraceStore(LRUFileStore):
-    """Disk-backed, content-addressed store of captured traces."""
+    """Disk-backed, content-addressed store of captured traces.
+
+    The store keeps one decoded trace in memory: the ``(key, header,
+    columns)`` of the last key it read or wrote.  A later call for
+    that key gets the very object back, its derived columns and
+    per-bank caches already built; a ``get`` or ``put`` of any other
+    key empties the slot before it decodes or writes, so a process
+    never holds two analysed traces on the store's account.  The
+    runner reads each trace once per sweep (its jobs are grouped by
+    execution identity), so one slot loses nothing within a sweep.
+    """
 
     metric = "trace"
-
-    #: In-memory columns memo bound (entry count, LRU).  Decoded
-    #: :class:`TraceColumns` are prefix-closed and carry per-bank hit
-    #: and result caches, so handing every sweep config the *same*
-    #: object lets those caches compound across configs and budgets.
-    columns_memo_entries = 16
 
     def __init__(self, root: str | Path,
                  max_bytes: int = DEFAULT_TRACE_MAX_BYTES):
         self.root = Path(root)
         self.traces_dir = self.root / "traces"
-        self._columns_memo: dict = {}
+        # One tuple, replaced whole: the service's batch threads share
+        # a store, and a lost race only costs a decode.
+        self._slot: tuple | None = None
         super().__init__(self.traces_dir, TRACE_SUFFIX, max_bytes)
 
     # ------------------------------------------------------------------
@@ -228,15 +234,18 @@ class TraceStore(LRUFileStore):
         budget, an incomplete one only budgets within its length.
         Corruption of any kind removes the file and reads as a miss.
 
-        The trace comes back as :class:`~repro.core.kernel.TraceColumns`,
-        from the in-memory memo when this store wrote or read it last.
+        The trace comes back as :class:`~repro.core.kernel.TraceColumns`:
+        the slot's object when this store read or wrote ``key`` last,
+        else a new decode, which takes the slot.  The previous trace
+        leaves the slot before the decode starts.
         """
         with get_recorder().span("store.trace.get"):
             path = self.path_for(key)
-            memo = self._columns_memo.get(key)
-            if memo is not None and self._serves(memo[0], need):
+            slot = self._slot
+            if (slot is not None and slot[0] == key
+                    and self._serves(slot[1], need)):
                 try:
-                    # The memo is content-addressed so the copy is
+                    # The slot is content-addressed so the copy is
                     # always valid, but a read still goes through
                     # fault injection: a store whose disk reads are
                     # failing should degrade, not hide behind RAM.
@@ -245,12 +254,11 @@ class TraceStore(LRUFileStore):
                     self._read_error(error)
                     self._miss()
                     return None
-                self._columns_memo.pop(key)
-                self._memoize(key, memo)
                 self._hit()
                 get_recorder().count("store.trace.columns_memo", 1)
                 self._touch(path)
-                return memo
+                return slot[1], slot[2]
+            self._slot = None
             try:
                 fault_io("trace.read")
                 header, columns = read_trace_columns(path)
@@ -272,16 +280,11 @@ class TraceStore(LRUFileStore):
                 return None
             self._hit()
             self._touch(path)
-            self._memoize(key, (header, columns))
+            self._slot = (key, header, columns)
             return header, columns
 
-    def _memoize(self, key: str, entry) -> None:
-        self._columns_memo[key] = entry
-        while len(self._columns_memo) > self.columns_memo_entries:
-            self._columns_memo.pop(next(iter(self._columns_memo)))
-
     def clear(self) -> int:
-        self._columns_memo.clear()
+        self._slot = None
         return super().clear()
 
     @staticmethod
@@ -299,8 +302,9 @@ class TraceStore(LRUFileStore):
 
         ``trace`` is a :class:`~repro.core.kernel.TraceColumns` or an
         iterable of :class:`~repro.cpu.trace.DynInst`, columnized once.
-        The columns written are memoized, so the next :meth:`get`
-        hands back this very object.  Overwrites an existing trace —
+        The columns written take the store's one slot (emptied before
+        the write), so the next :meth:`get` of ``key`` hands back this
+        very object.  Overwrites an existing trace —
         the caller only re-captures when the stored one could not
         serve, so the replacement is strictly longer.  ``workload``
         annotates the header for ``cache info``'s fixed-vs-generated
@@ -308,7 +312,7 @@ class TraceStore(LRUFileStore):
         """
         with get_recorder().span("store.trace.put"):
             fault_io("trace.write")
-            self._columns_memo.pop(key, None)
+            self._slot = None
             # New content invalidates any segment index built over the
             # old bytes (get_segindex would also catch the n_records
             # mismatch, but only when lengths differ).
@@ -332,12 +336,12 @@ class TraceStore(LRUFileStore):
                 self._publish(path, key, columns, complete, workload)
             if maybe_fault("trace.corrupt"):
                 # Injected bit rot: truncate the published file, and
-                # keep its columns out of the memo, so the next read
+                # keep its columns out of the slot, so the next read
                 # must take the corruption-recovery path.
                 self._rot(path)
             else:
-                self._memoize(key, (header_for(columns, complete,
-                                               workload), columns))
+                self._slot = (key, header_for(columns, complete, workload),
+                              columns)
             get_recorder().count("store.trace.puts", 1)
             self.evict()
             return path

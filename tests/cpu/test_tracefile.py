@@ -1,5 +1,6 @@
 """Tests for trace serialisation."""
 
+import struct
 from itertools import islice
 
 import pytest
@@ -8,13 +9,17 @@ from repro.asm import assemble
 from repro.core import AnalysisConfig, analyze_machine
 from repro.core.kernel import TraceColumns
 from repro.cpu import Machine
+from repro.cpu.trace import DynInst, Source
 from repro.cpu.tracefile import (
     analyze_trace_file,
+    decode_columns,
     read_trace_columns,
+    read_trace_raw,
     save_trace,
     trace_header,
 )
 from repro.errors import ReproError
+from repro.isa.opcodes import Category
 
 SOURCE = """
         .data
@@ -103,3 +108,74 @@ class TestRoundTrip:
             trace_header(path)
         with pytest.raises(ReproError):
             read_trace_columns(path)
+
+
+class TestSharedPcInts:
+    """Decoded pcs are shared int objects: each distinct PC is one
+    object, however many records or arcs carry it.  The PCs sit past
+    CPython's small-int cache and the records outnumber ``N_STATIC``,
+    so a per-element copy would show."""
+
+    N_STATIC = 400
+    PCS = range(300, 310)
+
+    @pytest.fixture()
+    def raw(self, tmp_path):
+        records = []
+        for uid in range(3 * self.N_STATIC):
+            pc = self.PCS[uid % len(self.PCS)]
+            srcs = [Source(uid, uid - 1, self.PCS[(uid - 1) % 10])
+                    for __ in range(min(uid, 3))]
+            srcs.append(Source(7, None, None, False, 2))
+            records.append(DynInst(
+                uid=uid, pc=pc, op="addu", category=Category.ALU,
+                has_imm=False, srcs=tuple(srcs), out=uid))
+        path = tmp_path / "shared.trace"
+        save_trace(TraceColumns.from_records(records, self.N_STATIC), path)
+        return read_trace_raw(path)
+
+    @staticmethod
+    def _distinct(values) -> int:
+        return len({id(value) for value in values})
+
+    def _check(self, columns):
+        assert self._distinct(columns.pc) <= self.N_STATIC
+        assert self._distinct(columns.src_ppc) <= self.N_STATIC
+        assert self._distinct(columns.in_key) <= 4 * self.N_STATIC
+        assert columns.in_key == [
+            (pc << 2) | slot for pc, k in zip(columns.pc, columns.nsrc)
+            for slot in range(k)]
+
+    def test_whole_decode_shares_pcs(self, raw):
+        header, body = raw
+        columns = decode_columns(body, header)
+        assert set(columns.pc) == set(self.PCS)
+        self._check(columns)
+
+    def test_range_decode_shares_pcs(self, raw):
+        header, body = raw
+        whole = decode_columns(body, header)
+        r0, r1 = 101, 1033
+        arc0 = sum(whole.nsrc[:r0])
+        part = decode_columns(body, header, r0, r1, arc0)
+        assert part.pc == whole.pc[r0:r1]
+        self._check(part)
+
+    def test_pc_beyond_n_static_is_corrupt(self, raw):
+        header, body = raw
+        # Records 5-9 run at pcs 305-309.
+        short = dict(header, n_static=305)
+        with pytest.raises(ReproError, match="n_static"):
+            decode_columns(body, short)
+        with pytest.raises(ReproError, match="n_static"):
+            decode_columns(body, short, 5, 10, 14)
+        assert decode_columns(body, short, 0, 5, 0).n_records == 5
+
+    def test_producer_pc_beyond_n_static_is_corrupt(self, raw):
+        header, body = raw
+        # The producer-pc block follows the record blocks (17 bytes a
+        # record) and three arc blocks (flags, value bits, producer).
+        at = header["n_records"] * 17 + header["n_arcs"] * 13
+        bad = body[:at] + struct.pack("<I", self.N_STATIC) + body[at + 4:]
+        with pytest.raises(ReproError, match="n_static"):
+            decode_columns(bad, header)

@@ -177,6 +177,19 @@ class TestProfileReconciliation:
         assert counters["sim.instructions"] == 1000
         assert counters["analyze.nodes"] == 1500
 
+    def test_observed_run_gauges_peak_rss(self, tmp_path):
+        """Every observed run ends by gauging the process's peak RSS
+        and its largest reaped child's; two workloads on two workers
+        run in pool children, so both scopes read above zero."""
+        from repro.runner import ExecutionPolicy
+
+        run = _runner(tmp_path, observe=True,
+                      policy=ExecutionPolicy(jobs=2)).run(_config())
+        assert not run.failures
+        gauges = run.metrics.profile["gauges"]
+        assert gauges['process.peak_rss_mb{scope="self"}'] > 0
+        assert gauges['process.peak_rss_mb{scope="children"}'] > 0
+
     def test_unobserved_runs_carry_no_profile(self, tmp_path):
         run = _runner(tmp_path).run(_config())
         assert run.metrics.profile is None

@@ -46,6 +46,21 @@ class TestStoreBasics:
         assert decoded.to_records() == _records(5)
         assert header["n_records"] == 5 and header["n_arcs"] == 5
 
+    def test_another_key_empties_the_slot(self, tmp_path):
+        """The store holds one decoded trace: a get or a put of key B
+        drops key A's columns, so A's next get decodes anew."""
+        store = TraceStore(tmp_path)
+        store.put(KEY_A, _records(5), n_static=8, complete=True)
+        store.put(KEY_B, _records(4), n_static=8, complete=True)
+        __, first = store.get(KEY_A, 2)
+        store.get(KEY_B, 2)
+        __, second = store.get(KEY_A, 2)
+        assert second is not first
+        store.put(KEY_B, _records(6), n_static=8, complete=True)
+        __, third = store.get(KEY_A, 2)
+        assert third is not second
+        assert third.to_records() == _records(5)
+
     def test_header_reports_counts_and_completeness(self, tmp_path):
         store = TraceStore(tmp_path)
         store.put(KEY_A, _records(4), n_static=6, complete=False)
@@ -173,6 +188,16 @@ class TestCorruption:
         assert store.hits == 0 and store.misses == 1
         assert not path.exists()
 
+    def test_pc_beyond_n_static_is_a_miss_and_removed(self, tmp_path):
+        # The first body block holds each record's pc (u32).
+        path = TraceStore(tmp_path).put(KEY_A, _records(50), n_static=8,
+                                        complete=True)
+        _rewrite_body(path, lambda body: struct.pack("<I", 8) + body[4:])
+        store = TraceStore(tmp_path)
+        assert store.get(KEY_A, 1) is None
+        assert store.hits == 0 and store.misses == 1
+        assert not path.exists()
+
     def test_short_but_valid_trace_is_not_removed(self, tmp_path):
         store = TraceStore(tmp_path)
         path = store.put(KEY_A, _records(3), n_static=8, complete=False)
@@ -236,3 +261,70 @@ class TestSegidxLifecycle:
         assert not orphan.exists()
         assert live.exists()            # the live sidecar is untouched
         assert store.sweep_orphan_segidx() == 0
+
+
+class TestSlotUnderThreads:
+    def test_threads_never_get_another_keys_columns(self, tmp_path):
+        """Batch threads share one store: racing gets of two keys may
+        each decode, but none may see the other key's columns."""
+        import sys
+        import threading
+
+        store = TraceStore(tmp_path)
+        store.put(KEY_A, _records(5, pc=3), n_static=8, complete=True)
+        store.put(KEY_B, _records(7, pc=5), n_static=8, complete=True)
+        errors = []
+
+        def reader(key, n_records):
+            for __ in range(60):
+                __, columns = store.get(key, 1)
+                if columns.n_records != n_records:
+                    errors.append(f"{key[:2]}: {columns.n_records}")
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=args)
+                       for args in [(KEY_A, 5), (KEY_B, 7)] * 3]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+
+class TestSweepReadsEachTraceOnce:
+    """A sweep reads each trace once, so one slot serves it whole."""
+
+    def test_serial_sweep_decodes_each_trace_once(self, tmp_path):
+        from repro.obs import Recorder, recording
+        from repro.runner import (ExperimentConfig, ExperimentRunner,
+                                  ResultStore, trace_key)
+
+        budget = 1_200
+        names = ("com", "go")
+        configs = [
+            ExperimentConfig(workloads=names, max_instructions=budget),
+            ExperimentConfig(workloads=names, max_instructions=budget,
+                             predictors=("last",), trees_for=()),
+        ]
+        ExperimentRunner(trace_store=TraceStore(tmp_path / "cache"),
+                         store=None).run(configs[0]).require()
+        store = TraceStore(tmp_path / "cache")
+        runs = ExperimentRunner(
+            store=ResultStore(tmp_path / "results"), trace_store=store,
+            observe=True).run_many(configs)
+        assert all(metric.status == "replayed"
+                   for run in runs for metric in run.metrics.jobs)
+        counters = runs[0].metrics.profile["counters"]
+        assert counters["trace.decode.records"] == budget * len(names)
+        first, last = (trace_key(name) for name in names)
+        with recording(Recorder()) as rec:
+            store.get(last, budget)
+            assert "trace.decode.records" not in rec.snapshot()["counters"]
+            store.get(first, budget)
+            assert rec.snapshot()["counters"]["trace.decode.records"] == \
+                budget
